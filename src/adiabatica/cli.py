@@ -23,8 +23,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON scenario file")
         p.add_argument("--out", default=None,
                        help=f"output directory (default: ${OUTPUT_DIR_ENV} or '.')")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallel sweep cells (default 1)")
         p.add_argument("--override", action="append", default=[],
                        metavar="KEY=VALUE",
                        help="override a config key, e.g. model.detuning=0.5")
@@ -37,7 +35,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, experiment=args.experiment,
                              overrides=args.override)
-        paths = run_experiment(config, out_dir, threads=args.threads)
+        paths = run_experiment(config, out_dir)
     except (ConfigError, FileNotFoundError, ValueError, RuntimeError) as exc:
         print(f"adiabatica: error: {exc}", file=sys.stderr)
         return 1

@@ -9,7 +9,9 @@ inputs give byte-identical files.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -93,7 +95,7 @@ def _build_scenario(config: ScenarioConfig, delta: float) -> Scenario:
 # Experiment implementations
 # ---------------------------------------------------------------------------
 
-def _run_a0_map(config: ScenarioConfig, out_dir: Path, threads: int):
+def _run_a0_map(config: ScenarioConfig, out_dir: Path):
     xs = config.grid.x
     p0 = config.state.p0
     columns = []
@@ -105,7 +107,7 @@ def _run_a0_map(config: ScenarioConfig, out_dir: Path, threads: int):
     return [write_csv(out_dir / "a0_map.csv", _comment(config), header, rows)]
 
 
-def _run_max_locus(config: ScenarioConfig, out_dir: Path, threads: int):
+def _run_max_locus(config: ScenarioConfig, out_dir: Path):
     locus = adiabaticity_max_locus(
         config.base_params, config.detunings, config.state.p0,
         window=config.search.window(), scan_points=config.search.scan_points)
@@ -117,20 +119,33 @@ def _run_max_locus(config: ScenarioConfig, out_dir: Path, threads: int):
                       ["detuning", "x_max", "value_at_max"], rows)]
 
 
-def _run_fidelity_map(config: ScenarioConfig, out_dir: Path, threads: int):
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _sweep_cell(scenario: Scenario):
+    """One fidelity-map cell; module level so a worker process can unpickle it."""
+    return run_scenario(scenario, compute_adiabaticity=False)
+
+
+def _run_fidelity_map(config: ScenarioConfig, out_dir: Path):
     if config.abscissa == "measured" and config.detunings.size > 1:
         raise ConfigError("config.output.abscissa: a swept fidelity map needs "
                           "the shared 'kinematic' abscissa")
     scenarios = [_build_scenario(config, d) for d in config.detunings]
-
-    def one(scenario):
-        return run_scenario(scenario, compute_adiabaticity=False)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one, scenarios))
+    workers = min(len(scenarios), _available_cpus())
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        # fork, not the platform default: a spawn or forkserver worker
+        # re-imports numpy and scipy (0.5-0.8 s each).  The program starts no
+        # threads of its own, and OpenBLAS rebuilds its pool after a fork.
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            records = list(pool.map(_sweep_cell, scenarios))
     else:
-        records = [one(s) for s in scenarios]
+        records = [_sweep_cell(s) for s in scenarios]
 
     base = records[0]
     axis = base.x_mean if config.abscissa == "measured" else base.x_kinematic
@@ -145,7 +160,7 @@ def _run_fidelity_map(config: ScenarioConfig, out_dir: Path, threads: int):
     return [write_csv(out_dir / "fidelity_map.csv", _comment(config), header, rows)]
 
 
-def _run_atrace(config: ScenarioConfig, out_dir: Path, threads: int):
+def _run_atrace(config: ScenarioConfig, out_dir: Path):
     scenario = _build_scenario(config, config.detunings[0])
     record = run_scenario(scenario)
     params = scenario.params
@@ -160,7 +175,7 @@ def _run_atrace(config: ScenarioConfig, out_dir: Path, threads: int):
     return [write_csv(out_dir / "atrace.csv", _comment(config), header, rows)]
 
 
-def _run_effective_model(config: ScenarioConfig, out_dir: Path, threads: int):
+def _run_effective_model(config: ScenarioConfig, out_dir: Path):
     if config.run.dt is None:
         raise ConfigError("config.run.dt: effective-model needs an explicit dt")
     state = config.state
@@ -177,7 +192,7 @@ def _run_effective_model(config: ScenarioConfig, out_dir: Path, threads: int):
                       ["t", "coupling"], rows)]
 
 
-def _run_snapshot(config: ScenarioConfig, out_dir: Path, threads: int):
+def _run_snapshot(config: ScenarioConfig, out_dir: Path):
     scenario = _build_scenario(config, config.detunings[0])
     record = run_scenario(scenario, compute_adiabaticity=False)
     final = record.final_exact
@@ -201,10 +216,8 @@ _RUNNERS = {
 }
 
 
-def run_experiment(config: ScenarioConfig, out_dir, threads: int = 1):
+def run_experiment(config: ScenarioConfig, out_dir):
     """Dispatch one validated configuration; returns the written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    return _RUNNERS[config.experiment](config, out, threads)
+    return _RUNNERS[config.experiment](config, out)

@@ -201,14 +201,16 @@ class RunRecord:
 _GUARD_WEIGHT = 1e-9
 
 
-def _check_domain(field: SpinorField, margin: float, label: str, t: float) -> None:
+def _check_domain(field: SpinorField, margin: float, label: str, t: float,
+                  detuning: float) -> None:
     x_mean = mean_position(field)
     width = packet_width(field)
     grid = field.grid
     if x_mean - margin * width < grid.x_min or x_mean + margin * width > grid.x_max:
         raise DomainGuardError(
             f"{label} packet at <x>={x_mean:.3f} (width {width:.3f}) is within "
-            f"{margin} widths of a domain edge at t={t:.6g}; enlarge the grid")
+            f"{margin} widths of a domain edge at t={t:.6g} (detuning "
+            f"{float(detuning)!r}); enlarge the grid")
 
 
 def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRecord:
@@ -263,8 +265,9 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
     active = weights >= _GUARD_WEIGHT
 
     def sample(idx: int, t: float) -> None:
-        _check_domain(exact, scenario.edge_margin, "exact", t)
-        _check_domain(reference, scenario.edge_margin, "reference", t)
+        _check_domain(exact, scenario.edge_margin, "exact", t, params.detuning)
+        _check_domain(reference, scenario.edge_margin, "reference", t,
+                      params.detuning)
         rec.x_mean[idx] = mean_position(exact)
         rec.p_mean[idx] = mean_momentum(exact)
         rec.norm[idx] = exact.norm()

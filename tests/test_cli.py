@@ -1,9 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 import adiabatica as ad
+from adiabatica import experiments
 from adiabatica.cli import main
 from adiabatica.config import load_config
 from adiabatica.experiments import run_experiment, write_run_csv
@@ -72,11 +74,25 @@ def test_max_locus_output(tmp_path):
     np.testing.assert_allclose(table[:, 1], 6.0, atol=0.3)
 
 
-def test_fidelity_map_output_and_threads(tmp_path):
-    cfg = load_config(write_config(tmp_path, tiny_map_config()))
-    serial = run_experiment(cfg, tmp_path / "serial", threads=1)
-    parallel = run_experiment(cfg, tmp_path / "parallel", threads=2)
-    assert serial[0].read_bytes() == parallel[0].read_bytes()
+def test_fidelity_map_output_serial_and_pool(tmp_path, monkeypatch):
+    pool_sizes = []
+
+    class RecordingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    data = tiny_map_config()
+    data["model"]["detuning"] = {"values": [0.5, 2.0, 5.0]}
+    cfg = load_config(write_config(tmp_path, data))
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = run_experiment(cfg, tmp_path / "serial")
+    assert pool_sizes == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pooled = run_experiment(cfg, tmp_path / "pooled")
+    assert pool_sizes == [2]
+    assert serial[0].read_bytes() == pooled[0].read_bytes()
     _, header, table = read_table(serial[0])
     assert header[:2] == ["x", "t"]
     assert np.all(table[:, 2:] <= 1.0 + 1e-9)
@@ -171,8 +187,7 @@ def test_cli_runs_and_is_deterministic(tmp_path, capsys):
     cfg_path = write_config(tmp_path, tiny_map_config())
     out1, out2 = tmp_path / "one", tmp_path / "two"
     assert main(["fidelity-map", "--config", str(cfg_path), "--out", str(out1)]) == 0
-    assert main(["fidelity-map", "--config", str(cfg_path), "--out", str(out2),
-                 "--threads", "2"]) == 0
+    assert main(["fidelity-map", "--config", str(cfg_path), "--out", str(out2)]) == 0
     printed = capsys.readouterr().out.splitlines()
     assert printed and printed[0].endswith("fidelity_map.csv")
     a = (out1 / "fidelity_map.csv").read_bytes()
@@ -207,3 +222,16 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "config.model" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["not-an-experiment", "--config", str(missing)])
+
+
+def test_cli_names_detuning_of_cell_that_leaves_the_grid(tmp_path, capsys,
+                                                          monkeypatch):
+    data = tiny_map_config()
+    data["grid"] = {"points": 256, "x_min": -40.0, "x_max": 40.0}
+    data["run"]["t_final"] = 20.0
+    cfg_path = write_config(tmp_path, data)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert main(["fidelity-map", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "domain edge" in err and "(detuning 0.5)" in err
