@@ -13,9 +13,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
+import scipy.fft as sfft
 
-from .grids import (ADIABATIC, BARE, SpinorField, expect_grid_values,
+# expect_grid_values and expect_slope_momentum go unused here but stay bound:
+# perfbench/tracer.py rebinds them by this module's name.
+from .grids import (ADIABATIC, BARE, SpinorField, _component_norms,
+                    _grid_average, _slope_momentum_average, expect_grid_values,
                     expect_slope_momentum, to_adiabatic)
 from .model import (DEGENERACY_FLOOR, AdiabaticFrame, LinearMode, ModelParams,
                     StandingWaveMode, _angle_curvature_raw, _angle_slope_raw)
@@ -111,18 +114,36 @@ def adiabaticity_parts(reference: SpinorField, frame: AdiabaticFrame,
     if reference.frame != ADIABATIC:
         raise ValueError("adiabaticity averages need the adiabatic-frame channels")
     weights = np.asarray(weights, dtype=float)
+    rows = reference.components
+    dens = np.abs(rows) ** 2
+    norms = _component_norms(dens, reference.grid.dx, weights >= WEIGHT_FLOOR)
+    return _adiabaticity_parts(reference, dens, sfft.fft(rows, axis=1), norms,
+                               frame, params.mass, weights)
+
+
+def _adiabaticity_parts(reference: SpinorField, dens: np.ndarray,
+                        spectrum: np.ndarray, norms: np.ndarray,
+                        frame: AdiabaticFrame, mass: float,
+                        weights: np.ndarray) -> AdiabaticityParts:
+    """adiabaticity_parts from the reference's |psi|^2 rows, FFT rows and
+    channel norms (checked by the caller for every active channel)."""
+    grid = reference.grid
     active = weights >= WEIGHT_FLOOR
     slope_avg = np.full(2, np.nan, dtype=np.complex128)
     curv_avg = np.full(2, np.nan)
     split_avg = np.full(2, np.nan)
     for ch in range(2):
         if active[ch]:
-            slope_avg[ch] = 2.0 * expect_slope_momentum(reference,
-                                                        frame.theta_slope, ch)
-            curv_avg[ch] = expect_grid_values(reference, frame.theta_curvature, ch)
-            split_avg[ch] = expect_grid_values(reference, frame.splitting, ch)
-    return AdiabaticityParts(slope_avg, curv_avg, split_avg, weights,
-                             params.mass, active)
+            row = slice(ch, ch + 1)
+            slope_avg[ch] = 2.0 * _slope_momentum_average(
+                reference.components[row], spectrum[row], frame.theta_slope,
+                grid, norms[row])[0]
+            curv_avg[ch] = _grid_average(dens[row], frame.theta_curvature,
+                                         grid.dx, norms[row])[0]
+            split_avg[ch] = _grid_average(dens[row], frame.splitting,
+                                          grid.dx, norms[row])[0]
+    return AdiabaticityParts(slope_avg, curv_avg, split_avg, weights, mass,
+                             active)
 
 
 def packet_adiabaticity(reference: SpinorField, frame: AdiabaticFrame,
@@ -309,6 +330,10 @@ def lorentzian_peak_integral(params: ModelParams, p0: float,
         raise ValueError(
             f"integration window of {window_halfwidths} half-widths leaves a "
             f"{tail / analytic:.2%} tail; enlarge it")
+    # Imported on first use: no CLI experiment needs scipy.integrate, and
+    # importing it adds about 0.3 s to every start-up.
+    from scipy.integrate import quad
+
     numeric, _ = quad(lambda x: amp / (1.0 + (c * x) ** 2) ** 1.5,
                       -half_width, half_width, limit=200)
     return float(numeric), float(analytic)

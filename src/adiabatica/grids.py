@@ -80,7 +80,7 @@ class SpinorField:
 
     def norm_sq(self) -> float:
         """Total integral of |psi_upper|^2 + |psi_lower|^2."""
-        return float(np.sum(np.abs(self.components) ** 2)) * self.grid.dx
+        return _norm_sq(np.abs(self.components) ** 2, self.grid.dx)
 
     def norm(self) -> float:
         return np.sqrt(self.norm_sq())
@@ -88,6 +88,10 @@ class SpinorField:
     def component_norms_sq(self) -> np.ndarray:
         """Per-component populations, shape (2,)."""
         return np.sum(np.abs(self.components) ** 2, axis=1) * self.grid.dx
+
+
+def _norm_sq(dens: np.ndarray, dx: float) -> float:
+    return float(np.sum(dens)) * dx
 
 
 def gaussian_bare_state(grid: Grid, x0: float, p0: float, width: float,
@@ -131,10 +135,14 @@ def to_adiabatic(field: SpinorField, frame: AdiabaticFrame) -> SpinorField:
     if field.frame != BARE:
         raise ValueError("to_adiabatic expects a bare-frame field")
     _check_grids(field, frame)
-    c, s = frame.cos_theta, frame.sin_theta
-    up = c * field.upper + s * field.lower
-    dn = -s * field.upper + c * field.lower
-    return SpinorField(field.grid, np.stack([up, dn]), ADIABATIC)
+    comps = _rotate_to_adiabatic(field.components, frame.cos_theta, frame.sin_theta)
+    return SpinorField(field.grid, comps, ADIABATIC)
+
+
+def _rotate_to_adiabatic(comps: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    up = c * comps[0] + s * comps[1]
+    dn = -s * comps[0] + c * comps[1]
+    return np.stack([up, dn])
 
 
 def to_bare(field: SpinorField, frame: AdiabaticFrame) -> SpinorField:
@@ -160,15 +168,40 @@ def _rows(field: SpinorField, component: int | None) -> np.ndarray:
     return field.components[component:component + 1]
 
 
-def _norms_checked(rows: np.ndarray, dx: float) -> np.ndarray:
-    norms = np.sum(np.abs(rows) ** 2, axis=1) * dx
-    if np.any(norms <= _NORM_FLOOR):
+def _component_norms(dens: np.ndarray, dx: float,
+                     checked=slice(None)) -> np.ndarray:
+    """Row populations of |psi|^2; the rows picked by `checked` must be nonempty."""
+    norms = np.sum(dens, axis=1) * dx
+    if np.any(norms[checked] <= _NORM_FLOOR):
         raise ValueError("expectation over a zero-population component")
     return norms
 
 
 def _squeeze(values: np.ndarray, component: int | None):
     return values if component is None else values[0]
+
+
+def _grid_average(dens: np.ndarray, values: np.ndarray, dx: float,
+                  norms: np.ndarray) -> np.ndarray:
+    """Per-row average of a position-diagonal observable over |psi|^2 rows."""
+    return (dens @ values) * dx / norms
+
+
+def _spectrum_average(spectrum: np.ndarray, values: np.ndarray, grid: Grid,
+                      norms: np.ndarray) -> np.ndarray:
+    """Per-row average of a momentum-diagonal observable over FFT rows."""
+    # Parseval: sum |psi~|^2 / N = sum |psi|^2
+    weights = np.abs(spectrum) ** 2 * (grid.dx / grid.npoints)
+    return (weights @ values) / norms
+
+
+def _slope_momentum_average(rows: np.ndarray, spectrum: np.ndarray,
+                            slope_values: np.ndarray, grid: Grid,
+                            norms: np.ndarray) -> np.ndarray:
+    """Per-row <f(x) p>, with p psi taken from the rows' FFT `spectrum`."""
+    p_psi = sfft.ifft(grid.k * spectrum, axis=1)
+    integrand = np.conj(rows) * slope_values * p_psi
+    return np.sum(integrand, axis=1) * grid.dx / norms
 
 
 def expect_grid_values(field: SpinorField, values: np.ndarray,
@@ -179,10 +212,9 @@ def expect_grid_values(field: SpinorField, values: np.ndarray,
     components, a scalar when one is selected.  An exactly empty component
     is an error.
     """
-    rows = _rows(field, component)
-    norms = _norms_checked(rows, field.grid.dx)
-    dens = np.abs(rows) ** 2
-    out = (dens @ np.asarray(values, dtype=float)) * field.grid.dx / norms
+    dens = np.abs(_rows(field, component)) ** 2
+    norms = _component_norms(dens, field.grid.dx)
+    out = _grid_average(dens, np.asarray(values, dtype=float), field.grid.dx, norms)
     return _squeeze(out, component)
 
 
@@ -190,21 +222,20 @@ def expect_position(field: SpinorField, component: int | None = None):
     return expect_grid_values(field, field.grid.x, component)
 
 
-def expect_momentum(field: SpinorField, component: int | None = None):
+def _expect_spectrum(field: SpinorField, values: np.ndarray,
+                     component: int | None):
     rows = _rows(field, component)
-    norms = _norms_checked(rows, field.grid.dx)
-    spec = np.abs(sfft.fft(rows, axis=1)) ** 2
-    # Parseval: sum |psi~|^2 / N = sum |psi|^2
-    weights = spec * (field.grid.dx / field.grid.npoints)
-    return _squeeze((weights @ field.grid.k) / norms, component)
+    norms = _component_norms(np.abs(rows) ** 2, field.grid.dx)
+    out = _spectrum_average(sfft.fft(rows, axis=1), values, field.grid, norms)
+    return _squeeze(out, component)
+
+
+def expect_momentum(field: SpinorField, component: int | None = None):
+    return _expect_spectrum(field, field.grid.k, component)
 
 
 def expect_momentum_sq(field: SpinorField, component: int | None = None):
-    rows = _rows(field, component)
-    norms = _norms_checked(rows, field.grid.dx)
-    spec = np.abs(sfft.fft(rows, axis=1)) ** 2
-    weights = spec * (field.grid.dx / field.grid.npoints)
-    return _squeeze((weights @ field.grid.k**2) / norms, component)
+    return _expect_spectrum(field, field.grid.k**2, component)
 
 
 def expect_slope_momentum(field: SpinorField, slope_values: np.ndarray,
@@ -215,10 +246,11 @@ def expect_slope_momentum(field: SpinorField, slope_values: np.ndarray,
     modulus where a real rate is needed.
     """
     rows = _rows(field, component)
-    norms = _norms_checked(rows, field.grid.dx)
-    p_psi = sfft.ifft(field.grid.k * sfft.fft(rows, axis=1), axis=1)
-    integrand = np.conj(rows) * np.asarray(slope_values, dtype=float) * p_psi
-    return _squeeze(np.sum(integrand, axis=1) * field.grid.dx / norms, component)
+    norms = _component_norms(np.abs(rows) ** 2, field.grid.dx)
+    out = _slope_momentum_average(rows, sfft.fft(rows, axis=1),
+                                  np.asarray(slope_values, dtype=float),
+                                  field.grid, norms)
+    return _squeeze(out, component)
 
 
 def expectation(field: SpinorField, observable: str,
@@ -250,13 +282,23 @@ def expectation(field: SpinorField, observable: str,
 # Whole-state summaries (both components combined)
 # ---------------------------------------------------------------------------
 
+def _centre(dens: np.ndarray, grid: Grid, caller: str):
+    """(<x>, total) of a total density; `caller` names the empty-field error."""
+    total = np.sum(dens) * grid.dx
+    if total <= _NORM_FLOOR:
+        raise ValueError(f"{caller} of an empty field")
+    return np.sum(dens * grid.x) * grid.dx / total, total
+
+
+def _width(dens: np.ndarray, grid: Grid, mean, total) -> float:
+    var = np.sum(dens * (grid.x - mean) ** 2) * grid.dx / total
+    return float(np.sqrt(2.0 * var))
+
+
 def mean_position(field: SpinorField) -> float:
     """<x> over the total density; invariant under pointwise frame rotations."""
     dens = np.sum(np.abs(field.components) ** 2, axis=0)
-    total = np.sum(dens) * field.grid.dx
-    if total <= _NORM_FLOOR:
-        raise ValueError("mean_position of an empty field")
-    return float(np.sum(dens * field.grid.x) * field.grid.dx / total)
+    return float(_centre(dens, field.grid, "mean_position")[0])
 
 
 def mean_momentum(field: SpinorField) -> float:
@@ -274,13 +316,8 @@ def packet_width(field: SpinorField) -> float:
     argument of gaussian_bare_state.
     """
     dens = np.sum(np.abs(field.components) ** 2, axis=0)
-    total = np.sum(dens) * field.grid.dx
-    if total <= _NORM_FLOOR:
-        raise ValueError("packet_width of an empty field")
-    x = field.grid.x
-    mean = np.sum(dens * x) * field.grid.dx / total
-    var = np.sum(dens * (x - mean) ** 2) * field.grid.dx / total
-    return float(np.sqrt(2.0 * var))
+    mean, total = _centre(dens, field.grid, "packet_width")
+    return _width(dens, field.grid, mean, total)
 
 
 def write_snapshot_csv(field: SpinorField, path) -> None:

@@ -384,17 +384,25 @@ class AdiabaticFrame:
     mean_shift: float
     degenerate: np.ndarray
 
+    def __post_init__(self):
+        # Evaluated once per frame and shared by every caller, hence read-only.
+        for name, value in (("_cos_theta", np.cos(self.theta)),
+                            ("_sin_theta", np.sin(self.theta)),
+                            ("_splitting", self.upper - self.lower)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
     @property
     def cos_theta(self):
-        return np.cos(self.theta)
+        return self._cos_theta
 
     @property
     def sin_theta(self):
-        return np.sin(self.theta)
+        return self._sin_theta
 
     @property
     def splitting(self):
-        return self.upper - self.lower
+        return self._splitting
 
 
 def adiabatic_frame(params: ModelParams, grid) -> AdiabaticFrame:

@@ -9,6 +9,11 @@ position space.  The coupled 2x2 potential exponential is computed in closed
 form from its Pauli decomposition, so each factor is exactly unitary and the
 scheme is second order in dt.  Consecutive steps fuse the adjacent kinetic
 half-steps, which halves the FFT count without changing the result.
+
+run_scenario samples each state in one pass: per sampled instant it builds
+each state's |psi|^2 once, Fourier transforms each state once and rotates the
+exact state into the adiabatic frame once, and reduces every recorded column
+from those arrays.
 """
 
 from __future__ import annotations
@@ -19,9 +24,13 @@ import numpy as np
 import scipy.fft as sfft
 
 from . import diagnostics
-from .grids import (ADIABATIC, BARE, Grid, SpinorField, expect_momentum,
-                    expect_position, mean_momentum, mean_position,
-                    packet_width, to_adiabatic)
+# expect_position, expect_momentum, mean_position and packet_width go unused
+# here but stay bound: perfbench/tracer.py rebinds them by this module's name.
+from .grids import (ADIABATIC, BARE, Grid, SpinorField, _centre,
+                    _component_norms, _grid_average, _norm_sq,
+                    _rotate_to_adiabatic, _spectrum_average, _width,
+                    expect_momentum, expect_position, mean_momentum,
+                    mean_position, packet_width, to_adiabatic)
 from .model import AdiabaticFrame, ModelParams, adiabatic_eigenvalues, adiabatic_frame
 
 
@@ -198,19 +207,21 @@ class RunRecord:
         return np.abs(self.fidelity)
 
 
+#: Channels with smaller initial weight get no ref_x / ref_p samples.
 _GUARD_WEIGHT = 1e-9
 
 
-def _check_domain(field: SpinorField, margin: float, label: str, t: float,
-                  detuning: float) -> None:
-    x_mean = mean_position(field)
-    width = packet_width(field)
-    grid = field.grid
+def _check_domain(dens: np.ndarray, grid: Grid, margin: float, label: str,
+                  t: float, detuning: float):
+    """<x> of the packet with total density `dens`, which must keep clear of the edges."""
+    x_mean, total = _centre(dens, grid, "mean_position")
+    width = _width(dens, grid, x_mean, total)
     if x_mean - margin * width < grid.x_min or x_mean + margin * width > grid.x_max:
         raise DomainGuardError(
             f"{label} packet at <x>={x_mean:.3f} (width {width:.3f}) is within "
             f"{margin} widths of a domain edge at t={t:.6g} (detuning "
             f"{float(detuning)!r}); enlarge the grid")
+    return x_mean
 
 
 def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRecord:
@@ -219,7 +230,8 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
     The reference starts as the pointwise rotation of the initial bare state
     into the adiabatic basis and evolves without inter-channel coupling;
     observables, overlap and the averaged adiabaticity parameter are sampled
-    every `stride` steps (the final step is always sampled).  With
+    every `stride` steps (the final step is always sampled).  Each sample
+    computes each state's density, spectrum and frame rotation once.  With
     `keep_states` the full spinor pair is retained at every sample as
     (t, exact, reference) tuples.
     """
@@ -263,24 +275,36 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
     )
 
     active = weights >= _GUARD_WEIGHT
+    # reference channels whose norm some column divides by
+    needed = active | (compute_adiabaticity & (weights >= diagnostics.WEIGHT_FLOOR))
+    cos_theta, sin_theta = frame.cos_theta, frame.sin_theta
+    margin, dx = scenario.edge_margin, grid.dx
 
     def sample(idx: int, t: float) -> None:
-        _check_domain(exact, scenario.edge_margin, "exact", t, params.detuning)
-        _check_domain(reference, scenario.edge_margin, "reference", t,
+        exact_dens = np.abs(exact.components) ** 2
+        ref_dens = np.abs(reference.components) ** 2
+        rec.x_mean[idx] = _check_domain(np.sum(exact_dens, axis=0), grid, margin,
+                                        "exact", t, params.detuning)
+        _check_domain(np.sum(ref_dens, axis=0), grid, margin, "reference", t,
                       params.detuning)
-        rec.x_mean[idx] = mean_position(exact)
         rec.p_mean[idx] = mean_momentum(exact)
-        rec.norm[idx] = exact.norm()
-        exact_ad = to_adiabatic(exact, frame)
-        pops = exact_ad.component_norms_sq()
-        rec.pop_upper[idx], rec.pop_lower[idx] = pops
-        rec.fidelity[idx] = diagnostics.fidelity(exact, reference, frame)
+        rec.norm[idx] = np.sqrt(_norm_sq(exact_dens, dx))
+        exact_ad = SpinorField(grid, _rotate_to_adiabatic(
+            exact.components, cos_theta, sin_theta), ADIABATIC)
+        rec.pop_upper[idx], rec.pop_lower[idx] = exact_ad.component_norms_sq()
+        rec.fidelity[idx] = diagnostics.fidelity(exact_ad, reference, frame)
+        norms = _component_norms(ref_dens, dx, needed)
+        spectrum = sfft.fft(reference.components, axis=1)
         for ch in range(2):
             if active[ch]:
-                rec.ref_x[ch, idx] = expect_position(reference, ch)
-                rec.ref_p[ch, idx] = expect_momentum(reference, ch)
+                row = slice(ch, ch + 1)
+                rec.ref_x[ch, idx] = _grid_average(ref_dens[row], grid.x, dx,
+                                                   norms[row])[0]
+                rec.ref_p[ch, idx] = _spectrum_average(spectrum[row], grid.k,
+                                                       grid, norms[row])[0]
         if compute_adiabaticity:
-            parts = diagnostics.adiabaticity_parts(reference, frame, params, weights)
+            parts = diagnostics._adiabaticity_parts(
+                reference, ref_dens, spectrum, norms, frame, params.mass, weights)
             rec.adiabaticity_terms[:, idx] = parts.channel_terms(include_curvature=True)
             rec.adiabaticity_terms_plain[:, idx] = parts.channel_terms(include_curvature=False)
             rec.adiabaticity[idx] = parts.total(include_curvature=True)

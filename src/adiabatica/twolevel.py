@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .model import (DEGENERACY_FLOOR, ModelParams, _angle_slope_raw,
                     adiabatic_eigenvalues, adiabatic_gradient)
@@ -169,6 +168,10 @@ def coupling_from_adiabaticity(times, values, delta: float,
         raise ValueError("the target adiabaticity trace must be nonnegative")
     if delta == 0.0:
         raise ValueError("the inverse construction needs a nonzero splitting delta")
+
+    # Imported on first use: no CLI experiment needs scipy.integrate, and
+    # importing it adds about 0.3 s to every start-up.
+    from scipy.integrate import cumulative_simpson
 
     f0 = initial_coupling / (delta * math.sqrt(delta**2 + 4.0 * initial_coupling**2))
     f = f0 + cumulative_simpson(values, x=times, initial=0.0)

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,3 +238,13 @@ def test_cli_names_detuning_of_cell_that_leaves_the_grid(tmp_path, capsys,
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "domain edge" in err and "(detuning 0.5)" in err
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # no CLI experiment integrates, so start-up must not pay for scipy.integrate
+    src = str(Path(ad.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, adiabatica.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -309,6 +309,24 @@ def test_adiabatic_frame_arrays_consistent():
     assert frame.mean_shift == 0.0
 
 
+def test_adiabatic_frame_caches_trig_and_splitting():
+    params = ad.ModelParams(mode=ad.StandingWaveMode(0.5, 0.5), detuning=1.0)
+    frame = ad.adiabatic_frame(params, ad.Grid(512, -30.0, 30.0))
+    expected = {"cos_theta": np.cos(frame.theta),
+                "sin_theta": np.sin(frame.theta),
+                "splitting": frame.upper - frame.lower}
+    for name, values in expected.items():
+        assert isinstance(ad.AdiabaticFrame.__dict__[name], property)
+        cached = getattr(frame, name)
+        assert np.array_equal(cached, values)
+        assert getattr(frame, name) is cached
+        # shared by every caller, so neither rebindable nor writable
+        with pytest.raises(AttributeError):
+            setattr(frame, name, values)
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+
+
 def test_adiabatic_frame_flags_degenerate_points_at_zero_detuning():
     params = ad.ModelParams(mode=ad.StandingWaveMode(1.0, np.pi / 8.0),
                             detuning=0.0)

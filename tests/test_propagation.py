@@ -272,3 +272,68 @@ def test_run_scenario_keeps_states_on_request():
     sc_plain = ad.Scenario(params=params, grid=grid, initial=psi, t_final=1.0,
                            dt=0.01, stride=25, x0=-10.0, p0=2.0)
     assert ad.run_scenario(sc_plain).snapshots is None
+
+
+def _scenario_from_adiabatic(lower_amplitude):
+    """Scenario whose initial state is a packet in the upper adiabatic channel
+    plus lower_amplitude times the same packet in the lower one."""
+    grid = ad.Grid(256, -40.0, 40.0)
+    params = ad.ModelParams(mode=ad.GaussianMode(2.0, 5.0), detuning=0.5)
+    packet = ad.gaussian_bare_state(grid, -8.0, 3.0, 2.0).upper
+    comps = np.stack([packet, lower_amplitude * packet])
+    initial = ad.to_bare(ad.SpinorField(grid, comps, ad.ADIABATIC),
+                         ad.adiabatic_frame(params, grid))
+    return ad.Scenario(params=params, grid=grid, initial=initial, t_final=1.0,
+                       dt=0.01, stride=7, x0=-8.0, p0=3.0, keep_states=True)
+
+
+@pytest.mark.parametrize("lower_amplitude, lower_filled", [
+    (0.6, "ref_and_a"),            # both channels active
+    (0.0, "none"),                 # lower weight below both floors
+    (np.sqrt(3e-10), "a_only"),    # 1e-12 <= lower weight < 1e-9
+])
+def test_run_scenario_columns_match_public_observables(lower_amplitude,
+                                                       lower_filled):
+    # every column the sampler fills, rebuilt from the kept states with the
+    # public observables, must agree bit for bit (nan counting as equal)
+    sc = _scenario_from_adiabatic(lower_amplitude)
+    rec = ad.run_scenario(sc)
+    frame = ad.adiabatic_frame(sc.params, sc.grid)
+    active = rec.weights >= ad.propagation._GUARD_WEIGHT
+    columns = ("x_mean", "p_mean", "norm", "pop_upper", "pop_lower",
+               "fidelity", "ref_x", "ref_p", "adiabaticity",
+               "adiabaticity_plain", "adiabaticity_terms",
+               "adiabaticity_terms_plain")
+    want = {name: np.full_like(getattr(rec, name), np.nan) for name in columns}
+    assert len(rec.snapshots) == rec.times.size
+    for i, (t, exact, reference) in enumerate(rec.snapshots):
+        assert t == rec.times[i]
+        want["x_mean"][i] = ad.mean_position(exact)
+        want["p_mean"][i] = ad.mean_momentum(exact)
+        want["norm"][i] = exact.norm()
+        pops = ad.to_adiabatic(exact, frame).component_norms_sq()
+        want["pop_upper"][i], want["pop_lower"][i] = pops
+        want["fidelity"][i] = ad.fidelity(exact, reference, frame)
+        for ch in range(2):
+            if active[ch]:
+                want["ref_x"][ch, i] = ad.expect_position(reference, ch)
+                want["ref_p"][ch, i] = ad.expect_momentum(reference, ch)
+        parts = ad.adiabaticity_parts(reference, frame, sc.params, rec.weights)
+        want["adiabaticity_terms"][:, i] = parts.channel_terms(True)
+        want["adiabaticity_terms_plain"][:, i] = parts.channel_terms(False)
+        want["adiabaticity"][i] = parts.total(True)
+        want["adiabaticity_plain"][i] = parts.total(False)
+    for name, values in want.items():
+        assert np.array_equal(getattr(rec, name), values, equal_nan=True), name
+
+    # the weight floors: ref_x/ref_p need 1e-9, the adiabaticity terms 1e-12
+    filled = {"ref_x": lower_filled == "ref_and_a",
+              "ref_p": lower_filled == "ref_and_a",
+              "adiabaticity_terms": lower_filled != "none"}
+    for name, lower_is_filled in filled.items():
+        upper, lower = getattr(rec, name)
+        assert np.isfinite(upper).all(), name
+        if lower_is_filled:
+            assert np.isfinite(lower).all(), name
+        else:
+            assert np.isnan(lower).all(), name
