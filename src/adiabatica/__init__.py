@@ -21,8 +21,7 @@ from .grids import (ADIABATIC, BARE, Grid, SpinorField, expect_momentum,
                     to_bare, write_snapshot_csv)
 from .propagation import (AdiabaticPropagator, DomainGuardError,
                           FullPropagator, RunRecord, Scenario,
-                          default_time_step, propagate_adiabatic,
-                          run_scenario, split_step_full, trajectory_rows)
+                          default_time_step, run_scenario, trajectory_rows)
 from .diagnostics import (AdiabaticityParts, AdiabaticityTrace, FidelityTrace,
                           NodeLimitReport, adiabaticity_max_locus,
                           adiabaticity_parts, adiabaticity_trace, fidelity,

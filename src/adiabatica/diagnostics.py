@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft as sfft
 
 # expect_grid_values and expect_slope_momentum go unused here but stay bound:
 # perfbench/tracer.py rebinds them by this module's name.
@@ -117,7 +116,7 @@ def adiabaticity_parts(reference: SpinorField, frame: AdiabaticFrame,
     rows = reference.components
     dens = np.abs(rows) ** 2
     norms = _component_norms(dens, reference.grid.dx, weights >= WEIGHT_FLOOR)
-    return _adiabaticity_parts(reference, dens, sfft.fft(rows, axis=1), norms,
+    return _adiabaticity_parts(reference, dens, np.fft.fft(rows, axis=1), norms,
                                frame, params.mass, weights)
 
 

@@ -139,7 +139,7 @@ def _run_fidelity_map(config: ScenarioConfig, out_dir: Path):
     workers = min(len(scenarios), _available_cpus())
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         # fork, not the platform default: a spawn or forkserver worker
-        # re-imports numpy and scipy (0.5-0.8 s each).  The program starts no
+        # re-imports the package and numpy.  The program starts no
         # threads of its own, and OpenBLAS rebuilds its pool after a fork.
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=context) as pool:

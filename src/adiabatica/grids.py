@@ -12,7 +12,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from .model import AdiabaticFrame
 
@@ -40,7 +39,7 @@ class Grid:
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "dk", 2.0 * np.pi / (n * dx))
         object.__setattr__(self, "x", self.x_min + dx * np.arange(n))
-        object.__setattr__(self, "k", 2.0 * np.pi * sfft.fftfreq(n, d=dx))
+        object.__setattr__(self, "k", 2.0 * np.pi * np.fft.fftfreq(n, d=dx))
 
     @property
     def k_max(self) -> float:
@@ -199,7 +198,7 @@ def _slope_momentum_average(rows: np.ndarray, spectrum: np.ndarray,
                             slope_values: np.ndarray, grid: Grid,
                             norms: np.ndarray) -> np.ndarray:
     """Per-row <f(x) p>, with p psi taken from the rows' FFT `spectrum`."""
-    p_psi = sfft.ifft(grid.k * spectrum, axis=1)
+    p_psi = np.fft.ifft(grid.k * spectrum, axis=1)
     integrand = np.conj(rows) * slope_values * p_psi
     return np.sum(integrand, axis=1) * grid.dx / norms
 
@@ -226,7 +225,7 @@ def _expect_spectrum(field: SpinorField, values: np.ndarray,
                      component: int | None):
     rows = _rows(field, component)
     norms = _component_norms(np.abs(rows) ** 2, field.grid.dx)
-    out = _spectrum_average(sfft.fft(rows, axis=1), values, field.grid, norms)
+    out = _spectrum_average(np.fft.fft(rows, axis=1), values, field.grid, norms)
     return _squeeze(out, component)
 
 
@@ -247,7 +246,7 @@ def expect_slope_momentum(field: SpinorField, slope_values: np.ndarray,
     """
     rows = _rows(field, component)
     norms = _component_norms(np.abs(rows) ** 2, field.grid.dx)
-    out = _slope_momentum_average(rows, sfft.fft(rows, axis=1),
+    out = _slope_momentum_average(rows, np.fft.fft(rows, axis=1),
                                   np.asarray(slope_values, dtype=float),
                                   field.grid, norms)
     return _squeeze(out, component)
@@ -302,11 +301,16 @@ def mean_position(field: SpinorField) -> float:
 
 
 def mean_momentum(field: SpinorField) -> float:
-    spec = np.sum(np.abs(sfft.fft(field.components, axis=1)) ** 2, axis=0)
+    return _mean_momentum(np.fft.fft(field.components, axis=1), field.grid)
+
+
+def _mean_momentum(spectrum: np.ndarray, grid: Grid) -> float:
+    """<p> over the total momentum density of the FFT rows `spectrum`."""
+    spec = np.sum(np.abs(spectrum) ** 2, axis=0)
     total = np.sum(spec)
     if total <= _NORM_FLOOR:
         raise ValueError("mean_momentum of an empty field")
-    return float(np.sum(spec * field.grid.k) / total)
+    return float(np.sum(spec * grid.k) / total)
 
 
 def packet_width(field: SpinorField) -> float:

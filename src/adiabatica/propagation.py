@@ -10,8 +10,17 @@ form from its Pauli decomposition, so each factor is exactly unitary and the
 scheme is second order in dt.  Consecutive steps fuse the adjacent kinetic
 half-steps, which halves the FFT count without changing the result.
 
-run_scenario samples each state in one pass: per sampled instant it builds
-each state's |psi|^2 once, Fourier transforms each state once and rotates the
+One kernel, `_strang`, runs the steps in place on the rows of a complex
+array: each kinetic factor is one in-place forward FFT, phase multiply and
+inverse FFT over all rows, and each potential factor is applied by the
+propagator that owns the rows.  FullPropagator (a 2x2 unitary per point) and
+AdiabaticPropagator (diagonal phases) differ only in that potential factor.
+run_scenario keeps the exact state (bare rows 0-1) and the adiabatic
+reference (rows 2-3) in one (4, N) array, so every kinetic factor is one
+forward and one inverse transform for both states.
+
+run_scenario samples the pair in one pass: per sampled instant it builds
+|psi|^2 of the pair once, Fourier transforms the pair once and rotates the
 exact state into the adiabatic frame once, and reduces every recorded column
 from those arrays.
 """
@@ -21,13 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-import scipy.fft as sfft
 
 from . import diagnostics
-# expect_position, expect_momentum, mean_position and packet_width go unused
-# here but stay bound: perfbench/tracer.py rebinds them by this module's name.
+# expect_position, expect_momentum, mean_position, mean_momentum and
+# packet_width go unused here but stay bound: perfbench/tracer.py rebinds
+# them by this module's name.
 from .grids import (ADIABATIC, BARE, Grid, SpinorField, _centre,
-                    _component_norms, _grid_average, _norm_sq,
+                    _component_norms, _grid_average, _mean_momentum, _norm_sq,
                     _rotate_to_adiabatic, _spectrum_average, _width,
                     expect_momentum, expect_position, mean_momentum,
                     mean_position, packet_width, to_adiabatic)
@@ -41,6 +50,27 @@ class DomainGuardError(RuntimeError):
 def _kinetic_phases(grid: Grid, mass: float, dt: float):
     half = np.exp(-0.25j * grid.k**2 * dt / mass)
     return half, half * half
+
+
+def _kinetic(rows: np.ndarray, phase: np.ndarray) -> None:
+    np.fft.fft(rows, axis=1, out=rows)
+    rows *= phase
+    np.fft.ifft(rows, axis=1, out=rows)
+
+
+def _strang(rows: np.ndarray, n_steps: int, half_kin: np.ndarray,
+            full_kin: np.ndarray, kick) -> None:
+    """Apply n_steps Strang steps in place to the (m, N) array `rows`.
+
+    Interior kinetic half-steps are fused; kick(rows) multiplies the rows by
+    their pointwise potential factor in place.
+    """
+    if n_steps <= 0:
+        return
+    _kinetic(rows, half_kin)
+    for j in range(n_steps):
+        kick(rows)
+        _kinetic(rows, half_kin if j == n_steps - 1 else full_kin)
 
 
 class FullPropagator:
@@ -60,15 +90,17 @@ class FullPropagator:
                         np.sin(rot * dt) / np.where(rot > 0.0, rot, 1.0),
                         dt)
         phase = np.exp(-1j * params.mean_shift * dt)
-        self._p11 = phase * (cos - 1j * half_split * sinc)
-        self._p22 = phase * (cos + 1j * half_split * sinc)
+        # rows (p11, p22) of the unitary and its symmetric off-diagonal p12
+        self._diag = phase * np.stack([cos - 1j * half_split * sinc,
+                                       cos + 1j * half_split * sinc])
         self._p12 = phase * (-1j * g * sinc)
+        self._scratch = np.empty((2, 2, grid.npoints), dtype=np.complex128)
 
     def _apply_potential(self, comps: np.ndarray) -> None:
-        up = self._p11 * comps[0] + self._p12 * comps[1]
-        dn = self._p12 * comps[0] + self._p22 * comps[1]
-        comps[0] = up
-        comps[1] = dn
+        diag, cross = self._scratch
+        np.multiply(self._diag, comps, out=diag)        # p11 up, p22 dn
+        np.multiply(self._p12, comps[::-1], out=cross)  # p12 dn, p12 up
+        np.add(diag, cross, out=comps)
 
     def step(self, field: SpinorField) -> SpinorField:
         return self.advance(field, 1)
@@ -80,14 +112,8 @@ class FullPropagator:
         if field.grid != self.grid:
             raise ValueError("field grid does not match propagator grid")
         comps = field.components.copy()
-        if n_steps > 0:
-            comps = sfft.ifft(sfft.fft(comps, axis=1) * self._half_kin,
-                              axis=1, overwrite_x=True)
-            for j in range(n_steps):
-                self._apply_potential(comps)
-                kin = self._half_kin if j == n_steps - 1 else self._full_kin
-                comps = sfft.ifft(sfft.fft(comps, axis=1, overwrite_x=True) * kin,
-                                  axis=1, overwrite_x=True)
+        _strang(comps, n_steps, self._half_kin, self._full_kin,
+                self._apply_potential)
         return SpinorField(self.grid, comps, BARE)
 
 
@@ -101,6 +127,9 @@ class AdiabaticPropagator:
         self._half_kin, self._full_kin = _kinetic_phases(self.grid, params.mass, dt)
         self._pot = np.exp(-1j * dt * np.stack([frame.upper, frame.lower]))
 
+    def _apply_potential(self, comps: np.ndarray) -> None:
+        comps *= self._pot
+
     def step(self, field: SpinorField) -> SpinorField:
         return self.advance(field, 1)
 
@@ -110,27 +139,9 @@ class AdiabaticPropagator:
         if field.grid != self.grid:
             raise ValueError("field grid does not match propagator grid")
         comps = field.components.copy()
-        if n_steps > 0:
-            comps = sfft.ifft(sfft.fft(comps, axis=1) * self._half_kin,
-                              axis=1, overwrite_x=True)
-            for j in range(n_steps):
-                comps *= self._pot
-                kin = self._half_kin if j == n_steps - 1 else self._full_kin
-                comps = sfft.ifft(sfft.fft(comps, axis=1, overwrite_x=True) * kin,
-                                  axis=1, overwrite_x=True)
+        _strang(comps, n_steps, self._half_kin, self._full_kin,
+                self._apply_potential)
         return SpinorField(self.grid, comps, ADIABATIC)
-
-
-def split_step_full(field: SpinorField, params: ModelParams, dt: float) -> SpinorField:
-    """One Strang step of the full two-channel Hamiltonian."""
-    return FullPropagator(params, field.grid, dt).step(field)
-
-
-def propagate_adiabatic(field: SpinorField, frame: AdiabaticFrame,
-                        params: ModelParams, dt: float,
-                        n_steps: int = 1) -> SpinorField:
-    """n_steps Strang steps of the decoupled adiabatic channels."""
-    return AdiabaticPropagator(frame, params, dt).advance(field, n_steps)
 
 
 def default_time_step(params: ModelParams, grid: Grid, p_max: float) -> float:
@@ -242,8 +253,12 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
     exact_prop = FullPropagator(params, grid, scenario.dt)
     ref_prop = AdiabaticPropagator(frame, params, scenario.dt)
 
-    exact = scenario.initial.copy()
-    reference = to_adiabatic(scenario.initial, frame)
+    # exact state in bare rows 0-1, reference in adiabatic rows 2-3; the two
+    # fields are views of `pair`, which the kernel advances in place
+    pair = np.concatenate([scenario.initial.components,
+                           to_adiabatic(scenario.initial, frame).components])
+    exact = SpinorField(grid, pair[:2], BARE)
+    reference = SpinorField(grid, pair[2:], ADIABATIC)
     weights = reference.component_norms_sq()
     weights = weights / weights.sum()
 
@@ -281,20 +296,21 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
     margin, dx = scenario.edge_margin, grid.dx
 
     def sample(idx: int, t: float) -> None:
-        exact_dens = np.abs(exact.components) ** 2
-        ref_dens = np.abs(reference.components) ** 2
+        dens = np.abs(pair) ** 2
+        exact_dens, ref_dens = dens[:2], dens[2:]
         rec.x_mean[idx] = _check_domain(np.sum(exact_dens, axis=0), grid, margin,
                                         "exact", t, params.detuning)
         _check_domain(np.sum(ref_dens, axis=0), grid, margin, "reference", t,
                       params.detuning)
-        rec.p_mean[idx] = mean_momentum(exact)
+        spectra = np.fft.fft(pair, axis=1)
+        rec.p_mean[idx] = _mean_momentum(spectra[:2], grid)
         rec.norm[idx] = np.sqrt(_norm_sq(exact_dens, dx))
         exact_ad = SpinorField(grid, _rotate_to_adiabatic(
             exact.components, cos_theta, sin_theta), ADIABATIC)
         rec.pop_upper[idx], rec.pop_lower[idx] = exact_ad.component_norms_sq()
         rec.fidelity[idx] = diagnostics.fidelity(exact_ad, reference, frame)
         norms = _component_norms(ref_dens, dx, needed)
-        spectrum = sfft.fft(reference.components, axis=1)
+        spectrum = spectra[2:]
         for ch in range(2):
             if active[ch]:
                 row = slice(ch, ch + 1)
@@ -312,12 +328,16 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
         if scenario.keep_states:
             rec.snapshots.append((t, exact.copy(), reference.copy()))
 
+    def kick(rows: np.ndarray) -> None:
+        exact_prop._apply_potential(rows[:2])
+        ref_prop._apply_potential(rows[2:])
+
     sample(0, 0.0)
     current = 0
+    # same grid, mass and dt: the exact kinetic phases serve both states
     for idx, step in enumerate(sample_steps[1:], start=1):
-        chunk = step - current
-        exact = exact_prop.advance(exact, chunk)
-        reference = ref_prop.advance(reference, chunk)
+        _strang(pair, step - current, exact_prop._half_kin,
+                exact_prop._full_kin, kick)
         current = step
         sample(idx, current * scenario.dt)
 

@@ -240,11 +240,45 @@ def test_cli_names_detuning_of_cell_that_leaves_the_grid(tmp_path, capsys,
     assert "domain edge" in err and "(detuning 0.5)" in err
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # no CLI experiment integrates, so start-up must not pay for scipy.integrate
+def test_cli_runs_leave_scipy_unloaded(tmp_path):
+    # the CLI needs only numpy: neither its import nor any experiment may
+    # load a scipy module (scipy.integrate is imported by two library
+    # functions no experiment calls)
+    configs = {
+        "a0-map": tiny_map_config("a0-map"),
+        "max-locus": {
+            "experiment": "max-locus",
+            "model": {"detuning": {"values": [1.0]},
+                      "mode": {"kind": "gaussian", "amplitude": 1.0,
+                               "width": 6.0}},
+            "state": {"p0": 3.0},
+            "search": {"x_lo": 0.1, "x_hi": 30.0, "scan_points": 50},
+        },
+        "effective-model": {
+            "experiment": "effective-model",
+            "model": {"detuning": 0.8,
+                      "mode": {"kind": "gaussian", "amplitude": 1.0,
+                               "width": 6.0}},
+            "state": {"x0": -20.0, "p0": 3.0, "width": 3.0},
+            "run": {"t_final": 1.0, "dt": 0.1},
+        },
+    }
+    for experiment in ("fidelity-map", "atrace", "snapshot"):
+        data = tiny_map_config(experiment)
+        data["model"]["detuning"] = 0.5
+        data["run"] = {"t_final": 0.2, "dt": 0.01, "stride": 7}
+        configs[experiment] = data
+    runs = [[name, "--config", str(write_config(tmp_path, data, f"{name}.json")),
+             "--out", str(tmp_path / name)] for name, data in configs.items()]
+    code = ("import json, sys\n"
+            "import adiabatica.cli\n"
+            "codes = [adiabatica.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "print(json.dumps([codes, loaded]))\n")
     src = str(Path(ad.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, adiabatica.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
+                         check=True, capture_output=True, text=True, timeout=120)
+    codes, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0] * len(runs)
+    assert loaded == []

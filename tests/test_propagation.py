@@ -89,10 +89,9 @@ def test_constant_potential_global_phase():
     free_frame = ad.adiabatic_frame(free_params(detuning=0.0), grid)
     t = 2.0
     n = 200
-    evolved = ad.propagate_adiabatic(start, frame, params, t / n, n)
-    reference = ad.propagate_adiabatic(
-        ad.SpinorField(grid, start.components.copy(), ad.ADIABATIC),
-        free_frame, params, t / n, n)
+    evolved = ad.AdiabaticPropagator(frame, params, t / n).advance(start, n)
+    reference = ad.AdiabaticPropagator(free_frame, params, t / n).advance(
+        ad.SpinorField(grid, start.components.copy(), ad.ADIABATIC), n)
     np.testing.assert_allclose(evolved.upper,
                                np.exp(-1.5j * t) * reference.upper, atol=1e-12)
     np.testing.assert_allclose(evolved.lower,
@@ -156,20 +155,37 @@ def test_uniform_angle_frame_consistency():
     assert l2_distance(via_full, via_diag) < 1e-11
 
 
-def test_single_step_wrappers(small_grid):
+def test_single_step_frame_tags(small_grid):
     params = ad.ModelParams(mode=ad.GaussianMode(1.0, 5.0), detuning=1.0)
     frame = ad.adiabatic_frame(params, small_grid)
     psi = ad.gaussian_bare_state(small_grid, -10.0, 2.0, 3.0)
-    one = ad.split_step_full(psi, params, 0.02)
-    two = ad.FullPropagator(params, small_grid, 0.02).step(psi)
-    assert l2_distance(one, two) == 0.0
+    full = ad.FullPropagator(params, small_grid, 0.02)
+    adiabatic = ad.AdiabaticPropagator(frame, params, 0.02)
+    one = full.step(psi)
+    assert one.frame == ad.BARE
+    assert l2_distance(one, full.advance(psi, 1)) == 0.0
     rotated = ad.to_adiabatic(psi, frame)
-    stepped = ad.propagate_adiabatic(rotated, frame, params, 0.02)
+    stepped = adiabatic.step(rotated)
     assert stepped.frame == ad.ADIABATIC
     with pytest.raises(ValueError):
-        ad.split_step_full(rotated, params, 0.02)
+        full.step(rotated)
     with pytest.raises(ValueError):
-        ad.propagate_adiabatic(psi, frame, params, 0.02)
+        adiabatic.step(psi)
+
+
+def test_advance_leaves_input_unchanged(small_grid):
+    # the kernel works in place, so it must run on a copy of the input
+    params = ad.ModelParams(mode=ad.GaussianMode(1.0, 5.0), detuning=1.0)
+    frame = ad.adiabatic_frame(params, small_grid)
+    psi = ad.gaussian_bare_state(small_grid, -10.0, 2.0, 3.0)
+    rotated = ad.to_adiabatic(psi, frame)
+    for prop, field in ((ad.FullPropagator(params, small_grid, 0.02), psi),
+                        (ad.AdiabaticPropagator(frame, params, 0.02), rotated)):
+        before = field.components.copy()
+        for n in (0, 1, 5):
+            out = prop.advance(field, n)
+            assert np.array_equal(field.components, before)
+            assert not np.shares_memory(out.components, field.components)
 
 
 def test_default_time_step_rule():
@@ -272,6 +288,35 @@ def test_run_scenario_keeps_states_on_request():
     sc_plain = ad.Scenario(params=params, grid=grid, initial=psi, t_final=1.0,
                            dt=0.01, stride=25, x0=-10.0, p0=2.0)
     assert ad.run_scenario(sc_plain).snapshots is None
+
+
+def test_run_scenario_stacked_pair_matches_separate_propagators():
+    # exact state and reference advance as one stacked array; every snapshot
+    # must equal chunked advance calls of the two propagators bit for bit,
+    # with a stride (7) that does not divide the step count (30)
+    grid = ad.Grid(256, -40.0, 40.0)
+    params = ad.ModelParams(mode=ad.GaussianMode(2.0, 5.0), detuning=0.5)
+    psi = ad.gaussian_bare_state(grid, -10.0, 3.0, 2.5)
+    dt = 0.01
+    sc = ad.Scenario(params=params, grid=grid, initial=psi, t_final=30 * dt,
+                     dt=dt, stride=7, x0=-10.0, p0=3.0, keep_states=True)
+    rec = ad.run_scenario(sc)
+    frame = ad.adiabatic_frame(params, grid)
+    full = ad.FullPropagator(params, grid, dt)
+    adiabatic = ad.AdiabaticPropagator(frame, params, dt)
+    exact, reference = psi, ad.to_adiabatic(psi, frame)
+    steps = [0, 7, 14, 21, 28, 30]
+    assert len(rec.snapshots) == len(steps)
+    for i, (t, got_exact, got_reference) in enumerate(rec.snapshots):
+        if i:
+            exact = full.advance(exact, steps[i] - steps[i - 1])
+            reference = adiabatic.advance(reference, steps[i] - steps[i - 1])
+        assert t == steps[i] * dt
+        assert got_exact.frame == ad.BARE and got_reference.frame == ad.ADIABATIC
+        assert np.array_equal(got_exact.components, exact.components)
+        assert np.array_equal(got_reference.components, reference.components)
+    assert np.array_equal(rec.final_exact.components, exact.components)
+    assert np.array_equal(rec.final_reference.components, reference.components)
 
 
 def _scenario_from_adiabatic(lower_amplitude):
