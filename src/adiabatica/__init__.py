@@ -16,18 +16,16 @@ from .model import (AdiabaticFrame, DegeneratePointError, FrameCase,
                     mixing_angle_curvature, mixing_angle_slope)
 from .grids import (ADIABATIC, BARE, Grid, SpinorField, expect_momentum,
                     expect_momentum_sq, expect_position, expect_grid_values,
-                    expect_slope_momentum, expectation, gaussian_bare_state,
-                    mean_momentum, mean_position, packet_width, to_adiabatic,
-                    to_bare, write_snapshot_csv)
+                    expect_slope_momentum, gaussian_bare_state, mean_momentum,
+                    mean_position, packet_width, to_adiabatic, to_bare)
 from .propagation import (AdiabaticPropagator, DomainGuardError,
                           FullPropagator, RunRecord, Scenario,
                           default_time_step, run_scenario, trajectory_rows)
-from .diagnostics import (AdiabaticityParts, AdiabaticityTrace, FidelityTrace,
-                          NodeLimitReport, adiabaticity_max_locus,
-                          adiabaticity_parts, adiabaticity_trace, fidelity,
-                          fidelity_trace, initial_channel_weights,
-                          local_adiabaticity, lorentzian_peak_integral,
-                          node_limit_probe, packet_adiabaticity)
+from .diagnostics import (AdiabaticityParts, NodeLimitReport,
+                          adiabaticity_max_locus, adiabaticity_parts, fidelity,
+                          initial_channel_weights, local_adiabaticity,
+                          lorentzian_peak_integral, node_limit_probe,
+                          packet_adiabaticity)
 from .twolevel import (EffectiveModel, TrajectorySet, TwoLevelTrace,
                        classical_trajectories, classical_trajectory_rows,
                        coupling_from_adiabaticity, solve_two_level,

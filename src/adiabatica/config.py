@@ -8,6 +8,7 @@ the error message.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,7 +53,19 @@ def _number(obj: dict, key: str, path: str, default=None):
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(f"{path}.{key}", "expected a number")
+    if not math.isfinite(value):
+        _fail(f"{path}.{key}", "expected a finite number")
     return float(value)
+
+
+def _finite_array(value, path: str) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (ValueError, TypeError):
+        _fail(path, "expected a list of numbers")
+    if not np.all(np.isfinite(arr)):
+        _fail(path, "expected finite numbers")
+    return arr
 
 
 def _positive(obj: dict, key: str, path: str, default=None):
@@ -86,10 +99,11 @@ def _parse_mode(obj, path):
     if kind == "tabulated":
         _check_keys(obj, path, {"kind", "positions", "samples"},
                     {"kind", "positions", "samples"})
+        positions = _finite_array(obj["positions"], f"{path}.positions")
+        samples = _finite_array(obj["samples"], f"{path}.samples")
         try:
-            return TabulatedMode(np.asarray(obj["positions"], dtype=float),
-                                 np.asarray(obj["samples"], dtype=float))
-        except (ValueError, TypeError) as exc:
+            return TabulatedMode(positions, samples)
+        except ValueError as exc:
             _fail(path, str(exc))
     _fail(f"{path}.kind", f"unknown mode kind {kind!r}")
 
@@ -97,11 +111,11 @@ def _parse_mode(obj, path):
 def _parse_detunings(value, path):
     """A single number, a range spec, or explicit values; returns an array."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return np.asarray([float(value)]), False
+        return _finite_array([value], path), False
     if isinstance(value, dict):
         if "values" in value:
             _check_keys(value, path, {"values"}, {"values"})
-            arr = np.asarray(value["values"], dtype=float)
+            arr = _finite_array(value["values"], f"{path}.values")
             if arr.ndim != 1 or arr.size == 0:
                 _fail(f"{path}.values", "expected a non-empty list of numbers")
             return arr, True
@@ -110,7 +124,7 @@ def _parse_detunings(value, path):
         start = _number(value, "start", path)
         stop = _number(value, "stop", path)
         count = value["count"]
-        if not isinstance(count, int) or count < 1:
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
             _fail(f"{path}.count", "expected an integer >= 1")
         spacing = value.get("spacing", "linear")
         if spacing == "linear":
@@ -254,7 +268,7 @@ class ScenarioConfig:
     detunings: np.ndarray
     swept: bool
     grid: Grid | None
-    state: StateSpec | None
+    state: StateSpec
     run: RunSpec | None
     search: SearchSpec | None
     abscissa: str
@@ -283,17 +297,15 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
     if tag in _NEEDS_GRID and grid is None:
         _fail("config.grid", f"experiment {tag!r} needs a grid block")
 
-    state = _parse_state(data["state"], "config.state") if "state" in data else None
-    if tag != "a0-map" and state is None:
-        _fail("config.state", f"experiment {tag!r} needs a state block")
-    if tag == "a0-map" and state is None:
-        _fail("config.state", "a0-map needs a state block with p0")
+    if "state" not in data:
+        _fail("config.state", f"experiment {tag!r} needs a state block with p0")
+    state = _parse_state(data["state"], "config.state")
 
     run = _parse_run(data["run"], "config.run") if "run" in data else None
     if tag in _NEEDS_RUN and run is None:
         _fail("config.run", f"experiment {tag!r} needs a run block")
     if run is not None and run.x_stop is not None:
-        if state is None or state.p0 == 0:
+        if state.p0 == 0:
             _fail("config.run.x_stop", "requires a state block with nonzero p0")
         run.resolve_t_final(state, base.mass)
 
@@ -307,17 +319,17 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
     # single-run traces default to the measured packet center; sweep matrices
     # need the shared kinematic axis
     abscissa = "measured" if tag == "atrace" else "kinematic"
-    if "output" in data and "abscissa" in data["output"]:
+    if "output" in data:
         _check_keys(data["output"], "config.output", {"abscissa"}, set())
-        abscissa = data["output"]["abscissa"]
+        abscissa = data["output"].get("abscissa", abscissa)
         if abscissa not in ("kinematic", "measured"):
             _fail("config.output.abscissa", "expected 'kinematic' or 'measured'")
-    elif "output" in data:
-        _check_keys(data["output"], "config.output", {"abscissa"}, set())
+    if tag == "fidelity-map" and abscissa == "measured" and detunings.size > 1:
+        _fail("config.output.abscissa", "a swept fidelity map needs the shared "
+              "'kinematic' abscissa")
 
     # guards that couple state and grid
-    if grid is not None and state is not None and tag in ("fidelity-map", "atrace",
-                                                          "snapshot"):
+    if grid is not None and tag in ("fidelity-map", "atrace", "snapshot"):
         p_needed = abs(state.p0) + 6.0 / state.width
         if not grid.supports_momentum(p_needed):
             _fail("config.grid", f"momentum cutoff {grid.k_max:.4g} does not cover "

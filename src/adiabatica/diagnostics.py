@@ -182,64 +182,6 @@ def fidelity(exact: SpinorField, reference: SpinorField,
 
 
 # ---------------------------------------------------------------------------
-# Trace containers
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FidelityTrace:
-    """Complex overlap samples of one run, with an optional <x> abscissa."""
-
-    times: np.ndarray
-    overlaps: np.ndarray
-    abscissa: np.ndarray | None = None
-
-    @property
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.overlaps)
-
-
-@dataclass
-class AdiabaticityTrace:
-    """Averaged-parameter samples with the per-channel breakdown."""
-
-    times: np.ndarray
-    values: np.ndarray
-    upper_terms: np.ndarray
-    lower_terms: np.ndarray
-    weight_upper: float
-    weight_lower: float
-    includes_curvature: bool
-    abscissa: np.ndarray | None = None
-
-
-def fidelity_trace(record, abscissa: str = "measured") -> FidelityTrace:
-    """Fidelity trace of a run record; abscissa 'measured' or 'kinematic'."""
-    xs = _pick_abscissa(record, abscissa)
-    return FidelityTrace(record.times.copy(), record.fidelity.copy(), xs)
-
-
-def adiabaticity_trace(record, include_curvature: bool = True,
-                       abscissa: str = "measured") -> AdiabaticityTrace:
-    xs = _pick_abscissa(record, abscissa)
-    values = record.adiabaticity if include_curvature else record.adiabaticity_plain
-    terms = (record.adiabaticity_terms if include_curvature
-             else record.adiabaticity_terms_plain)
-    return AdiabaticityTrace(
-        times=record.times.copy(), values=values.copy(),
-        upper_terms=terms[0].copy(), lower_terms=terms[1].copy(),
-        weight_upper=float(record.weights[0]), weight_lower=float(record.weights[1]),
-        includes_curvature=include_curvature, abscissa=xs)
-
-
-def _pick_abscissa(record, kind: str):
-    if kind == "measured":
-        return record.x_mean.copy()
-    if kind == "kinematic":
-        return record.x_kinematic.copy()
-    raise ValueError("abscissa must be 'measured' or 'kinematic'")
-
-
-# ---------------------------------------------------------------------------
 # Maximum locus of the pointwise parameter
 # ---------------------------------------------------------------------------
 
@@ -280,7 +222,8 @@ def adiabaticity_max_locus(params: ModelParams, deltas, p0: float,
     if not hi > lo:
         raise ValueError("search window must satisfy x_hi > x_lo")
     xs = np.linspace(lo, hi, scan_points)
-    out = np.empty((len(list(deltas)), 2))
+    deltas = list(deltas)  # a one-shot iterable is read once, here
+    out = np.empty((len(deltas), 2))
     for i, delta in enumerate(deltas):
         local = replace(params, detuning=float(delta))
         vals = local_adiabaticity(local, xs, p0)

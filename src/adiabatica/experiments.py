@@ -132,9 +132,6 @@ def _sweep_cell(scenario: Scenario):
 
 
 def _run_fidelity_map(config: ScenarioConfig, out_dir: Path):
-    if config.abscissa == "measured" and config.detunings.size > 1:
-        raise ConfigError("config.output.abscissa: a swept fidelity map needs "
-                          "the shared 'kinematic' abscissa")
     scenarios = [_build_scenario(config, d) for d in config.detunings]
     workers = min(len(scenarios), _available_cpus())
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():

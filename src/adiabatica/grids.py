@@ -8,7 +8,6 @@ periodic decaying states.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,10 +148,9 @@ def to_bare(field: SpinorField, frame: AdiabaticFrame) -> SpinorField:
     if field.frame != ADIABATIC:
         raise ValueError("to_bare expects an adiabatic-frame field")
     _check_grids(field, frame)
-    c, s = frame.cos_theta, frame.sin_theta
-    up = c * field.upper - s * field.lower
-    dn = s * field.upper + c * field.lower
-    return SpinorField(field.grid, np.stack([up, dn]), BARE)
+    comps = _rotate_to_adiabatic(field.components, frame.cos_theta,
+                                 -frame.sin_theta)
+    return SpinorField(field.grid, comps, BARE)
 
 
 # ---------------------------------------------------------------------------
@@ -252,31 +250,6 @@ def expect_slope_momentum(field: SpinorField, slope_values: np.ndarray,
     return _squeeze(out, component)
 
 
-def expectation(field: SpinorField, observable: str,
-                frame: AdiabaticFrame | None = None) -> np.ndarray:
-    """Named-observable dispatcher; grid observables require the frame."""
-    if observable == "x":
-        return expect_position(field)
-    if observable == "p":
-        return expect_momentum(field)
-    if observable == "p2":
-        return expect_momentum_sq(field)
-    if observable in ("coupling", "upper_potential", "lower_potential",
-                      "angle_curvature", "slope_momentum"):
-        if frame is None:
-            raise ValueError(f"observable {observable!r} needs an AdiabaticFrame")
-        if observable == "slope_momentum":
-            return expect_slope_momentum(field, frame.theta_slope)
-        table = {
-            "coupling": frame.coupling,
-            "upper_potential": frame.upper,
-            "lower_potential": frame.lower,
-            "angle_curvature": frame.theta_curvature,
-        }[observable]
-        return expect_grid_values(field, table)
-    raise ValueError(f"unknown observable {observable!r}")
-
-
 # ---------------------------------------------------------------------------
 # Whole-state summaries (both components combined)
 # ---------------------------------------------------------------------------
@@ -323,14 +296,3 @@ def packet_width(field: SpinorField) -> float:
     mean, total = _centre(dens, field.grid, "packet_width")
     return _width(dens, field.grid, mean, total)
 
-
-def write_snapshot_csv(field: SpinorField, path) -> None:
-    """Dump the field as rows of x, Re/Im of both components."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["x", "re_upper", "im_upper", "re_lower", "im_lower"])
-        for j in range(field.grid.npoints):
-            up = field.components[0, j]
-            dn = field.components[1, j]
-            writer.writerow([repr(float(v)) for v in
-                             (field.grid.x[j], up.real, up.imag, dn.real, dn.imag)])

@@ -258,6 +258,23 @@ def bare_potential(params: ModelParams, x) -> np.ndarray:
     return out
 
 
+def _su2_step(half_split, g, dt: float):
+    """exp(-i dt (half_split sigma_z + g sigma_x)) in closed form, elementwise.
+
+    Returns the entries (u11, u22, u12) as arrays; the matrix is symmetric,
+    so u21 = u12.  Shared by the spatial propagator (one matrix per grid
+    point) and the two-level solver (one per time step).
+    """
+    rot = np.hypot(half_split, g)
+    cos = np.cos(rot * dt)
+    # sin(r dt)/r with its r -> 0 limit dt
+    sinc = np.where(rot > 0.0,
+                    np.sin(rot * dt) / np.where(rot > 0.0, rot, 1.0),
+                    dt)
+    return (cos - 1j * half_split * sinc, cos + 1j * half_split * sinc,
+            -1j * g * sinc)
+
+
 def _theta_arrays(params: ModelParams, x):
     """Mixing angle and degeneracy mask without raising."""
     g2 = 2.0 * params.coupling(x)

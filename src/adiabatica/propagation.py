@@ -6,9 +6,11 @@ Both propagators use Strang splitting,
 
 with the kinetic factor applied in momentum space and the potential factor in
 position space.  The coupled 2x2 potential exponential is computed in closed
-form from its Pauli decomposition, so each factor is exactly unitary and the
-scheme is second order in dt.  Consecutive steps fuse the adjacent kinetic
-half-steps, which halves the FFT count without changing the result.
+form from its Pauli decomposition by `model._su2_step`, the same helper that
+steps the effective two-level model in `twolevel.solve_two_level`, so each
+factor is exactly unitary and the scheme is second order in dt.  Consecutive
+steps fuse the adjacent kinetic half-steps, which halves the FFT count
+without changing the result.
 
 One kernel, `_strang`, runs the steps in place on the rows of a complex
 array: each kinetic factor is one in-place forward FFT, phase multiply and
@@ -40,7 +42,8 @@ from .grids import (ADIABATIC, BARE, Grid, SpinorField, _centre,
                     _rotate_to_adiabatic, _spectrum_average, _width,
                     expect_momentum, expect_position, mean_momentum,
                     mean_position, packet_width, to_adiabatic)
-from .model import AdiabaticFrame, ModelParams, adiabatic_eigenvalues, adiabatic_frame
+from .model import (AdiabaticFrame, ModelParams, _su2_step, adiabatic_eigenvalues,
+                    adiabatic_frame)
 
 
 class DomainGuardError(RuntimeError):
@@ -82,18 +85,11 @@ class FullPropagator:
         self.dt = dt
         self._half_kin, self._full_kin = _kinetic_phases(grid, params.mass, dt)
         g = np.asarray(params.coupling(grid.x), dtype=float)
-        half_split = 0.5 * params.level_splitting
-        rot = np.hypot(half_split, g)
-        cos = np.cos(rot * dt)
-        # sin(r dt)/r with its r -> 0 limit dt
-        sinc = np.where(rot > 0.0,
-                        np.sin(rot * dt) / np.where(rot > 0.0, rot, 1.0),
-                        dt)
+        p11, p22, p12 = _su2_step(0.5 * params.level_splitting, g, dt)
         phase = np.exp(-1j * params.mean_shift * dt)
         # rows (p11, p22) of the unitary and its symmetric off-diagonal p12
-        self._diag = phase * np.stack([cos - 1j * half_split * sinc,
-                                       cos + 1j * half_split * sinc])
-        self._p12 = phase * (-1j * g * sinc)
+        self._diag = phase * np.stack([p11, p22])
+        self._p12 = phase * p12
         self._scratch = np.empty((2, 2, grid.npoints), dtype=np.complex128)
 
     def _apply_potential(self, comps: np.ndarray) -> None:
@@ -202,8 +198,6 @@ class RunRecord:
     fidelity: np.ndarray
     ref_x: np.ndarray
     ref_p: np.ndarray
-    adiabaticity: np.ndarray
-    adiabaticity_plain: np.ndarray
     adiabaticity_terms: np.ndarray
     adiabaticity_terms_plain: np.ndarray
     weights: np.ndarray
@@ -216,6 +210,23 @@ class RunRecord:
     @property
     def fidelity_magnitude(self) -> np.ndarray:
         return np.abs(self.fidelity)
+
+    @property
+    def adiabaticity(self) -> np.ndarray:
+        """Packet-averaged parameter per sample, curvature term included."""
+        return self._weighted_total(self.adiabaticity_terms)
+
+    @property
+    def adiabaticity_plain(self) -> np.ndarray:
+        """Packet-averaged parameter per sample without the curvature term."""
+        return self._weighted_total(self.adiabaticity_terms_plain)
+
+    def _weighted_total(self, terms: np.ndarray) -> np.ndarray:
+        # the sum AdiabaticityParts.total forms, over channels whose weight
+        # reaches WEIGHT_FLOOR; nan where the run skipped the parameter
+        active = self.weights >= diagnostics.WEIGHT_FLOOR
+        return np.where(active[:, None], self.weights[:, None] * terms,
+                        0.0).sum(axis=0)
 
 
 #: Channels with smaller initial weight get no ref_x / ref_p samples.
@@ -259,8 +270,7 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
                            to_adiabatic(scenario.initial, frame).components])
     exact = SpinorField(grid, pair[:2], BARE)
     reference = SpinorField(grid, pair[2:], ADIABATIC)
-    weights = reference.component_norms_sq()
-    weights = weights / weights.sum()
+    weights = diagnostics.initial_channel_weights(reference)
 
     sample_steps = list(range(0, n_steps + 1, scenario.stride))
     if sample_steps[-1] != n_steps:
@@ -279,8 +289,6 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
         fidelity=np.empty(n_samples, dtype=np.complex128),
         ref_x=np.full((2, n_samples), np.nan),
         ref_p=np.full((2, n_samples), np.nan),
-        adiabaticity=np.full(n_samples, np.nan),
-        adiabaticity_plain=np.full(n_samples, np.nan),
         adiabaticity_terms=np.full((2, n_samples), np.nan),
         adiabaticity_terms_plain=np.full((2, n_samples), np.nan),
         weights=weights,
@@ -323,8 +331,6 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
                 reference, ref_dens, spectrum, norms, frame, params.mass, weights)
             rec.adiabaticity_terms[:, idx] = parts.channel_terms(include_curvature=True)
             rec.adiabaticity_terms_plain[:, idx] = parts.channel_terms(include_curvature=False)
-            rec.adiabaticity[idx] = parts.total(include_curvature=True)
-            rec.adiabaticity_plain[idx] = parts.total(include_curvature=False)
         if scenario.keep_states:
             rec.snapshots.append((t, exact.copy(), reference.copy()))
 

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .model import (DEGENERACY_FLOOR, ModelParams, _angle_slope_raw,
-                    adiabatic_eigenvalues, adiabatic_gradient)
+                    _su2_step, adiabatic_eigenvalues, adiabatic_gradient)
 
 SUBSTITUTION = "substitution"
 INVERSE = "inverse"
@@ -102,7 +102,8 @@ def solve_two_level(model: EffectiveModel, initial, t_final: float,
 
     Each step applies the exact unitary of the Hamiltonian frozen at the step
     midpoint, so the norm is conserved to rounding and the scheme is second
-    order in dt.
+    order in dt.  The midpoint couplings and step unitaries are evaluated in
+    one vectorised call; only the 2-vector recursion runs per step.
     """
     if dt <= 0 or t_final <= t0:
         raise ValueError("need dt > 0 and t_final > t0")
@@ -116,23 +117,19 @@ def solve_two_level(model: EffectiveModel, initial, t_final: float,
             f"dt={dt} does not resolve the largest Hamiltonian scale {scale:.3g}; "
             "reduce the step")
 
-    half = 0.5 * model.detuning
-    states = np.empty((n_steps + 1, 2), dtype=np.complex128)
-    psi = np.asarray(initial, dtype=np.complex128).copy()
+    psi = np.asarray(initial, dtype=np.complex128)
     if psi.shape != (2,):
         raise ValueError("initial state must be a 2-component vector")
-    states[0] = psi
-    for k in range(n_steps):
-        g = float(np.asarray(model.coupling(times[k] + 0.5 * dt)))
-        rot = math.hypot(half, g)
-        cos = math.cos(rot * dt)
-        sinc = math.sin(rot * dt) / rot if rot > 0 else dt
-        u00 = cos - 1j * half * sinc
-        u01 = -1j * g * sinc
-        psi = np.array([u00 * psi[0] + u01 * psi[1],
-                        u01 * psi[0] + np.conj(u00) * psi[1]])
-        states[k + 1] = psi
-    return TwoLevelTrace(times, states)
+    midpoints = times[:-1] + 0.5 * dt
+    g_mid = np.broadcast_to(np.asarray(model.coupling(midpoints), dtype=float),
+                            midpoints.shape)
+    u11, u22, u12 = _su2_step(0.5 * model.detuning, g_mid, dt)
+    up, dn = complex(psi[0]), complex(psi[1])
+    states = [(up, dn)]
+    for a, b, c in zip(u11.tolist(), u22.tolist(), u12.tolist()):
+        up, dn = a * up + c * dn, c * up + b * dn
+        states.append((up, dn))
+    return TwoLevelTrace(times, np.array(states, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +137,7 @@ def solve_two_level(model: EffectiveModel, initial, t_final: float,
 # ---------------------------------------------------------------------------
 
 def coupling_from_adiabaticity(times, values, delta: float,
-                               initial_coupling: float = 0.0,
-                               alternate_form: bool = False) -> np.ndarray:
+                               initial_coupling: float = 0.0) -> np.ndarray:
     """Coupling G(t) whose time-domain adiabaticity equals the given trace.
 
     Separating delta dG / (delta^2 + 4 G^2)^(3/2) = a(t) and integrating with
@@ -153,10 +149,6 @@ def coupling_from_adiabaticity(times, values, delta: float,
     The construction requires a nonnegative trace (the coupling rises
     monotonically); it fails with the critical time once f reaches the
     invertibility bound 1 / (2 |delta|), where the coupling would diverge.
-
-    alternate_form=True instead evaluates G = f / sqrt(delta^2 + 4 f),
-    retained for comparison only; it does not satisfy the defining rate
-    equation.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -175,9 +167,6 @@ def coupling_from_adiabaticity(times, values, delta: float,
 
     f0 = initial_coupling / (delta * math.sqrt(delta**2 + 4.0 * initial_coupling**2))
     f = f0 + cumulative_simpson(values, x=times, initial=0.0)
-
-    if alternate_form:
-        return f / np.sqrt(delta * delta + 4.0 * f)
 
     bound = 1.0 / (2.0 * abs(delta))
     blown = np.abs(f) >= bound

@@ -119,10 +119,9 @@ def test_atrace_output_columns(tmp_path):
 def test_fidelity_map_rejects_measured_abscissa_for_sweeps(tmp_path):
     data = tiny_map_config()
     data["output"] = {"abscissa": "measured"}
-    cfg = load_config(write_config(tmp_path, data))
     from adiabatica.config import ConfigError
     with pytest.raises(ConfigError, match="kinematic"):
-        run_experiment(cfg, tmp_path / "out")
+        load_config(write_config(tmp_path, data))
 
 
 def test_effective_model_output(tmp_path):
@@ -154,6 +153,12 @@ def test_snapshot_output(tmp_path):
     norm = np.sum(table[:, 1] ** 2 + table[:, 2] ** 2
                   + table[:, 3] ** 2 + table[:, 4] ** 2) * (120.0 / 256)
     assert norm == pytest.approx(1.0, abs=1e-9)
+    # 17 significant digits read back to the very grid and final state
+    final = ad.run_scenario(experiments._build_scenario(cfg, 0.5),
+                            compute_adiabaticity=False).final_exact
+    assert np.array_equal(table[:, 0], cfg.grid.x)
+    assert np.array_equal(table[:, 1] + 1j * table[:, 2], final.upper)
+    assert np.array_equal(table[:, 3] + 1j * table[:, 4], final.lower)
 
 
 def test_write_run_csv(tmp_path):
@@ -282,3 +287,27 @@ def test_cli_runs_leave_scipy_unloaded(tmp_path):
     codes, loaded = json.loads(out.stdout.splitlines()[-1])
     assert codes == [0] * len(runs)
     assert loaded == []
+
+
+def test_public_api_names():
+    assert sorted(ad.__all__) == [
+        "ADIABATIC", "AdiabaticFrame", "AdiabaticPropagator",
+        "AdiabaticityParts", "BARE", "DegeneratePointError", "DomainGuardError",
+        "EffectiveModel", "FrameCase", "FullPropagator", "GaussianMode", "Grid",
+        "LinearMode", "ModelParams", "NodeLimitReport", "RunRecord", "Scenario",
+        "SpinorField", "StandingWaveMode", "TabulatedMode", "TrajectorySet",
+        "TwoLevelTrace", "adiabatic_eigenvalues", "adiabatic_frame",
+        "adiabatic_gradient", "adiabaticity_max_locus", "adiabaticity_parts",
+        "bare_potential", "classical_trajectories", "classical_trajectory_rows",
+        "coupling_from_adiabaticity", "default_time_step", "diagnostics",
+        "expect_grid_values", "expect_momentum", "expect_momentum_sq",
+        "expect_position", "expect_slope_momentum", "fidelity",
+        "gaussian_bare_state", "grids", "initial_channel_weights",
+        "large_detuning_potential", "local_adiabaticity",
+        "lorentzian_peak_integral", "mean_momentum", "mean_position",
+        "mixing_angle", "mixing_angle_curvature", "mixing_angle_slope", "model",
+        "node_limit_probe", "packet_adiabaticity", "packet_width", "propagation",
+        "run_scenario", "solve_two_level", "substitution_model",
+        "time_adiabaticity", "to_adiabatic", "to_bare", "trajectory_adiabaticity",
+        "trajectory_rows", "twolevel",
+    ]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -133,9 +134,9 @@ def test_search_block_only_for_max_locus():
     assert cfg.search.window() == (0.5, 300.0)
 
 
-def test_tabulated_mode_config():
+def tabulated_config():
     xs = np.linspace(-50.0, 50.0, 64, endpoint=False)
-    data = {
+    return {
         "experiment": "a0-map",
         "model": {"detuning": 1.0,
                   "mode": {"kind": "tabulated",
@@ -144,8 +145,35 @@ def test_tabulated_mode_config():
         "grid": {"points": 512, "x_min": -50.0, "x_max": 50.0},
         "state": {"p0": 2.0},
     }
-    cfg = validate_config(data)
+
+
+def test_tabulated_mode_config():
+    cfg = validate_config(tabulated_config())
     assert isinstance(cfg.base_params.mode, ad.TabulatedMode)
+
+
+@pytest.mark.parametrize("make, override, key", [
+    (fig_map_config, "model.mode.amplitude=NaN", "config.model.mode.amplitude"),
+    (fig_map_config, "run.dt=NaN", "config.run.dt"),
+    (fig_map_config, "run.t_final=Infinity", "config.run.t_final"),
+    (fig_map_config, "state.population_lower=Infinity",
+     "config.state.population_lower"),
+    (fig_map_config, "model.detuning=NaN", "config.model.detuning"),
+    (fig_map_config, 'model.detuning={"values": [0.5, NaN]}',
+     "config.model.detuning.values"),
+    (fig_map_config, 'model.detuning={"start": 0.1, "stop": 1, "count": true}',
+     "config.model.detuning.count"),
+    (tabulated_config, "model.mode.positions=[0, 1, 2, NaN]",
+     "config.model.mode.positions"),
+    (tabulated_config, "model.mode.samples=[0, 1, Infinity, 1]",
+     "config.model.mode.samples"),
+])
+def test_non_finite_numbers_and_boolean_count_rejected(tmp_path, make,
+                                                       override, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(make()))
+    with pytest.raises(ConfigError, match=re.escape(f"{key}: ")):
+        load_config(path, overrides=[override])
 
 
 def test_state_population_validation():

@@ -169,27 +169,19 @@ def test_fidelity_grid_and_frame_checks():
         ad.fidelity(psi1, psi1, frame)  # reference not adiabatic
 
 
-def test_trace_builders_and_invariants():
+def test_run_record_invariants():
     params = ad.ModelParams(mode=ad.StandingWaveMode(0.4, 0.5), detuning=0.8)
     rec = small_run(params)
-    ftr = ad.fidelity_trace(rec)
-    assert np.all(ftr.magnitudes <= 1.0 + 1e-9)
-    assert abs(ftr.overlaps[0] - 1.0) < 1e-9
-    np.testing.assert_allclose(ftr.abscissa, rec.x_mean)
-    ftr_kin = ad.fidelity_trace(rec, abscissa="kinematic")
-    np.testing.assert_allclose(ftr_kin.abscissa, rec.x_kinematic)
-
-    atr = ad.adiabaticity_trace(rec)
-    assert np.all(atr.values >= 0.0)
-    assert atr.weight_upper + atr.weight_lower == pytest.approx(1.0, abs=1e-12)
-    assert atr.includes_curvature
-    combined = (atr.weight_upper * np.nan_to_num(atr.upper_terms)
-                + atr.weight_lower * np.nan_to_num(atr.lower_terms))
-    np.testing.assert_allclose(combined, atr.values, rtol=1e-12)
-    plain = ad.adiabaticity_trace(rec, include_curvature=False)
-    assert not plain.includes_curvature
-    with pytest.raises(ValueError):
-        ad.fidelity_trace(rec, abscissa="bogus")
+    assert np.all(rec.fidelity_magnitude <= 1.0 + 1e-9)
+    assert abs(rec.fidelity[0] - 1.0) < 1e-9
+    assert rec.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(rec.adiabaticity >= 0.0)
+    # the totals are the weighted per-channel terms
+    for total, terms in ((rec.adiabaticity, rec.adiabaticity_terms),
+                         (rec.adiabaticity_plain, rec.adiabaticity_terms_plain)):
+        combined = (rec.weights[0] * np.nan_to_num(terms[0])
+                    + rec.weights[1] * np.nan_to_num(terms[1]))
+        np.testing.assert_allclose(combined, total, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +193,15 @@ def test_max_locus_large_detuning_sits_at_mode_width():
     locus = ad.adiabaticity_max_locus(params, [5.0], 10.0, window=(0.5, 300.0))
     assert locus.shape == (1, 2)
     assert locus[0, 1] == pytest.approx(50.0, abs=0.1)
+
+
+def test_max_locus_reads_a_one_shot_iterable():
+    params = ad.ModelParams(mode=ad.GaussianMode(1.0, 50.0), detuning=1.0)
+    deltas = [1.0, 2.0, 3.0]
+    want = ad.adiabaticity_max_locus(params, deltas, 10.0, window=(0.5, 300.0))
+    got = ad.adiabaticity_max_locus(params, iter(deltas), 10.0,
+                                    window=(0.5, 300.0))
+    assert np.array_equal(got, want)
 
 
 def test_max_locus_flat_profile_rejected():

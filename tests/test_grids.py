@@ -152,19 +152,15 @@ def test_expectations_constant_splitting():
     np.testing.assert_allclose(up - dn, abs(params.detuning), atol=1e-12)
 
 
-def test_expectation_dispatcher(small_grid):
+def test_expectations_per_component(small_grid):
     params = ad.ModelParams(mode=ad.StandingWaveMode(0.4, 0.5), detuning=1.0)
     frame = ad.adiabatic_frame(params, small_grid)
     psi = ad.gaussian_bare_state(small_grid, 0.0, 2.0, 3.0)
     psi.components[1] = psi.components[0] / 2.0
-    assert ad.expectation(psi, "x")[0] == pytest.approx(0.0, abs=1e-8)
-    assert ad.expectation(psi, "p")[1] == pytest.approx(2.0, abs=1e-8)
-    coup = ad.expectation(psi, "coupling", frame)
-    assert np.all(np.isfinite(coup))
-    with pytest.raises(ValueError):
-        ad.expectation(psi, "coupling")  # needs the frame
-    with pytest.raises(ValueError):
-        ad.expectation(psi, "nonsense")
+    assert ad.expect_position(psi)[0] == pytest.approx(0.0, abs=1e-8)
+    assert ad.expect_momentum(psi)[1] == pytest.approx(2.0, abs=1e-8)
+    coup = ad.expect_grid_values(psi, frame.coupling)
+    assert coup.shape == (2,) and np.all(np.isfinite(coup))
 
 
 def test_slope_momentum_product_is_complex_and_order_sensitive(small_grid):
@@ -194,18 +190,3 @@ def test_hermitian_expectations_real(small_grid):
     assert np.all(np.isreal(ad.expect_position(field)))
     assert np.all(np.isreal(ad.expect_momentum(field)))
     assert np.all(np.isreal(ad.expect_momentum_sq(field)))
-
-
-# ---------------------------------------------------------------------------
-# Snapshot export
-# ---------------------------------------------------------------------------
-
-def test_snapshot_csv_round_trip(tmp_path, small_grid):
-    psi = ad.gaussian_bare_state(small_grid, 0.0, 1.0, 3.0)
-    path = tmp_path / "state.csv"
-    ad.write_snapshot_csv(psi, path)
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    assert data.shape == (small_grid.npoints, 5)
-    np.testing.assert_allclose(data[:, 0], small_grid.x)
-    np.testing.assert_allclose(data[:, 1] + 1j * data[:, 2], psi.upper, atol=1e-15)
-    np.testing.assert_allclose(data[:, 3], 0.0)
