@@ -190,3 +190,22 @@ def test_hermitian_expectations_real(small_grid):
     assert np.all(np.isreal(ad.expect_position(field)))
     assert np.all(np.isreal(ad.expect_momentum(field)))
     assert np.all(np.isreal(ad.expect_momentum_sq(field)))
+
+
+# ---------------------------------------------------------------------------
+# Snapshot export
+# ---------------------------------------------------------------------------
+
+def test_snapshot_csv_round_trip(tmp_path, small_grid):
+    from adiabatica.experiments import write_csv
+    psi = ad.gaussian_bare_state(small_grid, 0.0, 1.0, 3.0)
+    header = ["x", "re_upper", "im_upper", "re_lower", "im_lower"]
+    rows = ([small_grid.x[i], psi.upper[i].real, psi.upper[i].imag,
+             psi.lower[i].real, psi.lower[i].imag]
+            for i in range(small_grid.npoints))
+    path = write_csv(tmp_path / "state.csv", "# state", header, rows)
+    data = np.genfromtxt(path, delimiter=",", skip_header=2)
+    assert data.shape == (small_grid.npoints, 5)
+    np.testing.assert_allclose(data[:, 0], small_grid.x)
+    np.testing.assert_allclose(data[:, 1] + 1j * data[:, 2], psi.upper, atol=1e-15)
+    np.testing.assert_allclose(data[:, 3], 0.0)
