@@ -25,6 +25,9 @@ _NEEDS_GRID = {"a0-map", "fidelity-map", "atrace", "snapshot"}
 _NEEDS_RUN = {"fidelity-map", "atrace", "effective-model", "snapshot"}
 _SINGLE_DETUNING = {"atrace", "effective-model", "snapshot"}
 
+#: Largest step count t_final/dt that an explicit run.dt may ask for.
+MAX_STEPS = 10_000_000
+
 
 class ConfigError(ValueError):
     """A configuration file failed validation."""
@@ -190,6 +193,10 @@ def _parse_state(obj, path):
     if w_up < 0 or w_dn < 0 or w_up + w_dn <= 0:
         _fail(path, "populations must be nonnegative with a positive sum")
     total = w_up + w_dn
+    if math.isinf(total):
+        # both are finite, so only their sum overflowed; halving is exact
+        w_up, w_dn = 0.5 * w_up, 0.5 * w_dn
+        total = w_up + w_dn
     return StateSpec(
         x0=_number(obj, "x0", path, default=0.0),
         p0=_number(obj, "p0", path),
@@ -304,10 +311,14 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
     run = _parse_run(data["run"], "config.run") if "run" in data else None
     if tag in _NEEDS_RUN and run is None:
         _fail("config.run", f"experiment {tag!r} needs a run block")
-    if run is not None and run.x_stop is not None:
-        if state.p0 == 0:
+    if run is not None:
+        if run.x_stop is not None and state.p0 == 0:
             _fail("config.run.x_stop", "requires a state block with nonzero p0")
-        run.resolve_t_final(state, base.mass)
+        t_final = run.resolve_t_final(state, base.mass)
+        steps = t_final / run.dt if run.dt is not None else 0.0
+        if not math.isfinite(steps) or steps > MAX_STEPS:
+            _fail("config.run.dt", f"t_final/dt = {steps:.3g} steps exceeds "
+                  f"the limit of {MAX_STEPS}")
 
     search = (_parse_search(data["search"], "config.search")
               if "search" in data else None)

@@ -68,7 +68,8 @@ def local_adiabaticity(params: ModelParams, x, p0: float,
 class AdiabaticityParts:
     """Per-channel ingredients of the averaged adiabaticity parameter.
 
-    Channels are ordered (upper, lower).  slope_averages holds the complex
+    Channels are ordered (upper, lower) along the last axis; leading axes of
+    the averages are batch axes.  slope_averages holds the complex
     <2 (d theta/dx) p> averages, curvature_averages the real <d2 theta/dx2>,
     splittings the averaged surface separations.  Inactive channels (initial
     weight below WEIGHT_FLOOR) carry nan entries.
@@ -83,20 +84,15 @@ class AdiabaticityParts:
 
     def channel_terms(self, include_curvature: bool = True) -> np.ndarray:
         """|<2 theta' p> (+ <theta''>)| / |<Delta_+> - <Delta_->| / 2m per channel."""
-        terms = np.full(2, np.nan)
-        for ch in range(2):
-            if not self.active[ch]:
-                continue
-            den = abs(self.splittings[ch])
-            if den < SPLITTING_FLOOR:
-                raise ValueError(
-                    "averaged surface splitting collapsed below "
-                    f"{SPLITTING_FLOOR}; adiabaticity ratio undefined")
-            num = self.slope_averages[ch]
-            if include_curvature:
-                num = num + self.curvature_averages[ch]
-            terms[ch] = abs(num) / den / (2.0 * self.mass)
-        return terms
+        _require_splitting(self.splittings[..., self.active])
+        num = self.slope_averages
+        if include_curvature:
+            num = num + self.curvature_averages
+        # the modulus of each complex scalar: np.abs on a complex array
+        # rounds differently in the last bit
+        modulus = np.array([abs(z) for z in num.flat]).reshape(num.shape)
+        terms = modulus / np.abs(self.splittings) / (2.0 * self.mass)
+        return np.where(self.active, terms, np.nan)
 
     def total(self, include_curvature: bool = True) -> float:
         terms = self.channel_terms(include_curvature)
@@ -107,42 +103,51 @@ class AdiabaticityParts:
         return value
 
 
+def _require_splitting(splittings: np.ndarray) -> None:
+    if (np.abs(splittings) < SPLITTING_FLOOR).any():
+        raise ValueError(
+            "averaged surface splitting collapsed below "
+            f"{SPLITTING_FLOOR}; adiabaticity ratio undefined")
+
+
 def adiabaticity_parts(reference: SpinorField, frame: AdiabaticFrame,
                        params: ModelParams, weights) -> AdiabaticityParts:
     """Channel averages entering the packet-averaged adiabaticity parameter."""
     if reference.frame != ADIABATIC:
         raise ValueError("adiabaticity averages need the adiabatic-frame channels")
     weights = np.asarray(weights, dtype=float)
+    active = weights >= WEIGHT_FLOOR
     rows = reference.components
     dens = np.abs(rows) ** 2
-    norms = _component_norms(dens, reference.grid.dx, weights >= WEIGHT_FLOOR)
-    return _adiabaticity_parts(reference, dens, np.fft.fft(rows, axis=1), norms,
-                               frame, params.mass, weights)
+    norms = _component_norms(dens, reference.grid.dx, active)
+    slope, curv, split = _adiabaticity_parts(
+        rows, dens, np.fft.fft(rows, axis=1), norms, frame, active)
+    return AdiabaticityParts(slope, curv, split, weights, params.mass, active)
 
 
-def _adiabaticity_parts(reference: SpinorField, dens: np.ndarray,
+def _adiabaticity_parts(rows: np.ndarray, dens: np.ndarray,
                         spectrum: np.ndarray, norms: np.ndarray,
-                        frame: AdiabaticFrame, mass: float,
-                        weights: np.ndarray) -> AdiabaticityParts:
-    """adiabaticity_parts from the reference's |psi|^2 rows, FFT rows and
-    channel norms (checked by the caller for every active channel)."""
-    grid = reference.grid
-    active = weights >= WEIGHT_FLOOR
-    slope_avg = np.full(2, np.nan, dtype=np.complex128)
-    curv_avg = np.full(2, np.nan)
-    split_avg = np.full(2, np.nan)
-    for ch in range(2):
-        if active[ch]:
-            row = slice(ch, ch + 1)
-            slope_avg[ch] = 2.0 * _slope_momentum_average(
-                reference.components[row], spectrum[row], frame.theta_slope,
-                grid, norms[row])[0]
-            curv_avg[ch] = _grid_average(dens[row], frame.theta_curvature,
-                                         grid.dx, norms[row])[0]
-            split_avg[ch] = _grid_average(dens[row], frame.splitting,
-                                          grid.dx, norms[row])[0]
-    return AdiabaticityParts(slope_avg, curv_avg, split_avg, weights, mass,
-                             active)
+                        frame: AdiabaticFrame, active: np.ndarray):
+    """(slope, curvature, splitting) averages of adiabatic channel rows.
+
+    Channels lie on axis -2 of `rows`, their |psi|^2 `dens` and FFT
+    `spectrum`, and on the last axis of `norms` (checked by the caller for
+    every active channel) and of the results, which are nan for inactive
+    channels.  Leading axes are batch axes.
+    """
+    grid = frame.grid
+    slope_avg = np.full(rows.shape[:-1], np.nan, dtype=np.complex128)
+    curv_avg = np.full(rows.shape[:-1], np.nan)
+    split_avg = np.full(rows.shape[:-1], np.nan)
+    for ch in np.flatnonzero(active):
+        ch_rows, ch_dens, ch_norms = rows[..., ch, :], dens[..., ch, :], norms[..., ch]
+        slope_avg[..., ch] = 2.0 * _slope_momentum_average(
+            ch_rows, spectrum[..., ch, :], frame.theta_slope, grid, ch_norms)
+        curv_avg[..., ch] = _grid_average(ch_dens, frame.theta_curvature,
+                                          grid.dx, ch_norms)
+        split_avg[..., ch] = _grid_average(ch_dens, frame.splitting, grid.dx,
+                                           ch_norms)
+    return slope_avg, curv_avg, split_avg
 
 
 def packet_adiabaticity(reference: SpinorField, frame: AdiabaticFrame,
@@ -177,8 +182,17 @@ def fidelity(exact: SpinorField, reference: SpinorField,
     if exact.grid != reference.grid:
         raise ValueError("fidelity operands live on different grids")
     probe = to_adiabatic(exact, frame) if exact.frame == BARE else exact
-    overlap = np.sum(np.conj(reference.components) * probe.components)
-    return complex(overlap * exact.grid.dx)
+    return complex(_overlap(reference.components, probe.components,
+                            exact.grid.dx))
+
+
+def _overlap(reference: np.ndarray, probe: np.ndarray, dx: float,
+             out: np.ndarray | None = None):
+    """<reference|probe> over the last two axes (components, points); the
+    integrand is formed in `out` when given."""
+    integrand = np.conj(reference, out=out)
+    integrand *= probe
+    return np.sum(integrand, axis=(-2, -1)) * dx
 
 
 # ---------------------------------------------------------------------------

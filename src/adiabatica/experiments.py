@@ -9,9 +9,7 @@ inputs give byte-identical files.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -134,7 +132,15 @@ def _sweep_cell(scenario: Scenario):
 def _run_fidelity_map(config: ScenarioConfig, out_dir: Path):
     scenarios = [_build_scenario(config, d) for d in config.detunings]
     workers = min(len(scenarios), _available_cpus())
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+    if workers > 1:
+        # imported here: only a multi-cell map uses a pool, and the two
+        # modules add about 25 ms to every start-up
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers > 1:
         # fork, not the platform default: a spawn or forkserver worker
         # re-imports the package and numpy.  The program starts no
         # threads of its own, and OpenBLAS rebuilds its pool after a fork.

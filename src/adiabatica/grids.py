@@ -4,6 +4,11 @@ Components live on a periodic grid of N = 2^m points; momentum-space
 quantities use the standard discrete Fourier ordering.  All norms and
 expectation values are plain Riemann sums, which are spectrally accurate for
 periodic decaying states.
+
+The private helpers behind the observables reduce over the last axis and
+accept leading batch axes, so the run sampler in `propagation` evaluates a
+block of sampled states with the same formulas the public observables use
+on one state.
 """
 
 from __future__ import annotations
@@ -78,18 +83,30 @@ class SpinorField:
 
     def norm_sq(self) -> float:
         """Total integral of |psi_upper|^2 + |psi_lower|^2."""
-        return _norm_sq(np.abs(self.components) ** 2, self.grid.dx)
+        return float(_norm_sq(np.abs(self.components) ** 2, self.grid.dx))
 
     def norm(self) -> float:
         return np.sqrt(self.norm_sq())
 
     def component_norms_sq(self) -> np.ndarray:
         """Per-component populations, shape (2,)."""
-        return np.sum(np.abs(self.components) ** 2, axis=1) * self.grid.dx
+        return _populations(np.abs(self.components) ** 2, self.grid.dx)
 
 
-def _norm_sq(dens: np.ndarray, dx: float) -> float:
-    return float(np.sum(dens)) * dx
+def _norm_sq(dens: np.ndarray, dx: float):
+    """Population of |psi|^2 over its last two axes (components, points)."""
+    return np.sum(dens, axis=(-2, -1)) * dx
+
+
+def _abs2(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|values|^2 elementwise, written into `out` when given."""
+    out = np.abs(values, out=out)
+    return np.square(out, out=out)
+
+
+def _populations(dens: np.ndarray, dx: float):
+    """Populations of |psi|^2 rows, or of total densities, along the last axis."""
+    return np.sum(dens, axis=-1) * dx
 
 
 def gaussian_bare_state(grid: Grid, x0: float, p0: float, width: float,
@@ -137,10 +154,17 @@ def to_adiabatic(field: SpinorField, frame: AdiabaticFrame) -> SpinorField:
     return SpinorField(field.grid, comps, ADIABATIC)
 
 
-def _rotate_to_adiabatic(comps: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    up = c * comps[0] + s * comps[1]
-    dn = -s * comps[0] + c * comps[1]
-    return np.stack([up, dn])
+def _rotate_to_adiabatic(comps: np.ndarray, c: np.ndarray, s: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """Rotate components (axis -2) pointwise by the angle with cos c, sin s."""
+    if out is None:
+        out = np.empty(comps.shape, dtype=np.complex128)
+    up, dn = out[..., 0, :], out[..., 1, :]
+    np.multiply(c, comps[..., 0, :], out=up)
+    up += s * comps[..., 1, :]
+    np.multiply(-s, comps[..., 0, :], out=dn)
+    dn += c * comps[..., 1, :]
+    return out
 
 
 def to_bare(field: SpinorField, frame: AdiabaticFrame) -> SpinorField:
@@ -165,12 +189,16 @@ def _rows(field: SpinorField, component: int | None) -> np.ndarray:
     return field.components[component:component + 1]
 
 
+def _require_populated(norms: np.ndarray) -> None:
+    if (norms <= _NORM_FLOOR).any():
+        raise ValueError("expectation over a zero-population component")
+
+
 def _component_norms(dens: np.ndarray, dx: float,
                      checked=slice(None)) -> np.ndarray:
     """Row populations of |psi|^2; the rows picked by `checked` must be nonempty."""
-    norms = np.sum(dens, axis=1) * dx
-    if np.any(norms[checked] <= _NORM_FLOOR):
-        raise ValueError("expectation over a zero-population component")
+    norms = _populations(dens, dx)
+    _require_populated(norms[..., checked])
     return norms
 
 
@@ -181,24 +209,29 @@ def _squeeze(values: np.ndarray, component: int | None):
 def _grid_average(dens: np.ndarray, values: np.ndarray, dx: float,
                   norms: np.ndarray) -> np.ndarray:
     """Per-row average of a position-diagonal observable over |psi|^2 rows."""
-    return (dens @ values) * dx / norms
+    # one (1, N) @ (N,) product per row: a stacked (rows, N) @ (N,) takes
+    # another BLAS path and rounds differently
+    return (dens[..., None, :] @ values)[..., 0] * dx / norms
 
 
-def _spectrum_average(spectrum: np.ndarray, values: np.ndarray, grid: Grid,
+def _spectrum_average(power: np.ndarray, values: np.ndarray, grid: Grid,
                       norms: np.ndarray) -> np.ndarray:
-    """Per-row average of a momentum-diagonal observable over FFT rows."""
+    """Per-row average of a momentum-diagonal observable over |FFT|^2 rows."""
     # Parseval: sum |psi~|^2 / N = sum |psi|^2
-    weights = np.abs(spectrum) ** 2 * (grid.dx / grid.npoints)
-    return (weights @ values) / norms
+    weights = power * (grid.dx / grid.npoints)
+    return (weights[..., None, :] @ values)[..., 0] / norms
 
 
 def _slope_momentum_average(rows: np.ndarray, spectrum: np.ndarray,
                             slope_values: np.ndarray, grid: Grid,
                             norms: np.ndarray) -> np.ndarray:
     """Per-row <f(x) p>, with p psi taken from the rows' FFT `spectrum`."""
-    p_psi = np.fft.ifft(grid.k * spectrum, axis=1)
-    integrand = np.conj(rows) * slope_values * p_psi
-    return np.sum(integrand, axis=1) * grid.dx / norms
+    p_psi = grid.k * spectrum
+    np.fft.ifft(p_psi, axis=-1, out=p_psi)
+    integrand = np.conj(rows)
+    integrand *= slope_values
+    integrand *= p_psi
+    return np.sum(integrand, axis=-1) * grid.dx / norms
 
 
 def expect_grid_values(field: SpinorField, values: np.ndarray,
@@ -223,7 +256,8 @@ def _expect_spectrum(field: SpinorField, values: np.ndarray,
                      component: int | None):
     rows = _rows(field, component)
     norms = _component_norms(np.abs(rows) ** 2, field.grid.dx)
-    out = _spectrum_average(np.fft.fft(rows, axis=1), values, field.grid, norms)
+    out = _spectrum_average(_abs2(np.fft.fft(rows, axis=1)), values, field.grid,
+                            norms)
     return _squeeze(out, component)
 
 
@@ -254,36 +288,40 @@ def expect_slope_momentum(field: SpinorField, slope_values: np.ndarray,
 # Whole-state summaries (both components combined)
 # ---------------------------------------------------------------------------
 
-def _centre(dens: np.ndarray, grid: Grid, caller: str):
-    """(<x>, total) of a total density; `caller` names the empty-field error."""
-    total = np.sum(dens) * grid.dx
+def _require_field(total, caller: str) -> None:
+    """Raise if the whole-field population `total` is empty; `caller` names it."""
     if total <= _NORM_FLOOR:
         raise ValueError(f"{caller} of an empty field")
-    return np.sum(dens * grid.x) * grid.dx / total, total
 
 
-def _width(dens: np.ndarray, grid: Grid, mean, total) -> float:
-    var = np.sum(dens * (grid.x - mean) ** 2) * grid.dx / total
-    return float(np.sqrt(2.0 * var))
+def _centre(dens: np.ndarray, grid: Grid, total):
+    """<x> of total densities along the last axis with populations `total`."""
+    return np.sum(dens * grid.x, axis=-1) * grid.dx / total
+
+
+def _width(dens: np.ndarray, grid: Grid, mean, total):
+    var = np.sum(dens * (grid.x - mean[..., None]) ** 2, axis=-1) * grid.dx / total
+    return np.sqrt(2.0 * var)
 
 
 def mean_position(field: SpinorField) -> float:
     """<x> over the total density; invariant under pointwise frame rotations."""
     dens = np.sum(np.abs(field.components) ** 2, axis=0)
-    return float(_centre(dens, field.grid, "mean_position")[0])
+    total = _populations(dens, field.grid.dx)
+    _require_field(total, "mean_position")
+    return float(_centre(dens, field.grid, total))
 
 
 def mean_momentum(field: SpinorField) -> float:
-    return _mean_momentum(np.fft.fft(field.components, axis=1), field.grid)
+    spec = np.sum(_abs2(np.fft.fft(field.components, axis=1)), axis=0)
+    total = np.sum(spec, axis=-1)
+    _require_field(total, "mean_momentum")
+    return float(_mean_momentum(spec, field.grid, total))
 
 
-def _mean_momentum(spectrum: np.ndarray, grid: Grid) -> float:
-    """<p> over the total momentum density of the FFT rows `spectrum`."""
-    spec = np.sum(np.abs(spectrum) ** 2, axis=0)
-    total = np.sum(spec)
-    if total <= _NORM_FLOOR:
-        raise ValueError("mean_momentum of an empty field")
-    return float(np.sum(spec * grid.k) / total)
+def _mean_momentum(spec: np.ndarray, grid: Grid, total):
+    """<p> of momentum densities along the last axis with sums `total`."""
+    return np.sum(spec * grid.k, axis=-1) / total
 
 
 def packet_width(field: SpinorField) -> float:
@@ -293,6 +331,6 @@ def packet_width(field: SpinorField) -> float:
     argument of gaussian_bare_state.
     """
     dens = np.sum(np.abs(field.components) ** 2, axis=0)
-    mean, total = _centre(dens, field.grid, "packet_width")
-    return _width(dens, field.grid, mean, total)
-
+    total = _populations(dens, field.grid.dx)
+    _require_field(total, "packet_width")
+    return float(_width(dens, field.grid, _centre(dens, field.grid, total), total))

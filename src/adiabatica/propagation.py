@@ -21,10 +21,20 @@ run_scenario keeps the exact state (bare rows 0-1) and the adiabatic
 reference (rows 2-3) in one (4, N) array, so every kinetic factor is one
 forward and one inverse transform for both states.
 
-run_scenario samples the pair in one pass: per sampled instant it builds
-|psi|^2 of the pair once, Fourier transforms the pair once and rotates the
-exact state into the adiabatic frame once, and reduces every recorded column
-from those arrays.
+run_scenario samples the pair in blocks.  The states of up to B consecutive
+sampled instants are kept in one (B, 4, N) buffer, with B set by a fixed
+byte budget on that buffer (_BLOCK_BYTES: B=4 at N=1024, B=2 at N=2048, B=1
+from N=4096 up), so the block and its temporaries stay in a per-core L2
+cache.  One vectorised pass over a full block builds |psi|^2 and |FFT|^2
+once, rotates the exact states into the adiabatic frame once and reduces
+every recorded column, using the batched private helpers behind the public
+observables.  The largest arrays of that pass live in buffers allocated once
+per run: fresh temporaries of this size (128 KiB at B=4, N=1024) go back to
+the operating system when freed and are faulted in again on every block.
+Checks then run sample by sample, so a failing run raises the error of its
+first failing sample, after at most B-1 chunks propagated past it.  The
+forward FFT each sample needs is also the first transform of the next chunk:
+_strang starts from that spectrum instead of transforming the state again.
 """
 
 from __future__ import annotations
@@ -38,7 +48,8 @@ from . import diagnostics
 # packet_width go unused here but stay bound: perfbench/tracer.py rebinds
 # them by this module's name.
 from .grids import (ADIABATIC, BARE, Grid, SpinorField, _centre,
-                    _component_norms, _grid_average, _mean_momentum, _norm_sq,
+                    _abs2, _grid_average, _mean_momentum, _norm_sq,
+                    _populations, _require_field, _require_populated,
                     _rotate_to_adiabatic, _spectrum_average, _width,
                     expect_momentum, expect_position, mean_momentum,
                     mean_position, packet_width, to_adiabatic)
@@ -62,15 +73,21 @@ def _kinetic(rows: np.ndarray, phase: np.ndarray) -> None:
 
 
 def _strang(rows: np.ndarray, n_steps: int, half_kin: np.ndarray,
-            full_kin: np.ndarray, kick) -> None:
+            full_kin: np.ndarray, kick, spectrum: np.ndarray | None = None) -> None:
     """Apply n_steps Strang steps in place to the (m, N) array `rows`.
 
     Interior kinetic half-steps are fused; kick(rows) multiplies the rows by
-    their pointwise potential factor in place.
+    their pointwise potential factor in place.  With `spectrum`, the FFT of
+    the starting state, the steps start from it and the contents of `rows`
+    are overwritten unread.
     """
     if n_steps <= 0:
         return
-    _kinetic(rows, half_kin)
+    if spectrum is None:
+        _kinetic(rows, half_kin)
+    else:
+        np.multiply(spectrum, half_kin, out=rows)
+        np.fft.ifft(rows, axis=1, out=rows)
     for j in range(n_steps):
         kick(rows)
         _kinetic(rows, half_kin if j == n_steps - 1 else full_kin)
@@ -231,19 +248,19 @@ class RunRecord:
 
 #: Channels with smaller initial weight get no ref_x / ref_p samples.
 _GUARD_WEIGHT = 1e-9
+#: Byte budget of run_scenario's block of sampled pair states.
+_BLOCK_BYTES = 256 * 1024
 
 
-def _check_domain(dens: np.ndarray, grid: Grid, margin: float, label: str,
-                  t: float, detuning: float):
-    """<x> of the packet with total density `dens`, which must keep clear of the edges."""
-    x_mean, total = _centre(dens, grid, "mean_position")
-    width = _width(dens, grid, x_mean, total)
-    if x_mean - margin * width < grid.x_min or x_mean + margin * width > grid.x_max:
+def _check_domain(mean: float, width: float, total: float, grid: Grid,
+                  margin: float, label: str, t: float, detuning: float) -> None:
+    """A packet with centre `mean` and population `total` must keep clear of the edges."""
+    _require_field(total, "mean_position")
+    if mean - margin * width < grid.x_min or mean + margin * width > grid.x_max:
         raise DomainGuardError(
-            f"{label} packet at <x>={x_mean:.3f} (width {width:.3f}) is within "
+            f"{label} packet at <x>={mean:.3f} (width {width:.3f}) is within "
             f"{margin} widths of a domain edge at t={t:.6g} (detuning "
             f"{float(detuning)!r}); enlarge the grid")
-    return x_mean
 
 
 def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRecord:
@@ -252,9 +269,9 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
     The reference starts as the pointwise rotation of the initial bare state
     into the adiabatic basis and evolves without inter-channel coupling;
     observables, overlap and the averaged adiabaticity parameter are sampled
-    every `stride` steps (the final step is always sampled).  Each sample
-    computes each state's density, spectrum and frame rotation once.  With
-    `keep_states` the full spinor pair is retained at every sample as
+    every `stride` steps (the final step is always sampled).  Samples are
+    evaluated in blocks of consecutive instants (see the module docstring).
+    With `keep_states` the full spinor pair is retained at every sample as
     (t, exact, reference) tuples.
     """
     params, grid = scenario.params, scenario.grid
@@ -264,13 +281,11 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
     exact_prop = FullPropagator(params, grid, scenario.dt)
     ref_prop = AdiabaticPropagator(frame, params, scenario.dt)
 
-    # exact state in bare rows 0-1, reference in adiabatic rows 2-3; the two
-    # fields are views of `pair`, which the kernel advances in place
+    # exact state in bare rows 0-1, reference in adiabatic rows 2-3
     pair = np.concatenate([scenario.initial.components,
                            to_adiabatic(scenario.initial, frame).components])
-    exact = SpinorField(grid, pair[:2], BARE)
-    reference = SpinorField(grid, pair[2:], ADIABATIC)
-    weights = diagnostics.initial_channel_weights(reference)
+    weights = diagnostics.initial_channel_weights(
+        SpinorField(grid, pair[2:], ADIABATIC))
 
     sample_steps = list(range(0, n_steps + 1, scenario.stride))
     if sample_steps[-1] != n_steps:
@@ -298,57 +313,98 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
     )
 
     active = weights >= _GUARD_WEIGHT
+    terms_active = weights >= diagnostics.WEIGHT_FLOOR
     # reference channels whose norm some column divides by
-    needed = active | (compute_adiabaticity & (weights >= diagnostics.WEIGHT_FLOOR))
+    needed = active | (compute_adiabaticity & terms_active)
     cos_theta, sin_theta = frame.cos_theta, frame.sin_theta
     margin, dx = scenario.edge_margin, grid.dx
 
-    def sample(idx: int, t: float) -> None:
-        dens = np.abs(pair) ** 2
-        exact_dens, ref_dens = dens[:2], dens[2:]
-        rec.x_mean[idx] = _check_domain(np.sum(exact_dens, axis=0), grid, margin,
-                                        "exact", t, params.detuning)
-        _check_domain(np.sum(ref_dens, axis=0), grid, margin, "reference", t,
-                      params.detuning)
-        spectra = np.fft.fft(pair, axis=1)
-        rec.p_mean[idx] = _mean_momentum(spectra[:2], grid)
-        rec.norm[idx] = np.sqrt(_norm_sq(exact_dens, dx))
-        exact_ad = SpinorField(grid, _rotate_to_adiabatic(
-            exact.components, cos_theta, sin_theta), ADIABATIC)
-        rec.pop_upper[idx], rec.pop_lower[idx] = exact_ad.component_norms_sq()
-        rec.fidelity[idx] = diagnostics.fidelity(exact_ad, reference, frame)
-        norms = _component_norms(ref_dens, dx, needed)
-        spectrum = spectra[2:]
-        for ch in range(2):
-            if active[ch]:
-                row = slice(ch, ch + 1)
-                rec.ref_x[ch, idx] = _grid_average(ref_dens[row], grid.x, dx,
-                                                   norms[row])[0]
-                rec.ref_p[ch, idx] = _spectrum_average(spectrum[row], grid.k,
-                                                       grid, norms[row])[0]
+    # pair states of one block of consecutive samples and their FFTs, then
+    # the scratch of the block pass (see the module docstring)
+    block = max(1, _BLOCK_BYTES // pair.nbytes)
+    states = np.empty((block,) + pair.shape, dtype=np.complex128)
+    spectra = np.empty_like(states)
+    dens_buf = np.empty(states.shape)
+    power_buf = np.empty(states.shape)
+    rotated_buf = np.empty((block, 2, grid.npoints), dtype=np.complex128)
+    overlap_buf = np.empty_like(rotated_buf)
+
+    def sample_block(first: int, count: int) -> None:
+        rows, spec = states[:count], spectra[:count]
+        dens = _abs2(rows, out=dens_buf[:count])
+        power = _abs2(spec, out=power_buf[:count])
+        ref_rows, ref_dens = rows[:, 2:], dens[:, 2:]
+        span = slice(first, first + count)
+        # every column of the block first (an empty row or an unused channel
+        # gives inf or nan here), then the checks sample by sample
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # total densities of the exact state and of the reference
+            tot = np.sum(dens.reshape(count, 2, 2, -1), axis=2)
+            total = _populations(tot, dx)
+            mean = _centre(tot, grid, total)
+            width = _width(tot, grid, mean, total)
+            rec.x_mean[span] = mean[:, 0]
+            p_dens = np.sum(power[:, :2], axis=1)
+            p_total = np.sum(p_dens, axis=-1)
+            rec.p_mean[span] = _mean_momentum(p_dens, grid, p_total)
+            rec.norm[span] = np.sqrt(_norm_sq(dens[:, :2], dx))
+            exact_ad = _rotate_to_adiabatic(rows[:, :2], cos_theta, sin_theta,
+                                            out=rotated_buf[:count])
+            rec.pop_upper[span], rec.pop_lower[span] = _populations(
+                _abs2(exact_ad), dx).T
+            rec.fidelity[span] = diagnostics._overlap(ref_rows, exact_ad, dx,
+                                                     out=overlap_buf[:count])
+            norms = _populations(ref_dens, dx)
+            rec.ref_x[active, span] = _grid_average(ref_dens, grid.x, dx,
+                                                    norms).T[active]
+            rec.ref_p[active, span] = _spectrum_average(power[:, 2:], grid.k,
+                                                        grid, norms).T[active]
+            if compute_adiabaticity:
+                parts = diagnostics.AdiabaticityParts(
+                    *diagnostics._adiabaticity_parts(
+                        ref_rows, ref_dens, spec[:, 2:], norms, frame,
+                        terms_active),
+                    weights, params.mass, terms_active)
+                splittings = parts.splittings[:, terms_active]
+        needed_norms = norms[:, needed]
+        for i in range(count):
+            t = sample_steps[first + i] * scenario.dt
+            for k, label in enumerate(("exact", "reference")):
+                _check_domain(mean[i, k], width[i, k], total[i, k], grid,
+                              margin, label, t, params.detuning)
+            _require_field(p_total[i], "mean_momentum")
+            _require_populated(needed_norms[i])
+            if compute_adiabaticity:
+                diagnostics._require_splitting(splittings[i])
+            if scenario.keep_states:
+                rec.snapshots.append((
+                    t, SpinorField(grid, rows[i, :2].copy(), BARE),
+                    SpinorField(grid, rows[i, 2:].copy(), ADIABATIC)))
         if compute_adiabaticity:
-            parts = diagnostics._adiabaticity_parts(
-                reference, ref_dens, spectrum, norms, frame, params.mass, weights)
-            rec.adiabaticity_terms[:, idx] = parts.channel_terms(include_curvature=True)
-            rec.adiabaticity_terms_plain[:, idx] = parts.channel_terms(include_curvature=False)
-        if scenario.keep_states:
-            rec.snapshots.append((t, exact.copy(), reference.copy()))
+            rec.adiabaticity_terms[:, span] = parts.channel_terms(True).T
+            rec.adiabaticity_terms_plain[:, span] = parts.channel_terms(False).T
 
     def kick(rows: np.ndarray) -> None:
         exact_prop._apply_potential(rows[:2])
         ref_prop._apply_potential(rows[2:])
 
-    sample(0, 0.0)
-    current = 0
-    # same grid, mass and dt: the exact kinetic phases serve both states
-    for idx, step in enumerate(sample_steps[1:], start=1):
-        _strang(pair, step - current, exact_prop._half_kin,
-                exact_prop._full_kin, kick)
-        current = step
-        sample(idx, current * scenario.dt)
+    states[0] = pair
+    for idx, step in enumerate(sample_steps):
+        slot = idx % block
+        if idx:
+            # same grid, mass and dt: the exact kinetic phases serve both
+            # states; the chunk starts from the previous sample's spectrum
+            # (at slot 0, the last slot of the previous, full block)
+            _strang(states[slot], step - sample_steps[idx - 1],
+                    exact_prop._half_kin, exact_prop._full_kin, kick,
+                    spectrum=spectra[slot - 1])
+        np.fft.fft(states[slot], axis=1, out=spectra[slot])
+        if slot == block - 1 or idx == n_samples - 1:
+            sample_block(idx - slot, slot + 1)
 
-    rec.final_exact = exact
-    rec.final_reference = reference
+    final = states[slot].copy()
+    rec.final_exact = SpinorField(grid, final[:2], BARE)
+    rec.final_reference = SpinorField(grid, final[2:], ADIABATIC)
     return rec
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -78,9 +79,11 @@ def test_max_locus_output(tmp_path):
 
 
 def test_fidelity_map_output_serial_and_pool(tmp_path, monkeypatch):
+    # the pool class is imported when a map needs it, so it is replaced
+    # where that import finds it
     pool_sizes = []
 
-    class RecordingPool(experiments.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers, **kwargs):
             pool_sizes.append(max_workers)
             super().__init__(max_workers, **kwargs)
@@ -88,7 +91,7 @@ def test_fidelity_map_output_serial_and_pool(tmp_path, monkeypatch):
     data = tiny_map_config()
     data["model"]["detuning"] = {"values": [0.5, 2.0, 5.0]}
     cfg = load_config(write_config(tmp_path, data))
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     serial = run_experiment(cfg, tmp_path / "serial")
     assert pool_sizes == []
@@ -232,6 +235,21 @@ def test_cli_error_paths(tmp_path, capsys):
         main(["not-an-experiment", "--config", str(missing)])
 
 
+@pytest.mark.parametrize("dt", ["1e-300", "1e-9"])
+def test_cli_rejects_a_dt_past_the_step_cap(tmp_path, capsys, dt):
+    # 1e-300 used to overflow range() inside the run; 1e-9 would start a run
+    # of billions of steps
+    cfg_path = write_config(tmp_path, tiny_map_config("atrace",
+                                                      detuning=0.5))
+    assert main(["atrace", "--config", str(cfg_path), "--override",
+                 f"run.dt={dt}", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("adiabatica: error: config.run.dt: ")
+    assert "steps exceeds the limit of 10000000" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_names_detuning_of_cell_that_leaves_the_grid(tmp_path, capsys,
                                                           monkeypatch):
     data = tiny_map_config()
@@ -248,7 +266,8 @@ def test_cli_names_detuning_of_cell_that_leaves_the_grid(tmp_path, capsys,
 def test_cli_runs_leave_scipy_unloaded(tmp_path):
     # the CLI needs only numpy: neither its import nor any experiment may
     # load a scipy module (scipy.integrate is imported by two library
-    # functions no experiment calls)
+    # functions no experiment calls); the process pool is imported only by
+    # a multi-cell fidelity map, and the one-cell map here runs serially
     configs = {
         "a0-map": tiny_map_config("a0-map"),
         "max-locus": {
@@ -278,7 +297,8 @@ def test_cli_runs_leave_scipy_unloaded(tmp_path):
     code = ("import json, sys\n"
             "import adiabatica.cli\n"
             "codes = [adiabatica.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "          or m == 'concurrent.futures.process']\n"
             "print(json.dumps([codes, loaded]))\n")
     src = str(Path(ad.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

@@ -187,6 +187,31 @@ def test_state_population_validation():
     cfg = validate_config(data)
     assert cfg.state.population_upper == pytest.approx(0.75)
     assert cfg.state.population_lower == pytest.approx(0.25)
+    # small inputs normalise by their plain sum, bit for bit
+    data["state"]["population_upper"] = 2.0
+    data["state"]["population_lower"] = 0.1
+    cfg = validate_config(data)
+    assert cfg.state.population_upper == 2.0 / 2.1
+    assert cfg.state.population_lower == 0.1 / 2.1
+    # a sum that overflows must not normalise both to zero
+    data["state"]["population_upper"] = 1e308
+    data["state"]["population_lower"] = 1e308
+    cfg = validate_config(data)
+    assert cfg.state.population_upper == 0.5
+    assert cfg.state.population_lower == 0.5
+
+
+def test_step_cap_on_explicit_dt():
+    cap = ad.config.MAX_STEPS
+    validate_config(fig_map_config(t_final=0.5 * cap, dt=0.5))
+    with pytest.raises(ConfigError, match=r"config\.run\.dt: .* exceeds"):
+        validate_config(fig_map_config(t_final=0.5 * cap, dt=0.4999))
+    # the cap also holds when t_final comes from x_stop
+    data = fig_map_config(dt=1e-9)
+    del data["run"]["t_final"]
+    data["run"]["x_stop"] = 200.0
+    with pytest.raises(ConfigError, match=r"config\.run\.dt"):
+        validate_config(data)
 
 
 def test_experiment_tag_consistency():

@@ -132,6 +132,54 @@ def test_packet_adiabaticity_flags_collapsed_splitting():
         ad.packet_adiabaticity(reference, frame, params, (1.0, 0.0))
 
 
+def _channel_terms_loop(parts, include_curvature):
+    """Per-channel scalar form of AdiabaticityParts.channel_terms for one
+    sample, kept as the reference for the batched method."""
+    terms = np.full(2, np.nan)
+    for ch in range(2):
+        if not parts.active[ch]:
+            continue
+        den = abs(parts.splittings[ch])
+        if den < ad.diagnostics.SPLITTING_FLOOR:
+            raise ValueError("collapsed")
+        num = parts.slope_averages[ch]
+        if include_curvature:
+            num = num + parts.curvature_averages[ch]
+        terms[ch] = abs(num) / den / (2.0 * parts.mass)
+    return terms
+
+
+@pytest.mark.parametrize("active", [(True, True), (True, False), (False, True)])
+def test_channel_terms_batch_matches_scalar_loop(active):
+    # the modulus must be the scalar abs of each average: np.abs over a
+    # complex array rounds differently in the last bit for about a third of
+    # these values
+    rng = np.random.default_rng(7)
+    shape = (50, 2)
+    active = np.array(active)
+    slope = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    curvature = rng.normal(size=shape)
+    splittings = rng.uniform(0.5, 2.0, size=shape) * rng.choice([-1, 1], shape)
+    slope[:, ~active] = curvature[:, ~active] = splittings[:, ~active] = np.nan
+    weights = np.where(active, 1.0 / active.sum(), 0.0)
+    batch = ad.AdiabaticityParts(slope, curvature, splittings, weights, 1.7,
+                                 active)
+    for include_curvature in (True, False):
+        got = batch.channel_terms(include_curvature)
+        assert got.shape == shape
+        for i in range(shape[0]):
+            one = ad.AdiabaticityParts(slope[i], curvature[i], splittings[i],
+                                       weights, 1.7, active)
+            want = _channel_terms_loop(one, include_curvature)
+            assert np.array_equal(got[i], want, equal_nan=True)
+            assert np.array_equal(one.channel_terms(include_curvature), want,
+                                  equal_nan=True)
+    # one collapsed active splitting anywhere in the batch raises
+    splittings[17, np.flatnonzero(active)[0]] = 1e-13
+    with pytest.raises(ValueError, match="collapsed"):
+        batch.channel_terms()
+
+
 def test_initial_channel_weights_sum_to_one():
     params = ad.ModelParams(mode=ad.StandingWaveMode(0.5, 0.3), detuning=0.4)
     grid = ad.Grid(512, -60.0, 60.0)

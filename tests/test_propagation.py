@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -382,3 +384,82 @@ def test_run_scenario_columns_match_public_observables(lower_amplitude,
             assert np.isfinite(lower).all(), name
         else:
             assert np.isnan(lower).all(), name
+
+
+_RECORD_ARRAYS = ("times", "x_kinematic", "x_mean", "p_mean", "norm",
+                  "pop_upper", "pop_lower", "fidelity", "ref_x", "ref_p",
+                  "adiabaticity_terms", "adiabaticity_terms_plain", "weights",
+                  "adiabaticity", "adiabaticity_plain")
+
+
+def _with_block(monkeypatch, scenario, samples_per_block):
+    """Run `scenario` with blocks of `samples_per_block` samples (None: the
+    default byte budget)."""
+    if samples_per_block is not None:
+        pair_bytes = 4 * scenario.grid.npoints * 16
+        monkeypatch.setattr(ad.propagation, "_BLOCK_BYTES",
+                            samples_per_block * pair_bytes)
+    try:
+        return ad.run_scenario(scenario)
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("lower_amplitude", [0.6, 0.0, np.sqrt(3e-10)])
+def test_run_scenario_records_do_not_depend_on_block_size(monkeypatch,
+                                                          lower_amplitude):
+    # 16 samples (stride 7 over 100 steps): one sample per block, one full
+    # block (the default budget at N=256) and blocks of 6, the last one partial
+    sc = _scenario_from_adiabatic(lower_amplitude)
+    assert ad.propagation._BLOCK_BYTES // (4 * sc.grid.npoints * 16) == 16
+    single = _with_block(monkeypatch, sc, 1)
+    assert single.times.size == 16
+    for samples_per_block in (None, 6):
+        rec = _with_block(monkeypatch, sc, samples_per_block)
+        for name in _RECORD_ARRAYS:
+            assert np.array_equal(getattr(rec, name), getattr(single, name),
+                                  equal_nan=True), (samples_per_block, name)
+        for field in ("final_exact", "final_reference"):
+            assert np.array_equal(getattr(rec, field).components,
+                                  getattr(single, field).components)
+        assert len(rec.snapshots) == len(single.snapshots)
+        for got, want in zip(rec.snapshots, single.snapshots):
+            assert got[0] == want[0]
+            assert np.array_equal(got[1].components, want[1].components)
+            assert np.array_equal(got[2].components, want[2].components)
+
+
+@pytest.mark.parametrize("samples_per_block", [1, 5, None])
+def test_run_scenario_guard_fires_at_the_first_failing_sample(monkeypatch,
+                                                              samples_per_block):
+    # the packet reaches the edge margin in the middle of a block of 5 and of
+    # one of 16 (the default budget at N=256); the error must name the first
+    # failing sample, found here with the public observables on chunked
+    # propagator runs
+    sc = dataclasses.replace(_scenario_from_adiabatic(0.6), t_final=40.0,
+                             stride=5, keep_states=False)
+    grid, frame = sc.grid, ad.adiabatic_frame(sc.params, sc.grid)
+    full = ad.FullPropagator(sc.params, grid, sc.dt)
+    adiabatic = ad.AdiabaticPropagator(frame, sc.params, sc.dt)
+    fields = {"exact": sc.initial, "reference": ad.to_adiabatic(sc.initial, frame)}
+    failing = None
+    for idx, step in enumerate(range(0, 4000, sc.stride)):
+        if step:
+            fields["exact"] = full.advance(fields["exact"], sc.stride)
+            fields["reference"] = adiabatic.advance(fields["reference"], sc.stride)
+        for label, field in fields.items():
+            x, w = ad.mean_position(field), ad.packet_width(field)
+            if x - 5.0 * w < grid.x_min or x + 5.0 * w > grid.x_max:
+                failing = (idx, label, step * sc.dt)
+                break
+        if failing:
+            break
+    idx, label, t = failing
+    assert idx % 5 not in (0, 4) and idx % 16 not in (0, 15)
+    with pytest.raises(ad.DomainGuardError) as single:
+        _with_block(monkeypatch, sc, 1)
+    assert str(single.value).startswith(f"{label} packet at ")
+    assert f" at t={t:.6g} (detuning 0.5)" in str(single.value)
+    with pytest.raises(ad.DomainGuardError) as blocked:
+        _with_block(monkeypatch, sc, samples_per_block)
+    assert str(blocked.value) == str(single.value)
