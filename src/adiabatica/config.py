@@ -25,7 +25,7 @@ _NEEDS_GRID = {"a0-map", "fidelity-map", "atrace", "snapshot"}
 _NEEDS_RUN = {"fidelity-map", "atrace", "effective-model", "snapshot"}
 _SINGLE_DETUNING = {"atrace", "effective-model", "snapshot"}
 
-#: Largest step count t_final/dt that an explicit run.dt may ask for.
+#: Largest step count t_final/dt of a run, with an explicit or a default dt.
 MAX_STEPS = 10_000_000
 
 

@@ -9,19 +9,19 @@ inputs give byte-identical files.
 from __future__ import annotations
 
 import json
-import os
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ScenarioConfig
+from .config import MAX_STEPS, ConfigError, ScenarioConfig
 from .diagnostics import adiabaticity_max_locus, local_adiabaticity
 from .grids import ADIABATIC, BARE, SpinorField, gaussian_bare_state, to_bare
 from .model import adiabatic_frame
-from .propagation import (Scenario, default_time_step, run_scenario,
-                          trajectory_rows, TRAJECTORY_COLUMNS)
+from .propagation import (Scenario, _available_cpus, default_time_step,
+                          run_scenario, trajectory_rows, TRAJECTORY_COLUMNS)
 from .twolevel import (CLASSICAL_TRAJECTORY_COLUMNS, classical_trajectory_rows,
                        substitution_model)
 
@@ -81,6 +81,14 @@ def _build_scenario(config: ScenarioConfig, delta: float) -> Scenario:
     if dt is None:
         p_needed = abs(state.p0) + 6.0 / state.width
         dt = default_time_step(params, config.grid, p_needed)
+        # the load-time cap sees only an explicit dt; this one depends on
+        # the detuning
+        steps = t_final / dt
+        if not math.isfinite(steps) or steps > MAX_STEPS:
+            raise ConfigError(
+                f"config.run.dt: the default time step {dt:.3g} at detuning "
+                f"{params.detuning!r} gives t_final/dt = {steps:.3g} steps, "
+                f"over the limit of {MAX_STEPS}; set run.dt")
     n_steps = max(1, int(round(t_final / dt)))
     stride = config.run.stride or max(1, n_steps // 800)
     return Scenario(params=params, grid=config.grid,
@@ -115,13 +123,6 @@ def _run_max_locus(config: ScenarioConfig, out_dir: Path):
     rows = ([locus[i, 0], locus[i, 1], peak[i]] for i in range(locus.shape[0]))
     return [write_csv(out_dir / "max_locus.csv", _comment(config),
                       ["detuning", "x_max", "value_at_max"], rows)]
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
 
 
 def _sweep_cell(scenario: Scenario):
@@ -172,9 +173,10 @@ def _run_atrace(config: ScenarioConfig, out_dir: Path):
     a0_curved = np.asarray(local_adiabaticity(params, x_kin, scenario.p0,
                                               include_curvature=True))
     x_col = record.x_mean if config.abscissa == "measured" else x_kin
+    a_t = record.adiabaticity
     header = ["t", "x", "a_t", "a0", "a0_with_curvature"]
-    rows = ([record.times[i], x_col[i], record.adiabaticity[i], a0[i],
-             a0_curved[i]] for i in range(record.times.size))
+    rows = ([record.times[i], x_col[i], a_t[i], a0[i], a0_curved[i]]
+            for i in range(record.times.size))
     return [write_csv(out_dir / "atrace.csv", _comment(config), header, rows)]
 
 

@@ -22,7 +22,7 @@ reference (rows 2-3) in one (4, N) array, so every kinetic factor is one
 forward and one inverse transform for both states.
 
 run_scenario samples the pair in blocks.  The states of up to B consecutive
-sampled instants are kept in one (B, 4, N) buffer, with B set by a fixed
+sampled instants are kept in a (B, 4, N) buffer, with B set by a fixed
 byte budget on that buffer (_BLOCK_BYTES: B=4 at N=1024, B=2 at N=2048, B=1
 from N=4096 up), so the block and its temporaries stay in a per-core L2
 cache.  One vectorised pass over a full block builds |psi|^2 and |FFT|^2
@@ -32,13 +32,31 @@ observables.  The largest arrays of that pass live in buffers allocated once
 per run: fresh temporaries of this size (128 KiB at B=4, N=1024) go back to
 the operating system when freed and are faulted in again on every block.
 Checks then run sample by sample, so a failing run raises the error of its
-first failing sample, after at most B-1 chunks propagated past it.  The
-forward FFT each sample needs is also the first transform of the next chunk:
-_strang starts from that spectrum instead of transforming the state again.
+first failing sample.  The forward FFT each sample needs is also the first
+transform of the next chunk: _strang starts from that spectrum instead of
+transforming the state again.
+
+A run with at least two full blocks pipelines the two stages when a second
+CPU is free: a forked sampler process runs the block pass on block k while
+the calling process propagates block k+1.  The state and spectrum buffers
+become a (2, B, 4, N) double buffer, and they and every sampled column live
+in anonymous shared memory, so both processes see one copy and the record
+is bit-identical to an inline run.  Each block is handed off with one
+(half, first, count) message and answered with one acknowledgement; the
+chunk that starts a half reads the last spectrum of the other half, and
+nothing writes a half again before its acknowledgement arrives.  The sampler
+stops at its first failing sample and sends the exception back, which the
+calling process raises at its next hand-off, after at most 2B-1 chunks
+propagated past that sample (B-1 inline).  Shorter runs, runs inside a
+worker process (the fidelity-map pool) and runs with one CPU stay inline,
+with one half.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
+import os
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -263,6 +281,127 @@ def _check_domain(mean: float, width: float, total: float, grid: Grid,
             f"{float(detuning)!r}); enlarge the grid")
 
 
+def _available_cpus() -> int:
+    """CPUs in this process's affinity set."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _fork_context():
+    """The multiprocessing fork context when this process may start a
+    sampler process, else None.
+
+    fork, not spawn: the sampler inherits the shared buffers and the
+    sampling closure, where a spawned process would re-import numpy and
+    could take neither.  The program starts no threads of its own.
+    """
+    if _available_cpus() < 2:
+        return None
+    # imported here: only a pipelined run needs it, and at module level it
+    # would add about 13 ms to every start-up of the CLI
+    import multiprocessing
+
+    # a pool worker's runs stay inline: the pool already uses every CPU
+    if (multiprocessing.parent_process() is not None
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def _shared_empty(layout: dict) -> dict:
+    """Uninitialised arrays for a {name: (shape, dtype)} layout, in one
+    anonymous shared mapping that a forked process writes to in place."""
+    counts = {name: math.prod(shape) for name, (shape, _) in layout.items()}
+    # every array starts on a 64-byte cache line
+    sizes = {name: -(-counts[name] * np.dtype(dtype).itemsize // 64) * 64
+             for name, (_, dtype) in layout.items()}
+    buffer = mmap.mmap(-1, sum(sizes.values()))
+    arrays, offset = {}, 0
+    for name, (shape, dtype) in layout.items():
+        arrays[name] = np.frombuffer(buffer, dtype, counts[name],
+                                     offset).reshape(shape)
+        offset += sizes[name]
+    return arrays
+
+
+def _serve_blocks(conn, parent_end, sample_block) -> None:
+    """Sampler process: run sample_block(half, first, count) per message
+    and answer None, or the first exception.  It samples nothing after that
+    and waits to be reaped, since the parent may send one more block before
+    it reads the error."""
+    import signal  # loaded with multiprocessing already
+
+    # Ctrl-C reaches the whole process group; the parent handles it and
+    # reaps this process
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent_end.close()
+    failed = False
+    while True:
+        try:
+            message = conn.recv()
+        except EOFError:  # the parent has gone
+            return
+        if failed:
+            continue
+        try:
+            sample_block(*message)
+        except Exception as exc:
+            failed = True
+            conn.send(exc)
+        else:
+            conn.send(None)
+
+
+class _SamplerProcess:
+    """A forked process that samples one block while the caller propagates
+    the next one into the other half of the double buffer."""
+
+    def __init__(self, context, sample_block):
+        # forked, so the closure and the shared buffers it reads are
+        # inherited, not pickled
+        self._conn, child_end = context.Pipe()
+        self._process = context.Process(
+            target=_serve_blocks, args=(child_end, self._conn, sample_block),
+            daemon=True)
+        self._process.start()
+        child_end.close()
+        self._in_flight = 0
+
+    def hand_off(self, half: int, first: int, count: int) -> None:
+        """Queue a block, then wait until the block before it is sampled, so
+        the caller may overwrite that block's half."""
+        try:
+            self._conn.send((half, first, count))
+        except ConnectionError:  # a broken pipe or a reset socket
+            self._lost()
+        self._in_flight += 1
+        self.settle(1)
+
+    def settle(self, limit: int = 0) -> None:
+        """Wait until at most `limit` blocks are unsampled; raise the
+        sampler's error, if it sent one."""
+        while self._in_flight > limit:
+            try:
+                reply = self._conn.recv()
+            except (EOFError, ConnectionError):
+                self._lost()
+            self._in_flight -= 1
+            if reply is not None:
+                raise reply
+
+    @staticmethod
+    def _lost():
+        raise RuntimeError("the sampler process exited unexpectedly") from None
+
+    def close(self) -> None:
+        """Stop and reap the process, whether it is idle or mid-block."""
+        self._process.terminate()
+        self._process.join()
+        self._conn.close()
+
+
 def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRecord:
     """Evolve exact and adiabatic-reference states side by side.
 
@@ -270,7 +409,8 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
     into the adiabatic basis and evolves without inter-channel coupling;
     observables, overlap and the averaged adiabaticity parameter are sampled
     every `stride` steps (the final step is always sampled).  Samples are
-    evaluated in blocks of consecutive instants (see the module docstring).
+    evaluated in blocks of consecutive instants, in a second process when
+    one is free (see the module docstring).
     With `keep_states` the full spinor pair is retained at every sample as
     (t, exact, reference) tuples.
     """
@@ -292,20 +432,33 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
         sample_steps.append(n_steps)
     n_samples = len(sample_steps)
 
+    # pair states of one block of consecutive samples and their FFTs, twice
+    # over when a sampler process takes every other block (see the module
+    # docstring)
+    block = max(1, _BLOCK_BYTES // pair.nbytes)
+    context = _fork_context() if n_samples // block >= 2 else None
+    halves = 1 if context is None else 2
+    buffer_shape = (halves, block) + pair.shape
+    # per-channel columns stay nan where a channel is skipped
+    channel_columns = ("ref_x", "ref_p", "adiabaticity_terms",
+                       "adiabaticity_terms_plain")
+    columns = _shared_empty({
+        "states": (buffer_shape, np.complex128),
+        "spectra": (buffer_shape, np.complex128),
+        **{name: ((n_samples,), np.float64) for name in
+           ("x_mean", "p_mean", "norm", "pop_upper", "pop_lower")},
+        "fidelity": ((n_samples,), np.complex128),
+        **{name: ((2, n_samples), np.float64) for name in channel_columns},
+    })
+    states, spectra = columns.pop("states"), columns.pop("spectra")
+    for name in channel_columns:
+        columns[name].fill(np.nan)
+
     times = np.asarray(sample_steps, dtype=float) * scenario.dt
     rec = RunRecord(
         times=times,
         x_kinematic=scenario.x0 + scenario.p0 * times / params.mass,
-        x_mean=np.empty(n_samples),
-        p_mean=np.empty(n_samples),
-        norm=np.empty(n_samples),
-        pop_upper=np.empty(n_samples),
-        pop_lower=np.empty(n_samples),
-        fidelity=np.empty(n_samples, dtype=np.complex128),
-        ref_x=np.full((2, n_samples), np.nan),
-        ref_p=np.full((2, n_samples), np.nan),
-        adiabaticity_terms=np.full((2, n_samples), np.nan),
-        adiabaticity_terms_plain=np.full((2, n_samples), np.nan),
+        **columns,
         weights=weights,
         dt=scenario.dt,
         stride=scenario.stride,
@@ -319,18 +472,14 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
     cos_theta, sin_theta = frame.cos_theta, frame.sin_theta
     margin, dx = scenario.edge_margin, grid.dx
 
-    # pair states of one block of consecutive samples and their FFTs, then
-    # the scratch of the block pass (see the module docstring)
-    block = max(1, _BLOCK_BYTES // pair.nbytes)
-    states = np.empty((block,) + pair.shape, dtype=np.complex128)
-    spectra = np.empty_like(states)
-    dens_buf = np.empty(states.shape)
-    power_buf = np.empty(states.shape)
+    # scratch of the block pass (see the module docstring)
+    dens_buf = np.empty(states.shape[1:])
+    power_buf = np.empty(states.shape[1:])
     rotated_buf = np.empty((block, 2, grid.npoints), dtype=np.complex128)
     overlap_buf = np.empty_like(rotated_buf)
 
-    def sample_block(first: int, count: int) -> None:
-        rows, spec = states[:count], spectra[:count]
+    def sample_block(half: int, first: int, count: int) -> None:
+        rows, spec = states[half, :count], spectra[half, :count]
         dens = _abs2(rows, out=dens_buf[:count])
         power = _abs2(spec, out=power_buf[:count])
         ref_rows, ref_dens = rows[:, 2:], dens[:, 2:]
@@ -376,10 +525,6 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
             _require_populated(needed_norms[i])
             if compute_adiabaticity:
                 diagnostics._require_splitting(splittings[i])
-            if scenario.keep_states:
-                rec.snapshots.append((
-                    t, SpinorField(grid, rows[i, :2].copy(), BARE),
-                    SpinorField(grid, rows[i, 2:].copy(), ADIABATIC)))
         if compute_adiabaticity:
             rec.adiabaticity_terms[:, span] = parts.channel_terms(True).T
             rec.adiabaticity_terms_plain[:, span] = parts.channel_terms(False).T
@@ -388,21 +533,41 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
         exact_prop._apply_potential(rows[:2])
         ref_prop._apply_potential(rows[2:])
 
-    states[0] = pair
-    for idx, step in enumerate(sample_steps):
-        slot = idx % block
-        if idx:
-            # same grid, mass and dt: the exact kinetic phases serve both
-            # states; the chunk starts from the previous sample's spectrum
-            # (at slot 0, the last slot of the previous, full block)
-            _strang(states[slot], step - sample_steps[idx - 1],
-                    exact_prop._half_kin, exact_prop._full_kin, kick,
-                    spectrum=spectra[slot - 1])
-        np.fft.fft(states[slot], axis=1, out=spectra[slot])
-        if slot == block - 1 or idx == n_samples - 1:
-            sample_block(idx - slot, slot + 1)
+    # the buffers as one ring of halves * block slots: sample idx goes to
+    # slot idx mod ring size, and its chunk starts from the slot before
+    ring = states.reshape((-1,) + pair.shape)
+    ring_spectra = spectra.reshape(ring.shape)
+    ring[0] = pair
+    sampler = None if context is None else _SamplerProcess(context, sample_block)
+    hand_off = sample_block if sampler is None else sampler.hand_off
+    try:
+        for idx, step in enumerate(sample_steps):
+            pos = idx % ring.shape[0]
+            if idx:
+                # same grid, mass and dt: the exact kinetic phases serve both
+                # states; the chunk starts from the previous sample's spectrum
+                _strang(ring[pos], step - sample_steps[idx - 1],
+                        exact_prop._half_kin, exact_prop._full_kin, kick,
+                        spectrum=ring_spectra[pos - 1])
+            np.fft.fft(ring[pos], axis=1, out=ring_spectra[pos])
+            if scenario.keep_states:
+                rec.snapshots.append((
+                    step * scenario.dt,
+                    SpinorField(grid, ring[pos, :2].copy(), BARE),
+                    SpinorField(grid, ring[pos, 2:].copy(), ADIABATIC)))
+            slot = pos % block
+            if slot == block - 1 or idx == n_samples - 1:
+                hand_off(pos // block, idx - slot, slot + 1)
+        if sampler is not None:
+            sampler.settle()
+    finally:
+        if sampler is not None:
+            sampler.close()
+    # the record keeps ordinary arrays, not views of the shared mapping
+    for name, values in columns.items():
+        setattr(rec, name, values.copy())
 
-    final = states[slot].copy()
+    final = ring[pos].copy()
     rec.final_exact = SpinorField(grid, final[:2], BARE)
     rec.final_reference = SpinorField(grid, final[2:], ADIABATIC)
     return rec

@@ -250,6 +250,39 @@ def test_cli_rejects_a_dt_past_the_step_cap(tmp_path, capsys, dt):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_rejects_a_default_dt_past_the_step_cap(tmp_path, capsys):
+    # without run.dt the step follows the detuning: 1e9 would ask for 1e11
+    # steps, which no load-time check of the file can see
+    fig9a = Path(__file__).resolve().parents[1] / "configs" / "fig9a_atrace.json"
+    assert main(["atrace", "--config", str(fig9a), "--override",
+                 'run={"x_stop": 50.0, "stride": 20}', "--override",
+                 "model.detuning=1e9", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("adiabatica: error: config.run.dt: ")
+    assert "detuning 1000000000.0" in err
+    assert "over the limit of 10000000" in err
+    assert "Traceback" not in err
+    assert not list((tmp_path / "out").iterdir())
+
+
+def test_every_bundled_config_builds_its_runs():
+    # load and assemble every run of every shipped config, without
+    # propagating: this covers the load-time guards and the step cap
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    assert len(configs) == 11
+    built = 0
+    for path in configs:
+        cfg = load_config(path)
+        if cfg.experiment not in ("fidelity-map", "atrace", "snapshot"):
+            continue
+        for delta in cfg.detunings:
+            scenario = experiments._build_scenario(cfg, delta)
+            assert scenario.t_final / scenario.dt <= ad.config.MAX_STEPS
+            built += 1
+    # the 20 + 20 + 12 + 12 cells of fig4-fig7, two traces and one snapshot
+    assert built == 67
+
+
 def test_cli_names_detuning_of_cell_that_leaves_the_grid(tmp_path, capsys,
                                                           monkeypatch):
     data = tiny_map_config()

@@ -1,4 +1,9 @@
+import concurrent.futures
+import contextlib
 import dataclasses
+import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -400,9 +405,26 @@ def _with_block(monkeypatch, scenario, samples_per_block):
         monkeypatch.setattr(ad.propagation, "_BLOCK_BYTES",
                             samples_per_block * pair_bytes)
     try:
-        return ad.run_scenario(scenario)
+        with _time_bound():
+            return ad.run_scenario(scenario)
     finally:
         monkeypatch.undo()
+
+
+@contextlib.contextmanager
+def _time_bound(seconds=60):
+    """Fail with TimeoutError after `seconds`, so that a run waiting on a
+    lost sampler process fails instead of hanging."""
+    def time_out(signum, frame):
+        raise TimeoutError(f"run_scenario did not finish in {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, time_out)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("lower_amplitude", [0.6, 0.0, np.sqrt(3e-10)])
@@ -415,18 +437,24 @@ def test_run_scenario_records_do_not_depend_on_block_size(monkeypatch,
     single = _with_block(monkeypatch, sc, 1)
     assert single.times.size == 16
     for samples_per_block in (None, 6):
-        rec = _with_block(monkeypatch, sc, samples_per_block)
-        for name in _RECORD_ARRAYS:
-            assert np.array_equal(getattr(rec, name), getattr(single, name),
-                                  equal_nan=True), (samples_per_block, name)
-        for field in ("final_exact", "final_reference"):
-            assert np.array_equal(getattr(rec, field).components,
-                                  getattr(single, field).components)
-        assert len(rec.snapshots) == len(single.snapshots)
-        for got, want in zip(rec.snapshots, single.snapshots):
-            assert got[0] == want[0]
-            assert np.array_equal(got[1].components, want[1].components)
-            assert np.array_equal(got[2].components, want[2].components)
+        _assert_same_run(_with_block(monkeypatch, sc, samples_per_block),
+                         single, samples_per_block)
+
+
+def _assert_same_run(rec, want, context):
+    """Every record array (nan counting as equal), the final states and the
+    snapshots of `rec` equal those of `want` bit for bit."""
+    for name in _RECORD_ARRAYS:
+        assert np.array_equal(getattr(rec, name), getattr(want, name),
+                              equal_nan=True), (context, name)
+    for field in ("final_exact", "final_reference"):
+        assert np.array_equal(getattr(rec, field).components,
+                              getattr(want, field).components)
+    assert len(rec.snapshots) == len(want.snapshots)
+    for got, expected in zip(rec.snapshots, want.snapshots):
+        assert got[0] == expected[0]
+        assert np.array_equal(got[1].components, expected[1].components)
+        assert np.array_equal(got[2].components, expected[2].components)
 
 
 @pytest.mark.parametrize("samples_per_block", [1, 5, None])
@@ -463,3 +491,128 @@ def test_run_scenario_guard_fires_at_the_first_failing_sample(monkeypatch,
     with pytest.raises(ad.DomainGuardError) as blocked:
         _with_block(monkeypatch, sc, samples_per_block)
     assert str(blocked.value) == str(single.value)
+
+
+_SAMPLED_COLUMNS = ("x_mean", "p_mean", "norm", "pop_upper", "pop_lower",
+                    "fidelity", "ref_x", "ref_p", "adiabaticity_terms",
+                    "adiabaticity_terms_plain")
+
+
+def _on_cpus(monkeypatch, cpus, run):
+    """Call run() with the affinity set `cpus`; return its result (or the
+    exception it raised) and the pids of the processes it forked, after
+    checking that every one of them has been reaped."""
+    forked = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+    monkeypatch.setattr(os, "fork", recording_fork)
+    try:
+        with _time_bound():
+            outcome = run()
+    except (ValueError, RuntimeError, KeyboardInterrupt) as exc:
+        outcome = exc
+    finally:
+        monkeypatch.undo()
+    for pid in forked:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    return outcome, forked
+
+
+@pytest.mark.parametrize("lower_amplitude", [0.6, 0.0, np.sqrt(3e-10)])
+def test_pipelined_run_matches_inline_run(monkeypatch, lower_amplitude):
+    # with a second CPU, a run of two or more full blocks samples in a forked
+    # process; one block per sample and blocks of 6 (the last one partial)
+    sc = _scenario_from_adiabatic(lower_amplitude)
+    pair_bytes = 4 * sc.grid.npoints * 16
+    for samples_per_block in (1, 6):
+        def run():
+            monkeypatch.setattr(ad.propagation, "_BLOCK_BYTES",
+                                samples_per_block * pair_bytes)
+            return ad.run_scenario(sc)
+
+        inline, forked = _on_cpus(monkeypatch, {0}, run)
+        assert forked == []
+        pipelined, forked = _on_cpus(monkeypatch, {0, 1}, run)
+        assert len(forked) == 1
+        _assert_same_run(pipelined, inline, samples_per_block)
+        # the sampled columns are copied out of the shared buffers
+        for name in _SAMPLED_COLUMNS:
+            assert getattr(pipelined, name).flags.owndata, name
+    # one full block stays inline
+    _, forked = _on_cpus(monkeypatch, {0, 1}, lambda: ad.run_scenario(sc))
+    assert forked == []
+
+
+def test_pipelined_run_raises_the_first_failing_sample(monkeypatch):
+    # the scenario of test_run_scenario_guard_fires_at_the_first_failing_sample
+    # fails at a sample inside a block of 5; the sampler process must report
+    # that sample, with the inline type and text
+    sc = dataclasses.replace(_scenario_from_adiabatic(0.6), t_final=40.0,
+                             stride=5, keep_states=False)
+
+    def run():
+        monkeypatch.setattr(ad.propagation, "_BLOCK_BYTES", 5 * 4 * 256 * 16)
+        return ad.run_scenario(sc)
+
+    inline, forked = _on_cpus(monkeypatch, {0}, run)
+    assert type(inline) is ad.DomainGuardError and forked == []
+    pipelined, forked = _on_cpus(monkeypatch, {0, 1}, run)
+    assert type(pipelined) is ad.DomainGuardError and len(forked) == 1
+    assert str(pipelined) == str(inline)
+
+
+def test_pipelined_run_reaps_the_sampler_on_interrupt(monkeypatch):
+    sc = dataclasses.replace(_scenario_from_adiabatic(0.6), keep_states=False)
+    real_strang = ad.propagation._strang
+    calls = []
+
+    def interrupted_strang(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 50:
+            raise KeyboardInterrupt
+        real_strang(*args, **kwargs)
+
+    def run():
+        monkeypatch.setattr(ad.propagation, "_BLOCK_BYTES", 2 * 4 * 256 * 16)
+        monkeypatch.setattr(ad.propagation, "_strang", interrupted_strang)
+        return ad.run_scenario(dataclasses.replace(sc, stride=1))
+
+    outcome, forked = _on_cpus(monkeypatch, {0, 1}, run)
+    assert isinstance(outcome, KeyboardInterrupt) and len(forked) == 1
+
+
+def test_pipelined_run_reports_a_lost_sampler(monkeypatch):
+    # a sampler process that dies (say, killed for memory) must not leave the
+    # run waiting or raise a bare pipe error
+    sc = dataclasses.replace(_scenario_from_adiabatic(0.6), keep_states=False)
+
+    def run():
+        monkeypatch.setattr(ad.propagation, "_BLOCK_BYTES", 2 * 4 * 256 * 16)
+        monkeypatch.setattr(ad.propagation, "_serve_blocks",
+                            lambda *args: os._exit(1))
+        return ad.run_scenario(sc)
+
+    outcome, forked = _on_cpus(monkeypatch, {0, 1}, run)
+    assert type(outcome) is RuntimeError and len(forked) == 1
+    assert str(outcome) == "the sampler process exited unexpectedly"
+
+def _pipelines_here():
+    return ad.propagation._fork_context() is not None
+
+
+def test_pool_workers_sample_inline(monkeypatch):
+    # a fidelity-map pool already keeps every CPU busy, so its workers never
+    # start a sampler process of their own
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert _pipelines_here()
+    context = multiprocessing.get_context("fork")
+    with concurrent.futures.ProcessPoolExecutor(1, mp_context=context) as pool:
+        assert not pool.submit(_pipelines_here).result(timeout=60)
