@@ -39,6 +39,8 @@ def write_csv(path: Path, comment: str, header: list, rows) -> Path:
     lines = [comment, ",".join(str(h) for h in header)]
     for row in rows:
         lines.append(",".join(_fmt(cell) for cell in row))
+    # made here, so a run that fails before its first file leaves none
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -73,6 +75,18 @@ def _initial_state(config: ScenarioConfig, params) -> SpinorField:
     return SpinorField(config.grid, comps, BARE)
 
 
+def _check_step_count(t_final: float, dt: float, config: ScenarioConfig,
+                      detuning: float) -> None:
+    """Reject a run of more than MAX_STEPS steps before any of it starts."""
+    steps = t_final / dt
+    if not math.isfinite(steps) or steps > MAX_STEPS:
+        which = ("t_final/dt" if config.run.dt is not None
+                 else f"t_final/dt with the default dt {dt:.3g}")
+        raise ConfigError(
+            f"config.run.dt: {which} = {steps:.3g} steps exceeds the limit "
+            f"of {MAX_STEPS} at detuning {detuning!r}")
+
+
 def _build_scenario(config: ScenarioConfig, delta: float) -> Scenario:
     params = replace(config.base_params, detuning=float(delta))
     state = config.state
@@ -81,14 +95,7 @@ def _build_scenario(config: ScenarioConfig, delta: float) -> Scenario:
     if dt is None:
         p_needed = abs(state.p0) + 6.0 / state.width
         dt = default_time_step(params, config.grid, p_needed)
-        # the load-time cap sees only an explicit dt; this one depends on
-        # the detuning
-        steps = t_final / dt
-        if not math.isfinite(steps) or steps > MAX_STEPS:
-            raise ConfigError(
-                f"config.run.dt: the default time step {dt:.3g} at detuning "
-                f"{params.detuning!r} gives t_final/dt = {steps:.3g} steps, "
-                f"over the limit of {MAX_STEPS}; set run.dt")
+    _check_step_count(t_final, dt, config, params.detuning)
     n_steps = max(1, int(round(t_final / dt)))
     stride = config.run.stride or max(1, n_steps // 800)
     return Scenario(params=params, grid=config.grid,
@@ -187,6 +194,7 @@ def _run_effective_model(config: ScenarioConfig, out_dir: Path):
     params = replace(config.base_params, detuning=float(config.detunings[0]))
     model = substitution_model(params, state.p0, state.x0)
     t_final = config.run.resolve_t_final(state, params.mass)
+    _check_step_count(t_final, config.run.dt, config, params.detuning)
     stride = config.run.stride or 1
     step = config.run.dt * stride
     times = np.arange(0.0, t_final + 0.5 * step, step)
@@ -223,6 +231,4 @@ _RUNNERS = {
 
 def run_experiment(config: ScenarioConfig, out_dir):
     """Dispatch one validated configuration; returns the written paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[config.experiment](config, out)
+    return _RUNNERS[config.experiment](config, Path(out_dir))

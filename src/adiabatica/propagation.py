@@ -36,20 +36,27 @@ first failing sample.  The forward FFT each sample needs is also the first
 transform of the next chunk: _strang starts from that spectrum instead of
 transforming the state again.
 
-A run with at least two full blocks pipelines the two stages when a second
-CPU is free: a forked sampler process runs the block pass on block k while
-the calling process propagates block k+1.  The state and spectrum buffers
-become a (2, B, 4, N) double buffer, and they and every sampled column live
-in anonymous shared memory, so both processes see one copy and the record
-is bit-identical to an inline run.  Each block is handed off with one
-(half, first, count) message and answered with one acknowledgement; the
-chunk that starts a half reads the last spectrum of the other half, and
-nothing writes a half again before its acknowledgement arrives.  The sampler
-stops at its first failing sample and sends the exception back, which the
-calling process raises at its next hand-off, after at most 2B-1 chunks
-propagated past that sample (B-1 inline).  Shorter runs, runs inside a
-worker process (the fidelity-map pool) and runs with one CPU stay inline,
-with one half.
+A run that samples densely pipelines the two stages when its affinity set
+holds a second CPU: a forked sampler process runs the block pass on block k
+while the calling process propagates block k+1.  The state and spectrum
+buffers become a (2, B, 4, N) double buffer, and they and every sampled
+column live in anonymous shared memory, so both processes see one copy and
+the record is bit-identical to an inline run.  Each block is handed off
+with one (half, first, count) message and answered with one
+acknowledgement; the chunk that starts a half reads the last spectrum of the
+other half, and nothing writes a half again before its acknowledgement
+arrives.  The sampler stops at its first failing sample and sends the
+exception back, which the calling process raises at its next hand-off, after
+at most 2B-1 chunks propagated past that sample (B-1 inline).
+
+The pipeline saves at most the sampling time of a run, while starting and
+stopping the sampler and the hand-offs cost some 10-50 ms.  So a run
+pipelines only when its samples hold at least _PIPELINE_BYTES of pair states
+(256 samples at N=1024: a stride of 7 or less in the fig9a geometry) and
+fill two blocks.  Sparser and shorter runs, runs inside a worker process
+(the fidelity-map pool) or beside other threads of the caller, and runs with
+one CPU stay inline, with one half.  Whether the second CPU is idle is not
+checked: runs started side by side on a busy machine each still fork.
 """
 
 from __future__ import annotations
@@ -268,6 +275,9 @@ class RunRecord:
 _GUARD_WEIGHT = 1e-9
 #: Byte budget of run_scenario's block of sampled pair states.
 _BLOCK_BYTES = 256 * 1024
+#: Sampled pair-state bytes from which run_scenario pipelines its sampling
+#: (see the module docstring): 256 samples at N=1024, 16 at N=16384.
+_PIPELINE_BYTES = 16 * 1024 * 1024
 
 
 def _check_domain(mean: float, width: float, total: float, grid: Grid,
@@ -295,16 +305,21 @@ def _fork_context():
 
     fork, not spawn: the sampler inherits the shared buffers and the
     sampling closure, where a spawned process would re-import numpy and
-    could take neither.  The program starts no threads of its own.
+    could take neither.
     """
     if _available_cpus() < 2:
         return None
     # imported here: only a pipelined run needs it, and at module level it
     # would add about 13 ms to every start-up of the CLI
     import multiprocessing
+    import threading
 
-    # a pool worker's runs stay inline: the pool already uses every CPU
+    # A pool worker's runs stay inline: the pool already uses every CPU.
+    # So do the runs of a caller with threads (a thread pool, a notebook
+    # kernel): a lock another thread holds at the fork stays held forever
+    # in the sampler.
     if (multiprocessing.parent_process() is not None
+            or threading.active_count() > 1
             or "fork" not in multiprocessing.get_all_start_methods()):
         return None
     return multiprocessing.get_context("fork")
@@ -409,8 +424,8 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
     into the adiabatic basis and evolves without inter-channel coupling;
     observables, overlap and the averaged adiabaticity parameter are sampled
     every `stride` steps (the final step is always sampled).  Samples are
-    evaluated in blocks of consecutive instants, in a second process when
-    one is free (see the module docstring).
+    evaluated in blocks of consecutive instants, for a densely sampled run
+    in a second process (see the module docstring).
     With `keep_states` the full spinor pair is retained at every sample as
     (t, exact, reference) tuples.
     """
@@ -436,7 +451,9 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
     # over when a sampler process takes every other block (see the module
     # docstring)
     block = max(1, _BLOCK_BYTES // pair.nbytes)
-    context = _fork_context() if n_samples // block >= 2 else None
+    pipelined = (n_samples // block >= 2
+                 and n_samples * pair.nbytes >= _PIPELINE_BYTES)
+    context = _fork_context() if pipelined else None
     halves = 1 if context is None else 2
     buffer_shape = (halves, block) + pair.shape
     # per-channel columns stay nan where a channel is skipped

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import adiabatica as ad
+from adiabatica import experiments
 from adiabatica.config import (ConfigError, apply_overrides, load_config,
                                validate_config)
 
@@ -201,17 +202,33 @@ def test_state_population_validation():
     assert cfg.state.population_lower == 0.5
 
 
-def test_step_cap_on_explicit_dt():
+def _first_scenario(data):
+    cfg = validate_config(data)
+    return experiments._build_scenario(cfg, cfg.detunings[0])
+
+
+def test_step_cap_on_explicit_dt(tmp_path):
+    # the cap is checked where a run resolves its dt, before it propagates
     cap = ad.config.MAX_STEPS
-    validate_config(fig_map_config(t_final=0.5 * cap, dt=0.5))
+    _first_scenario(fig_map_config(t_final=0.5 * cap, dt=0.5))
     with pytest.raises(ConfigError, match=r"config\.run\.dt: .* exceeds"):
-        validate_config(fig_map_config(t_final=0.5 * cap, dt=0.4999))
+        _first_scenario(fig_map_config(t_final=0.5 * cap, dt=0.4999))
     # the cap also holds when t_final comes from x_stop
     data = fig_map_config(dt=1e-9)
     del data["run"]["t_final"]
     data["run"]["x_stop"] = 200.0
     with pytest.raises(ConfigError, match=r"config\.run\.dt"):
-        validate_config(data)
+        _first_scenario(data)
+    # and for the effective model, which builds no scenario
+    data = {"experiment": "effective-model",
+            "model": {"detuning": 0.5,
+                      "mode": {"kind": "gaussian", "amplitude": 1.0,
+                               "width": 50.0}},
+            "state": {"x0": -200.0, "p0": 5.0, "width": 10.0},
+            "run": {"t_final": 80.0, "dt": 1e-9}}
+    with pytest.raises(ConfigError, match=r"config\.run\.dt: .* exceeds"):
+        experiments.run_experiment(validate_config(data), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_tag_consistency():

@@ -498,10 +498,12 @@ _SAMPLED_COLUMNS = ("x_mean", "p_mean", "norm", "pop_upper", "pop_lower",
                     "adiabaticity_terms_plain")
 
 
-def _on_cpus(monkeypatch, cpus, run):
-    """Call run() with the affinity set `cpus`; return its result (or the
-    exception it raised) and the pids of the processes it forked, after
-    checking that every one of them has been reaped."""
+def _on_cpus(monkeypatch, cpus, run, pipeline_bytes=0):
+    """Call run() with the affinity set `cpus` and the sampled-bytes
+    threshold `pipeline_bytes` (0: any run of two full blocks may pipeline);
+    return its result (or the exception it raised) and the pids of the
+    processes it forked, after checking that every one of them has been
+    reaped."""
     forked = []
     real_fork = os.fork
 
@@ -513,6 +515,7 @@ def _on_cpus(monkeypatch, cpus, run):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
     monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(ad.propagation, "_PIPELINE_BYTES", pipeline_bytes)
     try:
         with _time_bound():
             outcome = run()
@@ -549,6 +552,32 @@ def test_pipelined_run_matches_inline_run(monkeypatch, lower_amplitude):
     # one full block stays inline
     _, forked = _on_cpus(monkeypatch, {0, 1}, lambda: ad.run_scenario(sc))
     assert forked == []
+
+
+def test_only_runs_that_sample_enough_pipeline(monkeypatch):
+    # starting and stopping the sampler costs more than a short or sparse
+    # run saves, so a run pipelines from _PIPELINE_BYTES of sampled states
+    sc = _scenario_from_adiabatic(0.6)
+    sampled_bytes = 16 * 4 * sc.grid.npoints * 16
+
+    def run():
+        monkeypatch.setattr(ad.propagation, "_BLOCK_BYTES", 2 * 4 * 256 * 16)
+        return ad.run_scenario(sc)
+
+    inline, forked = _on_cpus(monkeypatch, {0}, run)
+    assert inline.times.size == 16 and forked == []
+    _, forked = _on_cpus(monkeypatch, {0, 1}, run, sampled_bytes + 1)
+    assert forked == []
+    pipelined, forked = _on_cpus(monkeypatch, {0, 1}, run, sampled_bytes)
+    assert len(forked) == 1
+    _assert_same_run(pipelined, inline, "threshold")
+    # the shipped threshold keeps every bundled atrace inline (at most 101
+    # samples at N=1024 or 61 at N=2048) and pipelines the stride-1 fig9a
+    # trace (2001 samples at N=1024)
+    pair_bytes = 4 * 16
+    assert 101 * 1024 * pair_bytes < ad.propagation._PIPELINE_BYTES
+    assert 61 * 2048 * pair_bytes < ad.propagation._PIPELINE_BYTES
+    assert 2001 * 1024 * pair_bytes >= ad.propagation._PIPELINE_BYTES
 
 
 def test_pipelined_run_raises_the_first_failing_sample(monkeypatch):
@@ -603,6 +632,25 @@ def test_pipelined_run_reports_a_lost_sampler(monkeypatch):
     outcome, forked = _on_cpus(monkeypatch, {0, 1}, run)
     assert type(outcome) is RuntimeError and len(forked) == 1
     assert str(outcome) == "the sampler process exited unexpectedly"
+
+
+def test_runs_in_a_threaded_caller_sample_inline(monkeypatch):
+    # forking a process with other threads running can leave the sampler
+    # waiting on a lock one of them held; such a caller's runs stay inline
+    sc = dataclasses.replace(_scenario_from_adiabatic(0.6), keep_states=False)
+    inline, _ = _on_cpus(monkeypatch, {0}, lambda: ad.run_scenario(sc))
+
+    def run():
+        monkeypatch.setattr(ad.propagation, "_BLOCK_BYTES", 2 * 4 * 256 * 16)
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            return pool.submit(ad.run_scenario, sc).result(timeout=60)
+
+    threaded, forked = _on_cpus(monkeypatch, {0, 1}, run)
+    assert forked == []
+    for name in _SAMPLED_COLUMNS:
+        assert np.array_equal(getattr(threaded, name), getattr(inline, name),
+                              equal_nan=True), name
+
 
 def _pipelines_here():
     return ad.propagation._fork_context() is not None
