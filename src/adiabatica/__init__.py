@@ -20,16 +20,15 @@ from .grids import (ADIABATIC, BARE, Grid, SpinorField, expect_momentum,
                     mean_position, packet_width, to_adiabatic, to_bare)
 from .propagation import (AdiabaticPropagator, DomainGuardError,
                           FullPropagator, RunRecord, Scenario,
-                          default_time_step, run_scenario, trajectory_rows)
+                          default_time_step, run_scenario)
 from .diagnostics import (AdiabaticityParts, NodeLimitReport,
                           adiabaticity_max_locus, adiabaticity_parts, fidelity,
                           initial_channel_weights, local_adiabaticity,
                           lorentzian_peak_integral, node_limit_probe,
                           packet_adiabaticity)
 from .twolevel import (EffectiveModel, TrajectorySet, TwoLevelTrace,
-                       classical_trajectories, classical_trajectory_rows,
-                       coupling_from_adiabaticity, solve_two_level,
-                       substitution_model, time_adiabaticity,
+                       classical_trajectories, coupling_from_adiabaticity,
+                       solve_two_level, substitution_model, time_adiabaticity,
                        trajectory_adiabaticity)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

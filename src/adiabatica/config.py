@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import Grid
+from .grids import EDGE_MARGIN, Grid, _near_edge, momentum_cover
 from .model import (FrameCase, GaussianMode, LinearMode, ModelParams,
                     StandingWaveMode, TabulatedMode)
 
@@ -339,14 +339,13 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
 
     # guards that couple state and grid
     if grid is not None and tag in ("fidelity-map", "atrace", "snapshot"):
-        p_needed = abs(state.p0) + 6.0 / state.width
+        p_needed = momentum_cover(state.p0, state.width)
         if not grid.supports_momentum(p_needed):
             _fail("config.grid", f"momentum cutoff {grid.k_max:.4g} does not cover "
                   f"p0 + 6/width = {p_needed:.4g}")
-        if (state.x0 - 5.0 * state.width < grid.x_min
-                or state.x0 + 5.0 * state.width > grid.x_max):
-            _fail("config.state.x0", "packet sits closer than 5 widths to a "
-                  "domain edge")
+        if _near_edge(grid, state.x0, state.width):
+            _fail("config.state.x0", f"packet sits closer than {EDGE_MARGIN:g} "
+                  "widths to a domain edge")
 
     canonical = json.loads(json.dumps(data, sort_keys=True))
     canonical["experiment"] = tag

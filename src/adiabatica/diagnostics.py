@@ -88,10 +88,7 @@ class AdiabaticityParts:
         num = self.slope_averages
         if include_curvature:
             num = num + self.curvature_averages
-        # the modulus of each complex scalar: np.abs on a complex array
-        # rounds differently in the last bit
-        modulus = np.array([abs(z) for z in num.flat]).reshape(num.shape)
-        terms = modulus / np.abs(self.splittings) / (2.0 * self.mass)
+        terms = _modulus(num) / np.abs(self.splittings) / (2.0 * self.mass)
         return np.where(self.active, terms, np.nan)
 
     def total(self, include_curvature: bool = True) -> float:
@@ -101,6 +98,13 @@ class AdiabaticityParts:
             if self.active[ch]:
                 value += self.weights[ch] * terms[ch]
         return value
+
+
+def _modulus(values: np.ndarray) -> np.ndarray:
+    """|z| of each complex element, taken one scalar at a time: np.abs on a
+    complex array rounds differently in the last bit, and the CSVs keep the
+    scalar modulus."""
+    return np.array([abs(z) for z in values.flat]).reshape(values.shape)
 
 
 def _require_splitting(splittings: np.ndarray) -> None:

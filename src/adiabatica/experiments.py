@@ -3,7 +3,8 @@
 Every output file starts with one comment line carrying the package version
 and the canonical configuration, followed by an RFC-4180-style table whose
 numeric cells use scientific notation with 17 significant digits.  Identical
-inputs give byte-identical files.
+inputs give byte-identical files.  write_csv is the one table writer; each
+runner hands it the columns of its table, as documented in docs/formats/.
 """
 
 from __future__ import annotations
@@ -18,16 +19,19 @@ import numpy as np
 from . import __version__
 from .config import MAX_STEPS, ConfigError, ScenarioConfig
 from .diagnostics import adiabaticity_max_locus, local_adiabaticity
-from .grids import ADIABATIC, BARE, SpinorField, gaussian_bare_state, to_bare
+from .grids import (ADIABATIC, BARE, SpinorField, gaussian_bare_state,
+                    momentum_cover, to_bare)
 from .model import adiabatic_frame
-from .propagation import (Scenario, _available_cpus, default_time_step,
-                          run_scenario, trajectory_rows, TRAJECTORY_COLUMNS)
-from .twolevel import (CLASSICAL_TRAJECTORY_COLUMNS, classical_trajectory_rows,
-                       substitution_model)
+from .propagation import (Scenario, _available_cpus, _fork_context,
+                          default_time_step, run_scenario)
+from .twolevel import substitution_model
+
+#: Format of every table cell and of the detuning header labels.
+_NUMBER = "%.16e"
 
 
 def _fmt(value) -> str:
-    return f"{float(value):.16e}"
+    return _NUMBER % value
 
 
 def _comment(config: ScenarioConfig) -> str:
@@ -35,10 +39,12 @@ def _comment(config: ScenarioConfig) -> str:
     return f"# adiabatica={__version__} config={blob}"
 
 
-def write_csv(path: Path, comment: str, header: list, rows) -> Path:
+def write_csv(path: Path, comment: str, header: list, columns) -> Path:
+    """Write equal-length columns as a table below `comment` and `header`."""
+    table = np.column_stack(columns)
+    row = ",".join([_NUMBER] * table.shape[1])
     lines = [comment, ",".join(str(h) for h in header)]
-    for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
+    lines += [row % tuple(values) for values in table.tolist()]
     # made here, so a run that fails before its first file leaves none
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
@@ -46,17 +52,14 @@ def write_csv(path: Path, comment: str, header: list, rows) -> Path:
 
 
 def write_run_csv(record, path, comment: str = "# adiabatica run record") -> Path:
-    """Trajectory export of a run record (per-channel observables and norm)."""
-    return write_csv(Path(path), comment, TRAJECTORY_COLUMNS,
-                     trajectory_rows(record))
-
-
-def write_classical_trajectory_csv(trajectories, path,
-                                   comment: str = "# adiabatica classical "
-                                   "trajectories") -> Path:
-    """Export classical channel trajectories as t, (x, p, energy) per channel."""
-    return write_csv(Path(path), comment, CLASSICAL_TRAJECTORY_COLUMNS,
-                     classical_trajectory_rows(trajectories))
+    """Trajectory export of a run record (docs/formats/trajectory.md)."""
+    header = ["t", "x_mean", "p_mean", "ref_x_upper", "ref_p_upper",
+              "ref_x_lower", "ref_p_lower", "pop_upper", "pop_lower", "norm"]
+    columns = [record.times, record.x_mean, record.p_mean,
+               record.ref_x[0], record.ref_p[0], record.ref_x[1],
+               record.ref_p[1], record.pop_upper, record.pop_lower,
+               record.norm]
+    return write_csv(Path(path), comment, header, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -87,15 +90,32 @@ def _check_step_count(t_final: float, dt: float, config: ScenarioConfig,
             f"of {MAX_STEPS} at detuning {detuning!r}")
 
 
-def _build_scenario(config: ScenarioConfig, delta: float) -> Scenario:
+def _time_step(config: ScenarioConfig, deltas) -> float:
+    """The dt of the runs at these detunings, checked against the step cap:
+    run.dt, else the smallest default dt over them, so that every cell of a
+    map samples the same instants."""
+    state = config.state
+    t_final = config.run.resolve_t_final(state, config.base_params.mass)
+    if config.run.dt is not None:
+        dt, delta = config.run.dt, float(deltas[0])
+    else:
+        p_needed = momentum_cover(state.p0, state.width)
+        dt, delta = min(
+            (default_time_step(replace(config.base_params, detuning=float(d)),
+                               config.grid, p_needed), float(d))
+            for d in deltas)
+    _check_step_count(t_final, dt, config, delta)
+    return dt
+
+
+def _build_scenario(config: ScenarioConfig, delta: float,
+                    dt: float | None = None) -> Scenario:
+    """The run at one detuning, at `dt` or else at its own _time_step."""
+    if dt is None:
+        dt = _time_step(config, [delta])
     params = replace(config.base_params, detuning=float(delta))
     state = config.state
     t_final = config.run.resolve_t_final(state, params.mass)
-    dt = config.run.dt
-    if dt is None:
-        p_needed = abs(state.p0) + 6.0 / state.width
-        dt = default_time_step(params, config.grid, p_needed)
-    _check_step_count(t_final, dt, config, params.detuning)
     n_steps = max(1, int(round(t_final / dt)))
     stride = config.run.stride or max(1, n_steps // 800)
     return Scenario(params=params, grid=config.grid,
@@ -116,8 +136,8 @@ def _run_a0_map(config: ScenarioConfig, out_dir: Path):
         params = replace(config.base_params, detuning=float(delta))
         columns.append(np.asarray(local_adiabaticity(params, xs, p0)))
     header = ["x"] + [_fmt(d) for d in config.detunings]
-    rows = ([xs[i]] + [col[i] for col in columns] for i in range(xs.size))
-    return [write_csv(out_dir / "a0_map.csv", _comment(config), header, rows)]
+    return [write_csv(out_dir / "a0_map.csv", _comment(config), header,
+                      [xs] + columns)]
 
 
 def _run_max_locus(config: ScenarioConfig, out_dir: Path):
@@ -127,9 +147,9 @@ def _run_max_locus(config: ScenarioConfig, out_dir: Path):
     peak = [local_adiabaticity(replace(config.base_params, detuning=float(d)),
                                x, config.state.p0)
             for d, x in locus]
-    rows = ([locus[i, 0], locus[i, 1], peak[i]] for i in range(locus.shape[0]))
     return [write_csv(out_dir / "max_locus.csv", _comment(config),
-                      ["detuning", "x_max", "value_at_max"], rows)]
+                      ["detuning", "x_max", "value_at_max"],
+                      [locus[:, 0], locus[:, 1], peak])]
 
 
 def _sweep_cell(scenario: Scenario):
@@ -138,37 +158,26 @@ def _sweep_cell(scenario: Scenario):
 
 
 def _run_fidelity_map(config: ScenarioConfig, out_dir: Path):
-    scenarios = [_build_scenario(config, d) for d in config.detunings]
-    workers = min(len(scenarios), _available_cpus())
-    if workers > 1:
-        # imported here: only a multi-cell map uses a pool, and the two
-        # modules add about 25 ms to every start-up
-        import multiprocessing
+    dt = _time_step(config, config.detunings)
+    scenarios = [_build_scenario(config, d, dt) for d in config.detunings]
+    context = _fork_context() if len(scenarios) > 1 else None
+    if context is None:
+        records = [_sweep_cell(s) for s in scenarios]
+    else:
+        # imported here: only a multi-cell map uses a pool, and with
+        # multiprocessing it would add about 20 ms to every start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
-    if workers > 1:
-        # fork, not the platform default: a spawn or forkserver worker
-        # re-imports the package and numpy.  The program starts no
-        # threads of its own, and OpenBLAS rebuilds its pool after a fork.
-        context = multiprocessing.get_context("fork")
+        workers = min(len(scenarios), _available_cpus())
         with ProcessPoolExecutor(workers, mp_context=context) as pool:
             records = list(pool.map(_sweep_cell, scenarios))
-    else:
-        records = [_sweep_cell(s) for s in scenarios]
 
     base = records[0]
     axis = base.x_mean if config.abscissa == "measured" else base.x_kinematic
-    for rec in records[1:]:
-        if rec.times.size != base.times.size:
-            raise RuntimeError("sweep cells sampled differently; "
-                               "this should not happen with a shared run block")
     header = ["x", "t"] + [_fmt(d) for d in config.detunings]
-    rows = ([axis[i], base.times[i]] +
-            [abs(rec.fidelity[i]) for rec in records]
-            for i in range(base.times.size))
-    return [write_csv(out_dir / "fidelity_map.csv", _comment(config), header, rows)]
+    columns = [axis, base.times] + [rec.fidelity_magnitude for rec in records]
+    return [write_csv(out_dir / "fidelity_map.csv", _comment(config), header,
+                      columns)]
 
 
 def _run_atrace(config: ScenarioConfig, out_dir: Path):
@@ -180,11 +189,10 @@ def _run_atrace(config: ScenarioConfig, out_dir: Path):
     a0_curved = np.asarray(local_adiabaticity(params, x_kin, scenario.p0,
                                               include_curvature=True))
     x_col = record.x_mean if config.abscissa == "measured" else x_kin
-    a_t = record.adiabaticity
     header = ["t", "x", "a_t", "a0", "a0_with_curvature"]
-    rows = ([record.times[i], x_col[i], a_t[i], a0[i], a0_curved[i]]
-            for i in range(record.times.size))
-    return [write_csv(out_dir / "atrace.csv", _comment(config), header, rows)]
+    columns = [record.times, x_col, record.adiabaticity, a0, a0_curved]
+    return [write_csv(out_dir / "atrace.csv", _comment(config), header,
+                      columns)]
 
 
 def _run_effective_model(config: ScenarioConfig, out_dir: Path):
@@ -200,9 +208,8 @@ def _run_effective_model(config: ScenarioConfig, out_dir: Path):
     times = np.arange(0.0, t_final + 0.5 * step, step)
     coupling = np.asarray(model.coupling(times), dtype=float)
     comment = _comment(config) + f" delta={_fmt(model.detuning)}"
-    rows = ([times[i], coupling[i]] for i in range(times.size))
     return [write_csv(out_dir / "effective_model.csv", comment,
-                      ["t", "coupling"], rows)]
+                      ["t", "coupling"], [times, coupling])]
 
 
 def _run_snapshot(config: ScenarioConfig, out_dir: Path):
@@ -210,10 +217,10 @@ def _run_snapshot(config: ScenarioConfig, out_dir: Path):
     record = run_scenario(scenario, compute_adiabaticity=False)
     final = record.final_exact
     header = ["x", "re_upper", "im_upper", "re_lower", "im_lower"]
-    rows = ([final.grid.x[i], final.upper[i].real, final.upper[i].imag,
-             final.lower[i].real, final.lower[i].imag]
-            for i in range(final.grid.npoints))
-    paths = [write_csv(out_dir / "snapshot.csv", _comment(config), header, rows)]
+    columns = [final.grid.x, final.upper.real, final.upper.imag,
+               final.lower.real, final.lower.imag]
+    paths = [write_csv(out_dir / "snapshot.csv", _comment(config), header,
+                       columns)]
     paths.append(write_run_csv(record, out_dir / "snapshot_trajectory.csv",
                                _comment(config)))
     return paths

@@ -23,6 +23,9 @@ BARE = "bare"
 ADIABATIC = "adiabatic"
 
 _NORM_FLOOR = 1e-150
+#: Widths a packet keeps clear of each domain edge, at the start of a run
+#: and at every sample of it.
+EDGE_MARGIN = 5.0
 
 
 @dataclass(frozen=True)
@@ -109,21 +112,32 @@ def _populations(dens: np.ndarray, dx: float):
     return np.sum(dens, axis=-1) * dx
 
 
-def gaussian_bare_state(grid: Grid, x0: float, p0: float, width: float,
-                        edge_margin: float = 5.0) -> SpinorField:
+def _near_edge(grid: Grid, centre, width) -> bool:
+    """Whether a packet sits within EDGE_MARGIN widths of a domain edge."""
+    return (centre - EDGE_MARGIN * width < grid.x_min
+            or centre + EDGE_MARGIN * width > grid.x_max)
+
+
+def momentum_cover(p0: float, width: float) -> float:
+    """|p0| + 6/width: the momentum a grid must resolve for a Gaussian packet."""
+    return abs(p0) + 6.0 / width
+
+
+def gaussian_bare_state(grid: Grid, x0: float, p0: float,
+                        width: float) -> SpinorField:
     """Normalized Gaussian packet in the upper bare component.
 
     upper = (pi width^2)^(-1/4) exp(-(x - x0)^2 / 2 width^2) exp(i p0 x),
-    lower = 0.  The packet must sit at least edge_margin * width from both
-    domain edges, and the grid must resolve momenta up to p0 + 6 / width.
+    lower = 0.  The packet must sit at least EDGE_MARGIN widths from both
+    domain edges, and the grid must resolve momenta up to momentum_cover.
     """
     if width <= 0:
         raise ValueError("gaussian packet width must be > 0")
-    if x0 - edge_margin * width < grid.x_min or x0 + edge_margin * width > grid.x_max:
+    if _near_edge(grid, x0, width):
         raise ValueError(
             f"packet at x0={x0} with width {width} sits closer than "
-            f"{edge_margin} widths to a domain edge")
-    p_needed = abs(p0) + 6.0 / width
+            f"{EDGE_MARGIN} widths to a domain edge")
+    p_needed = momentum_cover(p0, width)
     if not grid.supports_momentum(p_needed):
         raise ValueError(
             f"grid momentum cutoff {grid.k_max:.3g} does not cover p0 + 6/width "

@@ -72,8 +72,8 @@ from . import diagnostics
 # expect_position, expect_momentum, mean_position, mean_momentum and
 # packet_width go unused here but stay bound: perfbench/tracer.py rebinds
 # them by this module's name.
-from .grids import (ADIABATIC, BARE, Grid, SpinorField, _centre,
-                    _abs2, _grid_average, _mean_momentum, _norm_sq,
+from .grids import (ADIABATIC, BARE, EDGE_MARGIN, Grid, SpinorField, _centre,
+                    _abs2, _grid_average, _mean_momentum, _near_edge, _norm_sq,
                     _populations, _require_field, _require_populated,
                     _rotate_to_adiabatic, _spectrum_average, _width,
                     expect_momentum, expect_position, mean_momentum,
@@ -214,7 +214,6 @@ class Scenario:
     stride: int = 1
     x0: float = 0.0
     p0: float = 0.0
-    edge_margin: float = 5.0
     keep_states: bool = False
 
     def __post_init__(self):
@@ -251,7 +250,8 @@ class RunRecord:
 
     @property
     def fidelity_magnitude(self) -> np.ndarray:
-        return np.abs(self.fidelity)
+        """|F| per sample: the modulus the fidelity-map CSV holds."""
+        return diagnostics._modulus(self.fidelity)
 
     @property
     def adiabaticity(self) -> np.ndarray:
@@ -281,13 +281,13 @@ _PIPELINE_BYTES = 16 * 1024 * 1024
 
 
 def _check_domain(mean: float, width: float, total: float, grid: Grid,
-                  margin: float, label: str, t: float, detuning: float) -> None:
+                  label: str, t: float, detuning: float) -> None:
     """A packet with centre `mean` and population `total` must keep clear of the edges."""
     _require_field(total, "mean_position")
-    if mean - margin * width < grid.x_min or mean + margin * width > grid.x_max:
+    if _near_edge(grid, mean, width):
         raise DomainGuardError(
             f"{label} packet at <x>={mean:.3f} (width {width:.3f}) is within "
-            f"{margin} widths of a domain edge at t={t:.6g} (detuning "
+            f"{EDGE_MARGIN} widths of a domain edge at t={t:.6g} (detuning "
             f"{float(detuning)!r}); enlarge the grid")
 
 
@@ -300,24 +300,23 @@ def _available_cpus() -> int:
 
 
 def _fork_context():
-    """The multiprocessing fork context when this process may start a
-    sampler process, else None.
+    """The multiprocessing fork context when this process may start worker
+    processes (a run's sampler, a fidelity map's pool), else None.
 
-    fork, not spawn: the sampler inherits the shared buffers and the
-    sampling closure, where a spawned process would re-import numpy and
-    could take neither.
+    fork, not spawn: a child inherits the imported package and numpy, and
+    the sampler also the shared buffers and the sampling closure, which a
+    spawned process would have to re-import or could not take at all.
     """
     if _available_cpus() < 2:
         return None
-    # imported here: only a pipelined run needs it, and at module level it
-    # would add about 13 ms to every start-up of the CLI
+    # imported here: only a pipelined run or a multi-cell map needs it, and
+    # at module level it would add about 13 ms to every start-up of the CLI
     import multiprocessing
     import threading
 
-    # A pool worker's runs stay inline: the pool already uses every CPU.
-    # So do the runs of a caller with threads (a thread pool, a notebook
-    # kernel): a lock another thread holds at the fork stays held forever
-    # in the sampler.
+    # A pool worker stays serial: the pool already uses every CPU.  So does
+    # a caller with threads (a thread pool, a notebook kernel): a lock
+    # another thread holds at the fork stays held forever in the child.
     if (multiprocessing.parent_process() is not None
             or threading.active_count() > 1
             or "fork" not in multiprocessing.get_all_start_methods()):
@@ -487,7 +486,7 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
     # reference channels whose norm some column divides by
     needed = active | (compute_adiabaticity & terms_active)
     cos_theta, sin_theta = frame.cos_theta, frame.sin_theta
-    margin, dx = scenario.edge_margin, grid.dx
+    dx = grid.dx
 
     # scratch of the block pass (see the module docstring)
     dens_buf = np.empty(states.shape[1:])
@@ -537,7 +536,7 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
             t = sample_steps[first + i] * scenario.dt
             for k, label in enumerate(("exact", "reference")):
                 _check_domain(mean[i, k], width[i, k], total[i, k], grid,
-                              margin, label, t, params.detuning)
+                              label, t, params.detuning)
             _require_field(p_total[i], "mean_momentum")
             _require_populated(needed_norms[i])
             if compute_adiabaticity:
@@ -588,17 +587,3 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
     rec.final_exact = SpinorField(grid, final[:2], BARE)
     rec.final_reference = SpinorField(grid, final[2:], ADIABATIC)
     return rec
-
-
-TRAJECTORY_COLUMNS = ["t", "x_mean", "p_mean", "ref_x_upper", "ref_p_upper",
-                      "ref_x_lower", "ref_p_lower", "pop_upper", "pop_lower",
-                      "norm"]
-
-
-def trajectory_rows(record: RunRecord):
-    """Rows matching TRAJECTORY_COLUMNS, for CSV export of a run."""
-    for i in range(record.times.size):
-        yield [record.times[i], record.x_mean[i], record.p_mean[i],
-               record.ref_x[0, i], record.ref_p[0, i],
-               record.ref_x[1, i], record.ref_p[1, i],
-               record.pop_upper[i], record.pop_lower[i], record.norm[i]]

@@ -252,20 +252,6 @@ def classical_trajectories(params: ModelParams, initial, t_final: float,
     return TrajectorySet(times, pos, mom, eng)
 
 
-def classical_trajectory_rows(trajectories: TrajectorySet):
-    """Rows of t, then (x, p, energy) per channel, for CSV export."""
-    for i in range(trajectories.times.size):
-        row = [trajectories.times[i]]
-        for ch in range(2):
-            row += [trajectories.positions[ch, i], trajectories.momenta[ch, i],
-                    trajectories.energies[ch, i]]
-        yield row
-
-
-CLASSICAL_TRAJECTORY_COLUMNS = ["t", "x_upper", "p_upper", "energy_upper",
-                                "x_lower", "p_lower", "energy_lower"]
-
-
 def trajectory_adiabaticity(params: ModelParams, trajectories: TrajectorySet,
                             weights) -> np.ndarray:
     """Averaged-parameter estimate along classical channel trajectories.

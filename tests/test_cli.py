@@ -12,7 +12,9 @@ import adiabatica as ad
 from adiabatica import experiments
 from adiabatica.cli import main
 from adiabatica.config import load_config
-from adiabatica.experiments import run_experiment, write_run_csv
+from adiabatica.experiments import run_experiment, write_csv, write_run_csv
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def tiny_map_config(experiment="fidelity-map", **model_extra):
@@ -78,20 +80,26 @@ def test_max_locus_output(tmp_path):
     np.testing.assert_allclose(table[:, 1], 6.0, atol=0.3)
 
 
-def test_fidelity_map_output_serial_and_pool(tmp_path, monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Worker counts of the process pools fidelity maps start."""
     # the pool class is imported when a map needs it, so it is replaced
     # where that import finds it
-    pool_sizes = []
+    sizes = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers, **kwargs):
-            pool_sizes.append(max_workers)
+            sizes.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_fidelity_map_output_serial_and_pool(tmp_path, monkeypatch, pool_sizes):
     data = tiny_map_config()
     data["model"]["detuning"] = {"values": [0.5, 2.0, 5.0]}
     cfg = load_config(write_config(tmp_path, data))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     serial = run_experiment(cfg, tmp_path / "serial")
     assert pool_sizes == []
@@ -103,6 +111,53 @@ def test_fidelity_map_output_serial_and_pool(tmp_path, monkeypatch):
     assert header[:2] == ["x", "t"]
     assert np.all(table[:, 2:] <= 1.0 + 1e-9)
     assert table[0, 2] == pytest.approx(1.0, abs=1e-9)
+    for j, delta in enumerate(cfg.detunings):
+        rec = ad.run_scenario(experiments._build_scenario(cfg, delta),
+                              compute_adiabaticity=False)
+        assert np.array_equal(table[:, 2 + j], rec.fidelity_magnitude)
+        # the modulus of each complex scalar, which np.abs on the whole
+        # array does not always reproduce in the last bit
+        assert np.array_equal(rec.fidelity_magnitude,
+                              [abs(z) for z in rec.fidelity])
+
+
+def test_fidelity_map_in_a_threaded_caller_runs_serially(tmp_path, monkeypatch,
+                                                         pool_sizes):
+    # a lock another thread holds at a fork would stay held in the workers
+    cfg = load_config(write_config(tmp_path, tiny_map_config()))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with concurrent.futures.ThreadPoolExecutor(1) as threads:
+        threaded = threads.submit(run_experiment, cfg,
+                                  tmp_path / "threaded").result()
+    assert pool_sizes == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = run_experiment(cfg, tmp_path / "serial")
+    assert threaded[0].read_bytes() == serial[0].read_bytes()
+
+
+def test_swept_map_without_dt_runs_every_cell_at_one_dt(tmp_path, capsys):
+    # the default dt follows the detuning (transport-bound at 0.5,
+    # phase-bound at 50); cells at their own dt sampled different instants,
+    # and the map failed only after every cell had run
+    data = {
+        "experiment": "fidelity-map",
+        "model": {"detuning": {"values": [0.5, 50.0]},
+                  "mode": {"kind": "gaussian", "amplitude": 1.0,
+                           "width": 50.0}},
+        "grid": {"points": 2048, "x_min": -300.0, "x_max": 300.0},
+        "state": {"x0": -100.0, "p0": 5.0, "width": 10.0},
+        "run": {"t_final": 4.0},
+    }
+    cfg_path = write_config(tmp_path, data)
+    assert main(["fidelity-map", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    cfg = load_config(cfg_path)
+    own = [experiments._build_scenario(cfg, d).dt for d in cfg.detunings]
+    assert own[1] < own[0]
+    _, _, table = read_table(tmp_path / "out" / "fidelity_map.csv")
+    n_steps = round(4.0 / own[1])
+    assert np.array_equal(table[:, 1], np.arange(n_steps + 1.0) * own[1])
 
 
 def test_atrace_output_columns(tmp_path):
@@ -167,43 +222,79 @@ def test_snapshot_output(tmp_path):
 def test_write_run_csv(tmp_path):
     grid = ad.Grid(256, -60.0, 60.0)
     params = ad.ModelParams(mode=ad.GaussianMode(1.0, 6.0), detuning=1.0)
-    psi = ad.gaussian_bare_state(grid, -20.0, 3.0, 3.0)
+    # far from the mode, so the lower adiabatic channel starts empty
+    psi = ad.gaussian_bare_state(grid, -40.0, 3.0, 3.0)
     sc = ad.Scenario(params=params, grid=grid, initial=psi, t_final=2.0,
-                     dt=0.01, stride=50, x0=-20.0, p0=3.0)
+                     dt=0.01, stride=50, x0=-40.0, p0=3.0)
     rec = ad.run_scenario(sc)
     path = write_run_csv(rec, tmp_path / "run.csv")
     _, header, table = read_table(path)
-    assert header == ad.propagation.TRAJECTORY_COLUMNS
-    assert table.shape[0] == rec.times.size
+    assert header == ["t", "x_mean", "p_mean", "ref_x_upper", "ref_p_upper",
+                      "ref_x_lower", "ref_p_lower", "pop_upper", "pop_lower",
+                      "norm"]
+    columns = [rec.times, rec.x_mean, rec.p_mean, rec.ref_x[0], rec.ref_p[0],
+               rec.ref_x[1], rec.ref_p[1], rec.pop_upper, rec.pop_lower,
+               rec.norm]
+    assert np.isnan(rec.ref_x[1]).all()
+    # 17 significant digits read back to the very values (nan in place)
+    np.testing.assert_array_equal(table, np.column_stack(columns))
 
 
-def test_write_classical_trajectory_csv(tmp_path):
-    from adiabatica.experiments import write_classical_trajectory_csv
-    params = ad.ModelParams(mode=ad.GaussianMode(10.0, 10.0), detuning=3.0)
-    traj = ad.classical_trajectories(params, {"upper": (-30.0, 2.0),
-                                              "lower": (-30.0, 2.0)},
-                                     t_final=5.0, dt=0.01)
-    path = write_classical_trajectory_csv(traj, tmp_path / "classical.csv")
-    _, header, table = read_table(path)
-    assert header == ad.twolevel.CLASSICAL_TRAJECTORY_COLUMNS
-    assert table.shape == (traj.times.size, 7)
-    np.testing.assert_allclose(table[:, 1], traj.positions[0], rtol=1e-12)
+def _per_cell_csv(comment, header, rows):
+    """The per-cell writer that write_csv replaced, as the reference."""
+    lines = [comment, ",".join(str(h) for h in header)]
+    for row in rows:
+        lines.append(",".join(f"{float(v):.16e}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 4001])
+def test_write_csv_matches_the_per_cell_format(tmp_path, n_rows):
+    special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+               np.finfo(float).max, -np.finfo(float).max,
+               np.finfo(float).tiny, 1.0, -1.0 / 3.0, 1e300, 1e-300]
+    rng = np.random.default_rng(n_rows)
+    # random bit patterns: every exponent, nan payloads and subnormals
+    values = rng.integers(0, 2**64, size=5 * n_rows, dtype=np.uint64,
+                          endpoint=False).view(np.float64)
+    values[:len(special)] = special[:values.size]
+    table = values.reshape(n_rows, 5)
+    header = ["x", "a", "b", "c", "d"]
+    path = write_csv(tmp_path / "sub" / "t.csv", "# table", header, list(table.T))
+    assert path.read_text() == _per_cell_csv("# table", header, table)
 
 
 # ---------------------------------------------------------------------------
 # Command line
 # ---------------------------------------------------------------------------
 
-def test_cli_runs_and_is_deterministic(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, tiny_map_config())
+def _runs_twice_identically(tmp_path, capsys, cfg_path):
+    experiment = json.loads(cfg_path.read_text())["experiment"]
     out1, out2 = tmp_path / "one", tmp_path / "two"
-    assert main(["fidelity-map", "--config", str(cfg_path), "--out", str(out1)]) == 0
-    assert main(["fidelity-map", "--config", str(cfg_path), "--out", str(out2)]) == 0
+    assert main([experiment, "--config", str(cfg_path), "--out", str(out1)]) == 0
+    assert main([experiment, "--config", str(cfg_path), "--out", str(out2)]) == 0
     printed = capsys.readouterr().out.splitlines()
-    assert printed and printed[0].endswith("fidelity_map.csv")
-    a = (out1 / "fidelity_map.csv").read_bytes()
-    b = (out2 / "fidelity_map.csv").read_bytes()
-    assert a == b
+    names = sorted(path.name for path in out1.iterdir())
+    assert names
+    assert sorted(Path(line).name for line in printed) == sorted(names * 2)
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_cli_runs_and_is_deterministic(tmp_path, capsys):
+    # a multi-cell fidelity map, whose cells may run in a process pool
+    _runs_twice_identically(tmp_path, capsys,
+                            write_config(tmp_path, tiny_map_config()))
+
+
+# The bundled configs that run in under a second through the CLI.  fig4-fig8d
+# take 1.5-35 s each and stay out; test_every_bundled_config_builds_its_runs
+# covers their set-up.
+@pytest.mark.parametrize("name", ["effective_model", "fig1_a0_map",
+                                  "fig2_max_locus", "fig3_a0_map",
+                                  "fig9a_atrace", "snapshot"])
+def test_bundled_config_runs_and_is_deterministic(tmp_path, capsys, name):
+    _runs_twice_identically(tmp_path, capsys, CONFIGS / f"{name}.json")
 
 
 def test_cli_override_changes_output(tmp_path):
@@ -253,7 +344,7 @@ def test_cli_rejects_a_dt_past_the_step_cap(tmp_path, capsys, dt):
 def test_cli_rejects_a_default_dt_past_the_step_cap(tmp_path, capsys):
     # without run.dt the step follows the detuning: 1e9 would ask for 1e11
     # steps, which no load-time check of the file can see
-    fig9a = Path(__file__).resolve().parents[1] / "configs" / "fig9a_atrace.json"
+    fig9a = CONFIGS / "fig9a_atrace.json"
     assert main(["atrace", "--config", str(fig9a), "--override",
                  'run={"x_stop": 50.0, "stride": 20}', "--override",
                  "model.detuning=1e9", "--out", str(tmp_path / "out")]) == 1
@@ -268,15 +359,17 @@ def test_cli_rejects_a_default_dt_past_the_step_cap(tmp_path, capsys):
 def test_every_bundled_config_builds_its_runs():
     # load and assemble every run of every shipped config, without
     # propagating: this covers the load-time guards and the step cap
-    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    configs = sorted(CONFIGS.glob("*.json"))
     assert len(configs) == 11
     built = 0
     for path in configs:
         cfg = load_config(path)
         if cfg.experiment not in ("fidelity-map", "atrace", "snapshot"):
             continue
+        # the one dt every cell of the config runs at
+        dt = experiments._time_step(cfg, cfg.detunings)
         for delta in cfg.detunings:
-            scenario = experiments._build_scenario(cfg, delta)
+            scenario = experiments._build_scenario(cfg, delta, dt)
             assert scenario.t_final / scenario.dt <= ad.config.MAX_STEPS
             built += 1
     # the 20 + 20 + 12 + 12 cells of fig4-fig7, two traces and one snapshot
@@ -345,22 +438,22 @@ def test_cli_runs_leave_scipy_unloaded(tmp_path):
 def test_public_api_names():
     assert sorted(ad.__all__) == [
         "ADIABATIC", "AdiabaticFrame", "AdiabaticPropagator",
-        "AdiabaticityParts", "BARE", "DegeneratePointError", "DomainGuardError",
-        "EffectiveModel", "FrameCase", "FullPropagator", "GaussianMode", "Grid",
-        "LinearMode", "ModelParams", "NodeLimitReport", "RunRecord", "Scenario",
-        "SpinorField", "StandingWaveMode", "TabulatedMode", "TrajectorySet",
-        "TwoLevelTrace", "adiabatic_eigenvalues", "adiabatic_frame",
-        "adiabatic_gradient", "adiabaticity_max_locus", "adiabaticity_parts",
-        "bare_potential", "classical_trajectories", "classical_trajectory_rows",
-        "coupling_from_adiabaticity", "default_time_step", "diagnostics",
-        "expect_grid_values", "expect_momentum", "expect_momentum_sq",
-        "expect_position", "expect_slope_momentum", "fidelity",
-        "gaussian_bare_state", "grids", "initial_channel_weights",
-        "large_detuning_potential", "local_adiabaticity",
-        "lorentzian_peak_integral", "mean_momentum", "mean_position",
-        "mixing_angle", "mixing_angle_curvature", "mixing_angle_slope", "model",
-        "node_limit_probe", "packet_adiabaticity", "packet_width", "propagation",
-        "run_scenario", "solve_two_level", "substitution_model",
-        "time_adiabaticity", "to_adiabatic", "to_bare", "trajectory_adiabaticity",
-        "trajectory_rows", "twolevel",
+        "AdiabaticityParts", "BARE", "DegeneratePointError",
+        "DomainGuardError", "EffectiveModel", "FrameCase", "FullPropagator",
+        "GaussianMode", "Grid", "LinearMode", "ModelParams", "NodeLimitReport",
+        "RunRecord", "Scenario", "SpinorField", "StandingWaveMode",
+        "TabulatedMode", "TrajectorySet", "TwoLevelTrace",
+        "adiabatic_eigenvalues", "adiabatic_frame", "adiabatic_gradient",
+        "adiabaticity_max_locus", "adiabaticity_parts", "bare_potential",
+        "classical_trajectories", "coupling_from_adiabaticity",
+        "default_time_step", "diagnostics", "expect_grid_values",
+        "expect_momentum", "expect_momentum_sq", "expect_position",
+        "expect_slope_momentum", "fidelity", "gaussian_bare_state", "grids",
+        "initial_channel_weights", "large_detuning_potential",
+        "local_adiabaticity", "lorentzian_peak_integral", "mean_momentum",
+        "mean_position", "mixing_angle", "mixing_angle_curvature",
+        "mixing_angle_slope", "model", "node_limit_probe",
+        "packet_adiabaticity", "packet_width", "propagation", "run_scenario",
+        "solve_two_level", "substitution_model", "time_adiabaticity",
+        "to_adiabatic", "to_bare", "trajectory_adiabaticity", "twolevel",
     ]

@@ -200,10 +200,9 @@ def test_snapshot_csv_round_trip(tmp_path, small_grid):
     from adiabatica.experiments import write_csv
     psi = ad.gaussian_bare_state(small_grid, 0.0, 1.0, 3.0)
     header = ["x", "re_upper", "im_upper", "re_lower", "im_lower"]
-    rows = ([small_grid.x[i], psi.upper[i].real, psi.upper[i].imag,
-             psi.lower[i].real, psi.lower[i].imag]
-            for i in range(small_grid.npoints))
-    path = write_csv(tmp_path / "state.csv", "# state", header, rows)
+    columns = [small_grid.x, psi.upper.real, psi.upper.imag,
+               psi.lower.real, psi.lower.imag]
+    path = write_csv(tmp_path / "state.csv", "# state", header, columns)
     data = np.genfromtxt(path, delimiter=",", skip_header=2)
     assert data.shape == (small_grid.npoints, 5)
     np.testing.assert_allclose(data[:, 0], small_grid.x)

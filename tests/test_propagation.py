@@ -267,18 +267,6 @@ def test_scenario_validation():
                     initial=ad.to_adiabatic(psi, frame), t_final=1.0, dt=0.1)
 
 
-def test_trajectory_rows_shape():
-    grid = ad.Grid(256, -40.0, 40.0)
-    params = free_params()
-    psi = ad.gaussian_bare_state(grid, -10.0, 2.0, 3.0)
-    sc = ad.Scenario(params=params, grid=grid, initial=psi, t_final=1.0,
-                     dt=0.01, stride=20, x0=-10.0, p0=2.0)
-    rec = ad.run_scenario(sc)
-    rows = list(ad.trajectory_rows(rec))
-    assert len(rows) == rec.times.size
-    assert len(rows[0]) == len(ad.propagation.TRAJECTORY_COLUMNS)
-
-
 def test_run_scenario_keeps_states_on_request():
     grid = ad.Grid(256, -40.0, 40.0)
     params = ad.ModelParams(mode=ad.GaussianMode(1.0, 5.0), detuning=1.0)
