@@ -12,6 +12,7 @@ import scipy.linalg as sla
 import adiabatica as ad
 
 from conftest import constant_mode, l2_distance
+from adiabatica.experiments import write_run_csv
 
 
 def free_params(detuning=1.0):
@@ -265,6 +266,21 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         ad.Scenario(params=params, grid=grid,
                     initial=ad.to_adiabatic(psi, frame), t_final=1.0, dt=0.1)
+
+
+def test_trajectory_rows_shape(tmp_path):
+    grid = ad.Grid(256, -40.0, 40.0)
+    params = free_params()
+    psi = ad.gaussian_bare_state(grid, -10.0, 2.0, 3.0)
+    sc = ad.Scenario(params=params, grid=grid, initial=psi, t_final=1.0,
+                     dt=0.01, stride=20, x0=-10.0, p0=2.0)
+    rec = ad.run_scenario(sc)
+    path = write_run_csv(rec, tmp_path / "run.csv")
+    lines = path.read_text().splitlines()
+    header, rows = lines[1].split(","), lines[2:]
+    # one row per sample, one field per header column
+    assert len(rows) == rec.times.size
+    assert all(len(row.split(",")) == len(header) for row in rows)
 
 
 def test_run_scenario_keeps_states_on_request():
