@@ -6,7 +6,7 @@ import argparse
 import os
 import sys
 
-from .config import EXPERIMENTS, ConfigError, load_config
+from .config import EXPERIMENTS, load_config
 from .experiments import run_experiment
 
 OUTPUT_DIR_ENV = "ADIABATICA_OUT"
@@ -36,7 +36,7 @@ def main(argv=None) -> int:
         config = load_config(args.config, experiment=args.experiment,
                              overrides=args.override)
         paths = run_experiment(config, out_dir)
-    except (ConfigError, FileNotFoundError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"adiabatica: error: {exc}", file=sys.stderr)
         return 1
     for path in paths:

@@ -92,19 +92,21 @@ class AdiabaticityParts:
         return np.where(self.active, terms, np.nan)
 
     def total(self, include_curvature: bool = True) -> float:
-        terms = self.channel_terms(include_curvature)
-        value = 0.0
-        for ch in range(2):
-            if self.active[ch]:
-                value += self.weights[ch] * terms[ch]
-        return value
+        return _weighted_total(self.weights,
+                               self.channel_terms(include_curvature))
+
+
+def _weighted_total(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Sum of weight * term over the channels (last axis of `terms`) whose
+    weight reaches WEIGHT_FLOOR; the others, whose terms are nan, add 0."""
+    return np.where(weights >= WEIGHT_FLOOR, weights * terms, 0.0).sum(axis=-1)
 
 
 def _modulus(values: np.ndarray) -> np.ndarray:
-    """|z| of each complex element, taken one scalar at a time: np.abs on a
-    complex array rounds differently in the last bit, and the CSVs keep the
-    scalar modulus."""
-    return np.array([abs(z) for z in values.flat]).reshape(values.shape)
+    """|z| of each complex element with the bits of the scalar abs(z): np.abs
+    on a complex array rounds differently in the last bit, and the CSVs keep
+    the scalar modulus."""
+    return np.hypot(values.real, values.imag)
 
 
 def _require_splitting(splittings: np.ndarray) -> None:

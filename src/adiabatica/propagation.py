@@ -22,13 +22,13 @@ reference (rows 2-3) in one (4, N) array, so every kinetic factor is one
 forward and one inverse transform for both states.
 
 run_scenario samples the pair in blocks.  The states of up to B consecutive
-sampled instants are kept in a (B, 4, N) buffer, with B set by a fixed
-byte budget on that buffer (_BLOCK_BYTES: B=4 at N=1024, B=2 at N=2048, B=1
-from N=4096 up), so the block and its temporaries stay in a per-core L2
-cache.  One vectorised pass over a full block builds |psi|^2 and |FFT|^2
-once, rotates the exact states into the adiabatic frame once and reduces
-every recorded column, using the batched private helpers behind the public
-observables.  The largest arrays of that pass live in buffers allocated once
+sampled instants and their spectra are kept in a ring of B slots, with B
+set by a fixed byte budget on one block of states (_BLOCK_BYTES: B=4 at
+N=1024, B=2 at N=2048, B=1 from N=4096 up), so the block and its
+temporaries stay in a per-core L2 cache.  One vectorised pass over a full
+block builds |psi|^2 and |FFT|^2 once, rotates the exact states into the
+adiabatic frame once and reduces every recorded column, using the batched
+private helpers behind the public observables.  The largest arrays of that pass live in buffers allocated once
 per run: fresh temporaries of this size (128 KiB at B=4, N=1024) go back to
 the operating system when freed and are faulted in again on every block.
 Checks then run sample by sample, so a failing run raises the error of its
@@ -38,14 +38,16 @@ transforming the state again.
 
 A run that samples densely pipelines the two stages when its affinity set
 holds a second CPU: a forked sampler process runs the block pass on block k
-while the calling process propagates block k+1.  The state and spectrum
-buffers become a (2, B, 4, N) double buffer, and they and every sampled
-column live in anonymous shared memory, so both processes see one copy and
-the record is bit-identical to an inline run.  Each block is handed off
-with one (half, first, count) message and answered with one
-acknowledgement; the chunk that starts a half reads the last spectrum of the
-other half, and nothing writes a half again before its acknowledgement
-arrives.  The sampler stops at its first failing sample and sends the
+while the calling process propagates block k+1.  The ring then holds 2B
+slots, and it is the one array in anonymous shared memory: sample idx sits
+in slot idx mod the ring size, so a block is named by one (first, count)
+message and answered with one acknowledgement.  The chunk that starts a
+block reads the last spectrum of the block before, and nothing writes a
+block's slots again before its acknowledgement arrives.  Each sampled column
+belongs to the process that fills it: the sampler fills the copies it
+inherits at the fork and, after the last acknowledgement, sends them back in
+answer to one final None message, so the record is bit-identical to an
+inline run.  The sampler stops at its first failing sample and sends the
 exception back, which the calling process raises at its next hand-off, after
 at most 2B-1 chunks propagated past that sample (B-1 inline).
 
@@ -55,8 +57,9 @@ pipelines only when its samples hold at least _PIPELINE_BYTES of pair states
 (256 samples at N=1024: a stride of 7 or less in the fig9a geometry) and
 fill two blocks.  Sparser and shorter runs, runs inside a worker process
 (the fidelity-map pool) or beside other threads of the caller, and runs with
-one CPU stay inline, with one half.  Whether the second CPU is idle is not
-checked: runs started side by side on a busy machine each still fork.
+one CPU stay inline, with a ring of B slots.  Whether the second CPU is
+idle is not checked: runs started side by side on a busy machine each still
+fork.
 """
 
 from __future__ import annotations
@@ -219,8 +222,9 @@ class Scenario:
     def __post_init__(self):
         if self.initial.frame != BARE:
             raise ValueError("Scenario.initial must be a bare-frame field")
-        if self.t_final <= 0 or self.dt <= 0:
-            raise ValueError("Scenario requires t_final > 0 and dt > 0")
+        if not (math.isfinite(self.t_final) and math.isfinite(self.dt)
+                and self.t_final > 0 and self.dt > 0):
+            raise ValueError("Scenario requires finite t_final > 0 and dt > 0")
         if self.stride < 1:
             raise ValueError("Scenario.stride must be >= 1")
 
@@ -256,19 +260,14 @@ class RunRecord:
     @property
     def adiabaticity(self) -> np.ndarray:
         """Packet-averaged parameter per sample, curvature term included."""
-        return self._weighted_total(self.adiabaticity_terms)
+        return diagnostics._weighted_total(self.weights,
+                                           self.adiabaticity_terms.T)
 
     @property
     def adiabaticity_plain(self) -> np.ndarray:
         """Packet-averaged parameter per sample without the curvature term."""
-        return self._weighted_total(self.adiabaticity_terms_plain)
-
-    def _weighted_total(self, terms: np.ndarray) -> np.ndarray:
-        # the sum AdiabaticityParts.total forms, over channels whose weight
-        # reaches WEIGHT_FLOOR; nan where the run skipped the parameter
-        active = self.weights >= diagnostics.WEIGHT_FLOOR
-        return np.where(active[:, None], self.weights[:, None] * terms,
-                        0.0).sum(axis=0)
+        return diagnostics._weighted_total(self.weights,
+                                           self.adiabaticity_terms_plain.T)
 
 
 #: Channels with smaller initial weight get no ref_x / ref_p samples.
@@ -324,27 +323,12 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
-def _shared_empty(layout: dict) -> dict:
-    """Uninitialised arrays for a {name: (shape, dtype)} layout, in one
-    anonymous shared mapping that a forked process writes to in place."""
-    counts = {name: math.prod(shape) for name, (shape, _) in layout.items()}
-    # every array starts on a 64-byte cache line
-    sizes = {name: -(-counts[name] * np.dtype(dtype).itemsize // 64) * 64
-             for name, (_, dtype) in layout.items()}
-    buffer = mmap.mmap(-1, sum(sizes.values()))
-    arrays, offset = {}, 0
-    for name, (shape, dtype) in layout.items():
-        arrays[name] = np.frombuffer(buffer, dtype, counts[name],
-                                     offset).reshape(shape)
-        offset += sizes[name]
-    return arrays
-
-
-def _serve_blocks(conn, parent_end, sample_block) -> None:
-    """Sampler process: run sample_block(half, first, count) per message
-    and answer None, or the first exception.  It samples nothing after that
-    and waits to be reaped, since the parent may send one more block before
-    it reads the error."""
+def _serve_blocks(conn, parent_end, sample_block, columns) -> None:
+    """Sampler process: run sample_block(first, count) per message and
+    answer None, or the first exception.  It samples nothing after that and
+    waits to be reaped, since the parent may send one more block before it
+    reads the error.  A None message ends a run that did not fail: the
+    answer is `columns`, the arrays sample_block filled in this process."""
     import signal  # loaded with multiprocessing already
 
     # Ctrl-C reaches the whole process group; the parent handles it and
@@ -359,6 +343,9 @@ def _serve_blocks(conn, parent_end, sample_block) -> None:
             return
         if failed:
             continue
+        if message is None:
+            conn.send(columns)
+            return
         try:
             sample_block(*message)
         except Exception as exc:
@@ -370,40 +357,51 @@ def _serve_blocks(conn, parent_end, sample_block) -> None:
 
 class _SamplerProcess:
     """A forked process that samples one block while the caller propagates
-    the next one into the other half of the double buffer."""
+    the next one into the other half of the ring."""
 
-    def __init__(self, context, sample_block):
-        # forked, so the closure and the shared buffers it reads are
-        # inherited, not pickled
+    def __init__(self, context, sample_block, columns):
+        # forked, so the closure, the shared ring it reads and the columns
+        # it fills are inherited, not pickled
         self._conn, child_end = context.Pipe()
         self._process = context.Process(
-            target=_serve_blocks, args=(child_end, self._conn, sample_block),
-            daemon=True)
+            target=_serve_blocks,
+            args=(child_end, self._conn, sample_block, columns), daemon=True)
         self._process.start()
         child_end.close()
         self._in_flight = 0
 
-    def hand_off(self, half: int, first: int, count: int) -> None:
+    def hand_off(self, first: int, count: int) -> None:
         """Queue a block, then wait until the block before it is sampled, so
-        the caller may overwrite that block's half."""
-        try:
-            self._conn.send((half, first, count))
-        except ConnectionError:  # a broken pipe or a reset socket
-            self._lost()
+        the caller may overwrite that block's slots."""
+        self._send((first, count))
         self._in_flight += 1
-        self.settle(1)
+        self._settle(1)
 
-    def settle(self, limit: int = 0) -> None:
-        """Wait until at most `limit` blocks are unsampled; raise the
-        sampler's error, if it sent one."""
+    def columns(self) -> dict:
+        """Wait until every block is sampled, then take the columns the
+        process filled; raise the sampler's error, if it sent one."""
+        self._settle(0)
+        self._send(None)
+        return self._receive()
+
+    def _settle(self, limit: int) -> None:
         while self._in_flight > limit:
-            try:
-                reply = self._conn.recv()
-            except (EOFError, ConnectionError):
-                self._lost()
+            reply = self._receive()
             self._in_flight -= 1
             if reply is not None:
                 raise reply
+
+    def _send(self, message) -> None:
+        try:
+            self._conn.send(message)
+        except ConnectionError:  # a broken pipe or a reset socket
+            self._lost()
+
+    def _receive(self):
+        try:
+            return self._conn.recv()
+        except (EOFError, ConnectionError):
+            self._lost()
 
     @staticmethod
     def _lost():
@@ -446,29 +444,25 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
         sample_steps.append(n_steps)
     n_samples = len(sample_steps)
 
-    # pair states of one block of consecutive samples and their FFTs, twice
-    # over when a sampler process takes every other block (see the module
-    # docstring)
+    # a ring of pair states (index 0) and their FFTs (index 1): one block of
+    # consecutive samples, twice over when a sampler process takes every
+    # other block, in the one mapping it shares (see the module docstring)
     block = max(1, _BLOCK_BYTES // pair.nbytes)
     pipelined = (n_samples // block >= 2
                  and n_samples * pair.nbytes >= _PIPELINE_BYTES)
     context = _fork_context() if pipelined else None
-    halves = 1 if context is None else 2
-    buffer_shape = (halves, block) + pair.shape
-    # per-channel columns stay nan where a channel is skipped
-    channel_columns = ("ref_x", "ref_p", "adiabaticity_terms",
-                       "adiabaticity_terms_plain")
-    columns = _shared_empty({
-        "states": (buffer_shape, np.complex128),
-        "spectra": (buffer_shape, np.complex128),
-        **{name: ((n_samples,), np.float64) for name in
-           ("x_mean", "p_mean", "norm", "pop_upper", "pop_lower")},
-        "fidelity": ((n_samples,), np.complex128),
-        **{name: ((2, n_samples), np.float64) for name in channel_columns},
-    })
-    states, spectra = columns.pop("states"), columns.pop("spectra")
-    for name in channel_columns:
-        columns[name].fill(np.nan)
+    ring_size = block * (1 if context is None else 2)
+    ring, ring_spectra = np.frombuffer(
+        mmap.mmap(-1, 2 * ring_size * pair.nbytes),
+        np.complex128).reshape((2, ring_size) + pair.shape)
+    # the process that samples owns the columns; per-channel columns stay
+    # nan where a channel is skipped
+    columns = {name: np.empty(n_samples) for name in
+               ("x_mean", "p_mean", "norm", "pop_upper", "pop_lower")}
+    columns["fidelity"] = np.empty(n_samples, dtype=np.complex128)
+    columns.update({name: np.full((2, n_samples), np.nan) for name in
+                    ("ref_x", "ref_p", "adiabaticity_terms",
+                     "adiabaticity_terms_plain")})
 
     times = np.asarray(sample_steps, dtype=float) * scenario.dt
     rec = RunRecord(
@@ -489,13 +483,14 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
     dx = grid.dx
 
     # scratch of the block pass (see the module docstring)
-    dens_buf = np.empty(states.shape[1:])
-    power_buf = np.empty(states.shape[1:])
+    dens_buf = np.empty((block,) + pair.shape)
+    power_buf = np.empty_like(dens_buf)
     rotated_buf = np.empty((block, 2, grid.npoints), dtype=np.complex128)
     overlap_buf = np.empty_like(rotated_buf)
 
-    def sample_block(half: int, first: int, count: int) -> None:
-        rows, spec = states[half, :count], spectra[half, :count]
+    def sample_block(first: int, count: int) -> None:
+        slots = slice(first % ring_size, first % ring_size + count)
+        rows, spec = ring[slots], ring_spectra[slots]
         dens = _abs2(rows, out=dens_buf[:count])
         power = _abs2(spec, out=power_buf[:count])
         ref_rows, ref_dens = rows[:, 2:], dens[:, 2:]
@@ -549,16 +544,15 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
         exact_prop._apply_potential(rows[:2])
         ref_prop._apply_potential(rows[2:])
 
-    # the buffers as one ring of halves * block slots: sample idx goes to
-    # slot idx mod ring size, and its chunk starts from the slot before
-    ring = states.reshape((-1,) + pair.shape)
-    ring_spectra = spectra.reshape(ring.shape)
+    # sample idx goes to slot idx mod ring size, and its chunk starts from
+    # the slot before
     ring[0] = pair
-    sampler = None if context is None else _SamplerProcess(context, sample_block)
+    sampler = (None if context is None
+               else _SamplerProcess(context, sample_block, columns))
     hand_off = sample_block if sampler is None else sampler.hand_off
     try:
         for idx, step in enumerate(sample_steps):
-            pos = idx % ring.shape[0]
+            pos = idx % ring_size
             if idx:
                 # same grid, mass and dt: the exact kinetic phases serve both
                 # states; the chunk starts from the previous sample's spectrum
@@ -573,15 +567,13 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
                     SpinorField(grid, ring[pos, 2:].copy(), ADIABATIC)))
             slot = pos % block
             if slot == block - 1 or idx == n_samples - 1:
-                hand_off(pos // block, idx - slot, slot + 1)
+                hand_off(idx - slot, slot + 1)
         if sampler is not None:
-            sampler.settle()
+            for name, values in sampler.columns().items():
+                setattr(rec, name, values)
     finally:
         if sampler is not None:
             sampler.close()
-    # the record keeps ordinary arrays, not views of the shared mapping
-    for name, values in columns.items():
-        setattr(rec, name, values.copy())
 
     final = ring[pos].copy()
     rec.final_exact = SpinorField(grid, final[:2], BARE)

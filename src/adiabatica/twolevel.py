@@ -23,9 +23,6 @@ import numpy as np
 from .model import (DEGENERACY_FLOOR, ModelParams, _angle_slope_raw,
                     _su2_step, adiabatic_eigenvalues, adiabatic_gradient)
 
-SUBSTITUTION = "substitution"
-INVERSE = "inverse"
-
 
 @dataclass
 class EffectiveModel:
@@ -34,7 +31,6 @@ class EffectiveModel:
     detuning: float
     coupling: Callable[[np.ndarray], np.ndarray]
     coupling_rate: Callable[[np.ndarray], np.ndarray] | None = None
-    provenance: str = SUBSTITUTION
 
     def hamiltonian(self, t: float) -> np.ndarray:
         g = float(np.asarray(self.coupling(t)))
@@ -60,8 +56,7 @@ def substitution_model(params: ModelParams, p0: float, x0: float) -> EffectiveMo
     def coupling_slope(t):
         return rate * params.coupling_slope(x0 + rate * np.asarray(t, dtype=float))
 
-    return EffectiveModel(params.level_splitting, coupling, coupling_slope,
-                          SUBSTITUTION)
+    return EffectiveModel(params.level_splitting, coupling, coupling_slope)
 
 
 def time_adiabaticity(model: EffectiveModel, t):

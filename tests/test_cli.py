@@ -326,6 +326,22 @@ def test_cli_error_paths(tmp_path, capsys):
         main(["not-an-experiment", "--config", str(missing)])
 
 
+@pytest.mark.parametrize("case", ["config_is_a_directory", "out_is_a_file"])
+def test_cli_reports_os_errors_in_one_line(tmp_path, capsys, case):
+    # a directory given as the config raised IsADirectoryError, a file given
+    # as the output directory FileExistsError, both as tracebacks
+    cfg_path = write_config(tmp_path, tiny_map_config("a0-map"))
+    out = tmp_path / "out"
+    if case == "config_is_a_directory":
+        cfg_path = tmp_path
+    else:
+        out.write_text("")
+    assert main(["a0-map", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("adiabatica: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("dt", ["1e-300", "1e-9"])
 def test_cli_rejects_a_dt_past_the_step_cap(tmp_path, capsys, dt):
     # 1e-300 used to overflow range() inside the run; 1e-9 would start a run

@@ -180,6 +180,44 @@ def test_channel_terms_batch_matches_scalar_loop(active):
         batch.channel_terms()
 
 
+def _modulus_loop(values):
+    """The scalar abs of each element: the reference _modulus must match."""
+    return np.array([abs(z) for z in values.flat]).reshape(values.shape)
+
+
+def _assert_same_bits(got, want):
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def test_modulus_matches_the_scalar_abs_loop():
+    rng = np.random.default_rng(11)
+    n = 20000
+    normal = rng.normal(size=(n, 2))
+    scaled = normal * 10.0 ** rng.uniform(-300, 300, size=(n, 2))
+    bits = rng.integers(0, 2**64, size=(n, 2), dtype=np.uint64).view(np.float64)
+    for parts in (normal, scaled, bits):
+        values = parts.view(np.complex128).reshape(100, -1)
+        # the bit patterns hold signalling NaNs, which np.hypot reports as
+        # invalid; arithmetic makes only quiet ones
+        with np.errstate(invalid="ignore"):
+            got = ad.diagnostics._modulus(values)
+        assert got.shape == values.shape and got.dtype == np.float64
+        _assert_same_bits(got, _modulus_loop(values))
+    # every pair of special values; max + i max overflows, and only the
+    # vectorised form warns about it
+    tiny, big = np.finfo(float).smallest_normal, np.finfo(float).max
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                         tiny, big, -big, 1.0, 3.0, 1e160, 1e-160])
+    re, im = np.meshgrid(specials, specials)
+    values = np.stack([re, im], axis=-1).view(np.complex128)[..., 0]
+    assert values.size == 196
+    with np.errstate(over="ignore"):
+        got = ad.diagnostics._modulus(values)
+    _assert_same_bits(got, _modulus_loop(values))
+
+
 def test_initial_channel_weights_sum_to_one():
     params = ad.ModelParams(mode=ad.StandingWaveMode(0.5, 0.3), detuning=0.4)
     grid = ad.Grid(512, -60.0, 60.0)

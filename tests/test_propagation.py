@@ -1,9 +1,11 @@
 import concurrent.futures
 import contextlib
 import dataclasses
+import math
 import multiprocessing
 import os
 import signal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -266,6 +268,12 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         ad.Scenario(params=params, grid=grid,
                     initial=ad.to_adiabatic(psi, frame), t_final=1.0, dt=0.1)
+    # an infinite dt used to run to times [nan, inf]; a non-finite t_final
+    # failed later, in the step count
+    for t_final, dt in ((1.0, math.inf), (math.nan, 0.1), (math.inf, 0.1)):
+        with pytest.raises(ValueError, match="requires finite t_final > 0"):
+            ad.Scenario(params=params, grid=grid, initial=psi,
+                        t_final=t_final, dt=dt)
 
 
 def test_trajectory_rows_shape(tmp_path):
@@ -445,6 +453,34 @@ def test_run_scenario_records_do_not_depend_on_block_size(monkeypatch,
                          single, samples_per_block)
 
 
+def test_block_size_never_changes_a_run():
+    # over generated step counts, strides, block sizes and lower-channel
+    # weights, an inline run equals the run with one sample per block
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=25, deadline=None)
+    @hypothesis.given(n_steps=st.integers(10, 120), stride=st.integers(1, 13),
+                      samples_per_block=st.integers(1, 8),
+                      lower_amplitude=st.sampled_from([0.0, np.sqrt(3e-10),
+                                                       0.6]))
+    def check(n_steps, stride, samples_per_block, lower_amplitude):
+        sc = dataclasses.replace(_scenario_from_adiabatic(lower_amplitude),
+                                 t_final=n_steps * 0.01, stride=stride)
+        pair_bytes = 4 * sc.grid.npoints * 16
+        runs = []
+        for per_block in (1, samples_per_block):
+            with mock.patch.object(ad.propagation, "_BLOCK_BYTES",
+                                   per_block * pair_bytes):
+                runs.append(ad.run_scenario(sc))
+        single, blocked = runs
+        assert single.times.size == len(range(0, n_steps, stride)) + 1
+        _assert_same_run(blocked, single,
+                         (n_steps, stride, samples_per_block))
+
+    check()
+
+
 def _assert_same_run(rec, want, context):
     """Every record array (nan counting as equal), the final states and the
     snapshots of `rec` equal those of `want` bit for bit."""
@@ -550,7 +586,8 @@ def test_pipelined_run_matches_inline_run(monkeypatch, lower_amplitude):
         pipelined, forked = _on_cpus(monkeypatch, {0, 1}, run)
         assert len(forked) == 1
         _assert_same_run(pipelined, inline, samples_per_block)
-        # the sampled columns are copied out of the shared buffers
+        # the sampled columns are the arrays the sampler sent back, not
+        # views of shared memory
         for name in _SAMPLED_COLUMNS:
             assert getattr(pipelined, name).flags.owndata, name
     # one full block stays inline
@@ -631,6 +668,28 @@ def test_pipelined_run_reports_a_lost_sampler(monkeypatch):
         monkeypatch.setattr(ad.propagation, "_BLOCK_BYTES", 2 * 4 * 256 * 16)
         monkeypatch.setattr(ad.propagation, "_serve_blocks",
                             lambda *args: os._exit(1))
+        return ad.run_scenario(sc)
+
+    outcome, forked = _on_cpus(monkeypatch, {0, 1}, run)
+    assert type(outcome) is RuntimeError and len(forked) == 1
+    assert str(outcome) == "the sampler process exited unexpectedly"
+
+
+def test_pipelined_run_reports_a_sampler_lost_at_the_hand_back(monkeypatch):
+    # the sampler sends its columns back only after the last block; one that
+    # dies then must fail the run the same way, and be reaped
+    sc = dataclasses.replace(_scenario_from_adiabatic(0.6), keep_states=False)
+
+    def acknowledge_then_exit(conn, parent_end, sample_block, columns):
+        parent_end.close()
+        while conn.recv() is not None:
+            conn.send(None)
+        os._exit(1)
+
+    def run():
+        monkeypatch.setattr(ad.propagation, "_BLOCK_BYTES", 2 * 4 * 256 * 16)
+        monkeypatch.setattr(ad.propagation, "_serve_blocks",
+                            acknowledge_then_exit)
         return ad.run_scenario(sc)
 
     outcome, forked = _on_cpus(monkeypatch, {0, 1}, run)
