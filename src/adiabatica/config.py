@@ -377,9 +377,11 @@ def apply_overrides(data: dict, overrides) -> dict:
 def load_config(path, experiment: str | None = None,
                 overrides=None) -> ScenarioConfig:
     """Read, override and validate a JSON scenario configuration."""
-    text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: byte {exc.start}: not UTF-8 text "
+                          f"({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}") from exc

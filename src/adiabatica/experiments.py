@@ -93,17 +93,23 @@ def _check_step_count(t_final: float, dt: float, config: ScenarioConfig,
 def _time_step(config: ScenarioConfig, deltas) -> float:
     """The dt of the runs at these detunings, checked against the step cap:
     run.dt, else the smallest default dt over them, so that every cell of a
-    map samples the same instants."""
+    map samples the same instants.  A run.dt must also resolve the phases."""
     state = config.state
     t_final = config.run.resolve_t_final(state, config.base_params.mass)
+    runs = [replace(config.base_params, detuning=float(d)) for d in deltas]
     if config.run.dt is not None:
-        dt, delta = config.run.dt, float(deltas[0])
+        dt, delta = config.run.dt, runs[0].detuning
+        # max|Delta_+- - mean_shift|: a constant shift adds no splitting error
+        phase, worst = max((dt * np.max(np.hypot(0.5 * p.level_splitting,
+                                                  p.coupling(config.grid.x))),
+                            p.detuning) for p in runs)
+        if phase > 1.0:
+            raise ConfigError(f"config.run.dt: dt*max|Delta_+- - mean_shift| = "
+                              f"{phase:.3g} exceeds 1 at detuning {worst!r}")
     else:
         p_needed = momentum_cover(state.p0, state.width)
-        dt, delta = min(
-            (default_time_step(replace(config.base_params, detuning=float(d)),
-                               config.grid, p_needed), float(d))
-            for d in deltas)
+        dt, delta = min((default_time_step(p, config.grid, p_needed),
+                         p.detuning) for p in runs)
     _check_step_count(t_final, dt, config, delta)
     return dt
 

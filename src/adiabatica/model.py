@@ -374,8 +374,11 @@ def _angle_curvature_raw(params: ModelParams, x, raise_on_degenerate: bool):
         raise DegeneratePointError(
             "angle curvature undefined: coupling and level splitting both vanish")
     num = split * math.sqrt(n) * (d2g * den - 8.0 * n * g * dg * dg)
-    return np.divide(num, den * den, out=np.zeros_like(np.asarray(num, dtype=float)),
-                     where=~degenerate)
+    # a tiny splitting and coupling underflow den * den to 0, not den: divide twice
+    tiny = (den * den == 0.0) & ~degenerate
+    out = np.divide(num, den * den, out=np.zeros_like(np.asarray(num, dtype=float)),
+                    where=~degenerate & ~tiny)
+    return np.divide(num / np.where(tiny, den, 1.0), den, out=out, where=tiny)
 
 
 # ---------------------------------------------------------------------------

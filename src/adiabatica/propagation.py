@@ -244,10 +244,7 @@ class RunRecord:
     ref_x: np.ndarray
     ref_p: np.ndarray
     adiabaticity_terms: np.ndarray
-    adiabaticity_terms_plain: np.ndarray
     weights: np.ndarray
-    dt: float
-    stride: int
     final_exact: SpinorField = dataclass_field(repr=False, default=None)
     final_reference: SpinorField = dataclass_field(repr=False, default=None)
     snapshots: list = dataclass_field(repr=False, default=None)
@@ -262,12 +259,6 @@ class RunRecord:
         """Packet-averaged parameter per sample, curvature term included."""
         return diagnostics._weighted_total(self.weights,
                                            self.adiabaticity_terms.T)
-
-    @property
-    def adiabaticity_plain(self) -> np.ndarray:
-        """Packet-averaged parameter per sample without the curvature term."""
-        return diagnostics._weighted_total(self.weights,
-                                           self.adiabaticity_terms_plain.T)
 
 
 #: Channels with smaller initial weight get no ref_x / ref_p samples.
@@ -461,8 +452,7 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
                ("x_mean", "p_mean", "norm", "pop_upper", "pop_lower")}
     columns["fidelity"] = np.empty(n_samples, dtype=np.complex128)
     columns.update({name: np.full((2, n_samples), np.nan) for name in
-                    ("ref_x", "ref_p", "adiabaticity_terms",
-                     "adiabaticity_terms_plain")})
+                    ("ref_x", "ref_p", "adiabaticity_terms")})
 
     times = np.asarray(sample_steps, dtype=float) * scenario.dt
     rec = RunRecord(
@@ -470,8 +460,6 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
         x_kinematic=scenario.x0 + scenario.p0 * times / params.mass,
         **columns,
         weights=weights,
-        dt=scenario.dt,
-        stride=scenario.stride,
         snapshots=[] if scenario.keep_states else None,
     )
 
@@ -538,7 +526,6 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
                 diagnostics._require_splitting(splittings[i])
         if compute_adiabaticity:
             rec.adiabaticity_terms[:, span] = parts.channel_terms(True).T
-            rec.adiabaticity_terms_plain[:, span] = parts.channel_terms(False).T
 
     def kick(rows: np.ndarray) -> None:
         exact_prop._apply_potential(rows[:2])

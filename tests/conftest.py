@@ -28,3 +28,25 @@ def constant_mode(value, half_span=2000.0, points=64):
 
 def l2_distance(a: ad.SpinorField, b: ad.SpinorField) -> float:
     return float(np.sqrt(np.sum(np.abs(a.components - b.components) ** 2) * a.grid.dx))
+
+
+def generated_params(st):
+    """hypothesis strategy: ModelParams over Gaussian and standing-wave modes,
+    signed detunings (zero included), photon indices and both frame cases."""
+    modes = st.one_of(
+        st.builds(ad.GaussianMode, st.floats(0.0, 20.0), st.floats(1.0, 100.0)),
+        st.builds(ad.StandingWaveMode, st.floats(0.0, 5.0),
+                  st.floats(0.05, 3.0)))
+    return st.builds(ad.ModelParams, mode=modes,
+                     detuning=st.floats(-20.0, 20.0),
+                     photon_index=st.integers(1, 4),
+                     frame_case=st.sampled_from(list(ad.FrameCase)))
+
+
+def generated_packet(st, grid):
+    """hypothesis strategy: a Gaussian packet (upper bare component) that
+    `grid` holds and resolves; grid is Grid(256, -40, 40) or wider."""
+    return st.builds(lambda x0, p0, width: ad.gaussian_bare_state(
+                         grid, x0, p0, width),
+                     st.floats(-15.0, 15.0), st.floats(-3.0, 3.0),
+                     st.floats(1.0, 4.0))

@@ -342,6 +342,44 @@ def test_cli_reports_os_errors_in_one_line(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+def test_cli_names_a_config_that_is_not_utf8(tmp_path, capsys):
+    # the codec error named no file, unlike a JSON syntax error
+    cfg_path = tmp_path / "bad.json"
+    for content, detail in ((b"\xff\xfe", "byte 0: not UTF-8 text "
+                                           "(invalid start byte)"),
+                            (b'{"model": ', "line 1, column 11: ")):
+        cfg_path.write_bytes(content)
+        assert main(["a0-map", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"adiabatica: error: {cfg_path}: {detail}")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("experiment", ["fidelity-map", "atrace", "snapshot"])
+def test_cli_rejects_a_dt_that_does_not_resolve_the_phases(tmp_path, capsys,
+                                                           experiment):
+    # max|Delta_+- - mean_shift| = hypot(detuning / 2, max g) with
+    # max g = 1.5 / (sqrt(2 pi) 6) = 0.0997: 1.005 at detuning 2.0 and 0.269
+    # at 0.5, so dt=1.2 resolves only the latter
+    data = tiny_map_config(experiment)
+    if experiment != "fidelity-map":
+        data["model"]["detuning"] = 2.0
+    cfg_path = write_config(tmp_path, data)
+    assert main([experiment, "--config", str(cfg_path), "--override",
+                 "run.dt=1.2", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == ("adiabatica: error: config.run.dt: dt*max|Delta_+- "
+                   "- mean_shift| = 1.21 exceeds 1 at detuning 2.0\n")
+    assert not (tmp_path / "out").exists()
+    # dt=0.99 passes, and dt=0.98 does under case2 with photon_index 3
+    # (0.995): its mean_shift of -5, which adds no splitting error, would
+    # read 5.9 if it counted
+    for extra in (["run.dt=0.99"], ["model.frame_case=case2",
+                                    "model.photon_index=3", "run.dt=0.98"]):
+        cfg = load_config(cfg_path, overrides=extra)
+        assert experiments._time_step(cfg, cfg.detunings) == cfg.run.dt
+
+
 @pytest.mark.parametrize("dt", ["1e-300", "1e-9"])
 def test_cli_rejects_a_dt_past_the_step_cap(tmp_path, capsys, dt):
     # 1e-300 used to overflow range() inside the run; 1e-9 would start a run

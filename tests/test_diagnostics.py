@@ -262,12 +262,11 @@ def test_run_record_invariants():
     assert abs(rec.fidelity[0] - 1.0) < 1e-9
     assert rec.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(rec.adiabaticity >= 0.0)
-    # the totals are the weighted per-channel terms
-    for total, terms in ((rec.adiabaticity, rec.adiabaticity_terms),
-                         (rec.adiabaticity_plain, rec.adiabaticity_terms_plain)):
-        combined = (rec.weights[0] * np.nan_to_num(terms[0])
-                    + rec.weights[1] * np.nan_to_num(terms[1]))
-        np.testing.assert_allclose(combined, total, rtol=1e-12)
+    # the total is the weighted per-channel terms
+    terms = rec.adiabaticity_terms
+    combined = (rec.weights[0] * np.nan_to_num(terms[0])
+                + rec.weights[1] * np.nan_to_num(terms[1]))
+    np.testing.assert_allclose(combined, rec.adiabaticity, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import scipy.fft as sfft
 
 import adiabatica as ad
 
-from conftest import constant_mode, l2_distance
+from conftest import (constant_mode, generated_packet, generated_params,
+                      l2_distance)
 
 
 def random_field(grid, seed=7, frame=ad.BARE):
@@ -109,6 +110,30 @@ def test_rotation_round_trip(small_grid):
     back = ad.to_bare(ad.to_adiabatic(field, frame), frame)
     assert l2_distance(back, field) < 1e-12
     assert abs(back.norm_sq() - field.norm_sq()) < 1e-12
+
+
+def test_rotation_round_trip_over_generated_inputs():
+    # to_bare undoes to_adiabatic over generated modes, detunings and packets,
+    # with both bare components populated
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    grid = ad.Grid(256, -40.0, 40.0)
+
+    @hypothesis.settings(max_examples=50, deadline=None)
+    @hypothesis.given(params=generated_params(st),
+                      upper=generated_packet(st, grid),
+                      lower=generated_packet(st, grid),
+                      lower_amplitude=st.complex_numbers(max_magnitude=2.0))
+    def check(params, upper, lower, lower_amplitude):
+        psi = ad.SpinorField(grid, np.stack([upper.upper,
+                                             lower_amplitude * lower.upper]),
+                             ad.BARE)
+        frame = ad.adiabatic_frame(params, grid)
+        back = ad.to_bare(ad.to_adiabatic(psi, frame), frame)
+        assert back.frame == ad.BARE
+        assert l2_distance(back, psi) <= 1e-13 * psi.norm()
+
+    check()
 
 
 def test_rotation_quarter_angle(small_grid):

@@ -335,3 +335,17 @@ def test_adiabatic_frame_flags_degenerate_points_at_zero_detuning():
     assert frame.degenerate.any()
     # the analytic zero-detuning limit: slope vanishes away from the nodes too
     np.testing.assert_allclose(frame.theta_slope, 0.0, atol=1e-30)
+
+
+def test_angle_curvature_at_zero_detuning_where_the_coupling_underflows():
+    # for 19.3 < |x| < 27.3 a width-1 Gaussian coupling is positive, yet
+    # den = 4 g^2 squares below the smallest double: the curvature read nan
+    # (0/0) there, which turned every packet average of a zero-detuning run
+    # into nan
+    params = ad.ModelParams(mode=ad.GaussianMode(1.0, 1.0), detuning=0.0)
+    x = np.linspace(19.5, 27.0, 16)
+    with np.errstate(divide="raise", invalid="raise"):
+        assert np.array_equal(ad.mixing_angle_curvature(params, x),
+                              np.zeros_like(x))
+    frame = ad.adiabatic_frame(params, ad.Grid(256, -40.0, 40.0))
+    assert np.array_equal(frame.theta_curvature, np.zeros(256))
