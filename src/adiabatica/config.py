@@ -71,6 +71,14 @@ def _finite_array(value, path: str) -> np.ndarray:
     return arr
 
 
+def _integer(obj: dict, key: str, path: str, default=None, minimum: int = 1):
+    """obj[key], or `default` when the key is absent, as an integer >= minimum."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        _fail(f"{path}.{key}", f"expected an integer >= {minimum}")
+    return value
+
+
 def _positive(obj: dict, key: str, path: str, default=None):
     value = _number(obj, key, path, default)
     if value <= 0:
@@ -114,28 +122,26 @@ def _parse_mode(obj, path):
 def _parse_detunings(value, path):
     """A single number, a range spec, or explicit values; returns an array."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return _finite_array([value], path), False
+        return _finite_array([value], path)
     if isinstance(value, dict):
         if "values" in value:
             _check_keys(value, path, {"values"}, {"values"})
             arr = _finite_array(value["values"], f"{path}.values")
             if arr.ndim != 1 or arr.size == 0:
                 _fail(f"{path}.values", "expected a non-empty list of numbers")
-            return arr, True
+            return arr
         _check_keys(value, path, {"start", "stop", "count", "spacing"},
                     {"start", "stop", "count"})
         start = _number(value, "start", path)
         stop = _number(value, "stop", path)
-        count = value["count"]
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            _fail(f"{path}.count", "expected an integer >= 1")
+        count = _integer(value, "count", path)
         spacing = value.get("spacing", "linear")
         if spacing == "linear":
-            return np.linspace(start, stop, count), True
+            return np.linspace(start, stop, count)
         if spacing == "log":
             if start <= 0 or stop <= 0:
                 _fail(path, "log spacing needs positive start and stop")
-            return np.geomspace(start, stop, count), True
+            return np.geomspace(start, stop, count)
         _fail(f"{path}.spacing", "expected 'linear' or 'log'")
     _fail(path, "expected a number, a range spec or {'values': [...]}")
 
@@ -144,20 +150,17 @@ def _parse_model(obj, path):
     _check_keys(obj, path, {"mass", "detuning", "photon_index", "frame_case",
                             "mode"}, {"detuning", "mode"})
     mass = _positive(obj, "mass", path, default=1.0)
-    photon_index = obj.get("photon_index", 1)
-    if isinstance(photon_index, bool) or not isinstance(photon_index, int) \
-            or photon_index < 1:
-        _fail(f"{path}.photon_index", "expected an integer >= 1")
+    photon_index = _integer(obj, "photon_index", path, default=1)
     case_name = obj.get("frame_case", "case1")
     try:
         case = FrameCase(case_name)
     except ValueError:
         _fail(f"{path}.frame_case", "expected 'case1' or 'case2'")
     mode = _parse_mode(obj["mode"], f"{path}.mode")
-    detunings, swept = _parse_detunings(obj["detuning"], f"{path}.detuning")
+    detunings = _parse_detunings(obj["detuning"], f"{path}.detuning")
     base = ModelParams(mode=mode, detuning=float(detunings[0]),
                        photon_index=photon_index, mass=mass, frame_case=case)
-    return base, detunings, swept
+    return base, detunings
 
 
 def _parse_grid(obj, path):
@@ -231,10 +234,8 @@ def _parse_run(obj, path):
     t_final = _positive(obj, "t_final", path) if "t_final" in obj else None
     x_stop = _number(obj, "x_stop", path) if "x_stop" in obj else None
     dt = _positive(obj, "dt", path) if "dt" in obj else None
-    stride = obj.get("stride")
-    if stride is not None and (isinstance(stride, bool)
-                               or not isinstance(stride, int) or stride < 1):
-        _fail(f"{path}.stride", "expected an integer >= 1")
+    # a null stride means the default, like an absent one
+    stride = None if obj.get("stride") is None else _integer(obj, "stride", path)
     return RunSpec(t_final, x_stop, dt, stride)
 
 
@@ -254,9 +255,7 @@ def _parse_search(obj, path):
     _check_keys(obj, path, {"x_lo", "x_hi", "scan_points"}, set())
     if ("x_lo" in obj) != ("x_hi" in obj):
         _fail(path, "'x_lo' and 'x_hi' must be given together")
-    scan = obj.get("scan_points", 400)
-    if isinstance(scan, bool) or not isinstance(scan, int) or scan < 8:
-        _fail(f"{path}.scan_points", "expected an integer >= 8")
+    scan = _integer(obj, "scan_points", path, default=400, minimum=8)
     lo = _number(obj, "x_lo", path) if "x_lo" in obj else None
     hi = _number(obj, "x_hi", path) if "x_hi" in obj else None
     if lo is not None and hi is not None and hi <= lo:
@@ -273,7 +272,6 @@ class ScenarioConfig:
     experiment: str
     base_params: ModelParams
     detunings: np.ndarray
-    swept: bool
     grid: Grid | None
     state: StateSpec
     run: RunSpec | None
@@ -296,7 +294,7 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
         _fail("config.experiment",
               f"file says {data['experiment']!r} but {experiment!r} was requested")
 
-    base, detunings, swept = _parse_model(data["model"], "config.model")
+    base, detunings = _parse_model(data["model"], "config.model")
     if tag in _SINGLE_DETUNING and detunings.size != 1:
         _fail("config.model.detuning", f"experiment {tag!r} needs a single detuning")
 
@@ -322,8 +320,12 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
               if "search" in data else None)
     if search is not None and tag != "max-locus":
         _fail("config.search", "only the max-locus experiment takes a search block")
-    if tag == "max-locus" and search is None:
-        search = SearchSpec(None, None, 400)
+    if tag == "max-locus":
+        if search is None:
+            search = SearchSpec(None, None, 400)
+        if search.window() is None and base.mode.length_scale() is None:
+            _fail("config.search", "a mode without a length scale needs an "
+                  "explicit window ('x_lo' and 'x_hi')")
 
     # single-run traces default to the measured packet center; sweep matrices
     # need the shared kinematic axis
@@ -349,7 +351,7 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
 
     canonical = json.loads(json.dumps(data, sort_keys=True))
     canonical["experiment"] = tag
-    return ScenarioConfig(tag, base, detunings, swept, grid, state, run,
+    return ScenarioConfig(tag, base, detunings, grid, state, run,
                           search, abscissa, canonical)
 
 

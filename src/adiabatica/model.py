@@ -235,9 +235,6 @@ class ModelParams:
     def coupling_slope(self, x):
         return math.sqrt(self.photon_index) * self.mode.slope(x)
 
-    def coupling_curvature(self, x):
-        return math.sqrt(self.photon_index) * self.mode.curvature(x)
-
 
 # ---------------------------------------------------------------------------
 # Bare potential and adiabatic diagonalization

@@ -28,31 +28,34 @@ N=1024, B=2 at N=2048, B=1 from N=4096 up), so the block and its
 temporaries stay in a per-core L2 cache.  One vectorised pass over a full
 block builds |psi|^2 and |FFT|^2 once, rotates the exact states into the
 adiabatic frame once and reduces every recorded column, using the batched
-private helpers behind the public observables.  The largest arrays of that pass live in buffers allocated once
-per run: fresh temporaries of this size (128 KiB at B=4, N=1024) go back to
-the operating system when freed and are faulted in again on every block.
+private helpers behind the public observables.  The largest arrays of
+that pass live in buffers allocated once per run: fresh temporaries of this
+size (128 KiB at B=4, N=1024) go back to the operating system when freed and
+are faulted in again on every block.
 Checks then run sample by sample, so a failing run raises the error of its
 first failing sample.  The forward FFT each sample needs is also the first
 transform of the next chunk: _strang starts from that spectrum instead of
 transforming the state again.
 
-A run that samples densely pipelines the two stages when its affinity set
-holds a second CPU: a forked sampler process runs the block pass on block k
-while the calling process propagates block k+1.  The ring then holds 2B
-slots, and it is the one array in anonymous shared memory: sample idx sits
-in slot idx mod the ring size, so a block is named by one (first, count)
-message and answered with one acknowledgement.  The chunk that starts a
-block reads the last spectrum of the block before, and nothing writes a
-block's slots again before its acknowledgement arrives.  Each sampled column
-belongs to the process that fills it: the sampler fills the copies it
-inherits at the fork and, after the last acknowledgement, sends them back in
-answer to one final None message, so the record is bit-identical to an
-inline run.  The sampler stops at its first failing sample and sends the
-exception back, which the calling process raises at its next hand-off, after
-at most 2B-1 chunks propagated past that sample (B-1 inline).
+Propagation is one loop, propagate(hand_off), that fills the ring and calls
+hand_off(first, count) on each finished block; the calling process always
+runs the block pass on every block and so owns the record.  Inline, hand_off
+is the block pass itself.  A run that samples densely pipelines the two
+stages when its affinity set holds a second CPU: a forked helper process
+runs the same loop one block ahead, propagating block k+1 while the caller
+samples block k.  The ring then holds 2B slots, and it is the one array in
+anonymous shared memory: sample idx sits in slot idx mod the ring size, so
+the helper names a finished block by one (first, count) message and the
+caller answers it with one acknowledgement.  The chunk that starts a block
+reads the last spectrum of the block before, and the helper writes a
+block's slots again only after their acknowledgement.  Nothing else crosses
+the pipe, so the record is bit-identical to an inline run.  A failing sample
+raises at once in the caller, which terminates and reaps the helper, after
+at most 2B-1 chunks propagated past that sample (B-1 inline); a helper that
+dies fails the run with a RuntimeError.
 
 The pipeline saves at most the sampling time of a run, while starting and
-stopping the sampler and the hand-offs cost some 10-50 ms.  So a run
+stopping the helper and the hand-offs cost some 10-50 ms.  So a run
 pipelines only when its samples hold at least _PIPELINE_BYTES of pair states
 (256 samples at N=1024: a stride of 7 or less in the fig9a geometry) and
 fill two blocks.  Sparser and shorter runs, runs inside a worker process
@@ -291,10 +294,10 @@ def _available_cpus() -> int:
 
 def _fork_context():
     """The multiprocessing fork context when this process may start worker
-    processes (a run's sampler, a fidelity map's pool), else None.
+    processes (a run's helper, a fidelity map's pool), else None.
 
     fork, not spawn: a child inherits the imported package and numpy, and
-    the sampler also the shared buffers and the sampling closure, which a
+    a run's helper also the shared ring and the propagation closure, which a
     spawned process would have to re-import or could not take at all.
     """
     if _available_cpus() < 2:
@@ -314,95 +317,28 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
-def _serve_blocks(conn, parent_end, sample_block, columns) -> None:
-    """Sampler process: run sample_block(first, count) per message and
-    answer None, or the first exception.  It samples nothing after that and
-    waits to be reaped, since the parent may send one more block before it
-    reads the error.  A None message ends a run that did not fail: the
-    answer is `columns`, the arrays sample_block filled in this process."""
+def _run_ahead(conn, caller_end, propagate) -> None:
+    """Helper process: propagate(hand_off) one block ahead of the caller.
+
+    Each finished block is announced as (first, count); from the second
+    block on, the helper then waits for the caller to acknowledge the block
+    before, whose slots the next block overwrites."""
     import signal  # loaded with multiprocessing already
 
-    # Ctrl-C reaches the whole process group; the parent handles it and
+    # Ctrl-C reaches the whole process group; the caller handles it and
     # reaps this process
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    parent_end.close()
-    failed = False
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:  # the parent has gone
-            return
-        if failed:
-            continue
-        if message is None:
-            conn.send(columns)
-            return
-        try:
-            sample_block(*message)
-        except Exception as exc:
-            failed = True
-            conn.send(exc)
-        else:
-            conn.send(None)
+    caller_end.close()
 
+    def hand_off(first: int, count: int) -> None:
+        conn.send((first, count))
+        if first:
+            conn.recv()
 
-class _SamplerProcess:
-    """A forked process that samples one block while the caller propagates
-    the next one into the other half of the ring."""
-
-    def __init__(self, context, sample_block, columns):
-        # forked, so the closure, the shared ring it reads and the columns
-        # it fills are inherited, not pickled
-        self._conn, child_end = context.Pipe()
-        self._process = context.Process(
-            target=_serve_blocks,
-            args=(child_end, self._conn, sample_block, columns), daemon=True)
-        self._process.start()
-        child_end.close()
-        self._in_flight = 0
-
-    def hand_off(self, first: int, count: int) -> None:
-        """Queue a block, then wait until the block before it is sampled, so
-        the caller may overwrite that block's slots."""
-        self._send((first, count))
-        self._in_flight += 1
-        self._settle(1)
-
-    def columns(self) -> dict:
-        """Wait until every block is sampled, then take the columns the
-        process filled; raise the sampler's error, if it sent one."""
-        self._settle(0)
-        self._send(None)
-        return self._receive()
-
-    def _settle(self, limit: int) -> None:
-        while self._in_flight > limit:
-            reply = self._receive()
-            self._in_flight -= 1
-            if reply is not None:
-                raise reply
-
-    def _send(self, message) -> None:
-        try:
-            self._conn.send(message)
-        except ConnectionError:  # a broken pipe or a reset socket
-            self._lost()
-
-    def _receive(self):
-        try:
-            return self._conn.recv()
-        except (EOFError, ConnectionError):
-            self._lost()
-
-    @staticmethod
-    def _lost():
-        raise RuntimeError("the sampler process exited unexpectedly") from None
-
-    def close(self) -> None:
-        """Stop and reap the process, whether it is idle or mid-block."""
-        self._process.terminate()
-        self._process.join()
-        self._conn.close()
+    try:
+        propagate(hand_off)
+    except (EOFError, ConnectionError):  # the caller has gone
+        pass
 
 
 def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRecord:
@@ -412,8 +348,9 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
     into the adiabatic basis and evolves without inter-channel coupling;
     observables, overlap and the averaged adiabaticity parameter are sampled
     every `stride` steps (the final step is always sampled).  Samples are
-    evaluated in blocks of consecutive instants, for a densely sampled run
-    in a second process (see the module docstring).
+    evaluated in blocks of consecutive instants in the calling process; a
+    densely sampled run propagates in a second process, one block ahead
+    (see the module docstring).
     With `keep_states` the full spinor pair is retained at every sample as
     (t, exact, reference) tuples.
     """
@@ -436,8 +373,8 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
     n_samples = len(sample_steps)
 
     # a ring of pair states (index 0) and their FFTs (index 1): one block of
-    # consecutive samples, twice over when a sampler process takes every
-    # other block, in the one mapping it shares (see the module docstring)
+    # consecutive samples, twice over when a helper process propagates one
+    # block ahead, in the one mapping it shares (see the module docstring)
     block = max(1, _BLOCK_BYTES // pair.nbytes)
     pipelined = (n_samples // block >= 2
                  and n_samples * pair.nbytes >= _PIPELINE_BYTES)
@@ -446,8 +383,7 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
     ring, ring_spectra = np.frombuffer(
         mmap.mmap(-1, 2 * ring_size * pair.nbytes),
         np.complex128).reshape((2, ring_size) + pair.shape)
-    # the process that samples owns the columns; per-channel columns stay
-    # nan where a channel is skipped
+    # per-channel columns stay nan where a channel is skipped
     columns = {name: np.empty(n_samples) for name in
                ("x_mean", "p_mean", "norm", "pop_upper", "pop_lower")}
     columns["fidelity"] = np.empty(n_samples, dtype=np.complex128)
@@ -517,6 +453,10 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
         needed_norms = norms[:, needed]
         for i in range(count):
             t = sample_steps[first + i] * scenario.dt
+            if scenario.keep_states:
+                rec.snapshots.append((
+                    t, SpinorField(grid, rows[i, :2].copy(), BARE),
+                    SpinorField(grid, rows[i, 2:].copy(), ADIABATIC)))
             for k, label in enumerate(("exact", "reference")):
                 _check_domain(mean[i, k], width[i, k], total[i, k], grid,
                               label, t, params.detuning)
@@ -532,37 +472,48 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
         ref_prop._apply_potential(rows[2:])
 
     # sample idx goes to slot idx mod ring size, and its chunk starts from
-    # the slot before
-    ring[0] = pair
-    sampler = (None if context is None
-               else _SamplerProcess(context, sample_block, columns))
-    hand_off = sample_block if sampler is None else sampler.hand_off
-    try:
+    # the spectrum in the slot before; each finished block is handed off
+    def propagate(hand_off) -> None:
         for idx, step in enumerate(sample_steps):
             pos = idx % ring_size
             if idx:
                 # same grid, mass and dt: the exact kinetic phases serve both
-                # states; the chunk starts from the previous sample's spectrum
+                # states
                 _strang(ring[pos], step - sample_steps[idx - 1],
                         exact_prop._half_kin, exact_prop._full_kin, kick,
                         spectrum=ring_spectra[pos - 1])
             np.fft.fft(ring[pos], axis=1, out=ring_spectra[pos])
-            if scenario.keep_states:
-                rec.snapshots.append((
-                    step * scenario.dt,
-                    SpinorField(grid, ring[pos, :2].copy(), BARE),
-                    SpinorField(grid, ring[pos, 2:].copy(), ADIABATIC)))
             slot = pos % block
             if slot == block - 1 or idx == n_samples - 1:
                 hand_off(idx - slot, slot + 1)
-        if sampler is not None:
-            for name, values in sampler.columns().items():
-                setattr(rec, name, values)
-    finally:
-        if sampler is not None:
-            sampler.close()
 
-    final = ring[pos].copy()
+    ring[0] = pair
+    if context is None:
+        propagate(sample_block)
+    else:
+        # forked, so the helper inherits the ring and the propagate closure
+        conn, child_end = context.Pipe()
+        helper = context.Process(target=_run_ahead,
+                                 args=(child_end, conn, propagate), daemon=True)
+        helper.start()
+        child_end.close()
+        try:
+            done = 0
+            while done < n_samples:
+                first, count = conn.recv()
+                sample_block(first, count)
+                done = first + count
+                if done < n_samples:
+                    conn.send(None)  # the helper may now reuse these slots
+        except (EOFError, ConnectionError):  # a broken pipe or a reset socket
+            raise RuntimeError(
+                "the propagation process exited unexpectedly") from None
+        finally:
+            helper.terminate()
+            helper.join()
+            conn.close()
+
+    final = ring[(n_samples - 1) % ring_size].copy()
     rec.final_exact = SpinorField(grid, final[:2], BARE)
     rec.final_reference = SpinorField(grid, final[2:], ADIABATIC)
     return rec

@@ -489,6 +489,26 @@ def test_cli_runs_leave_scipy_unloaded(tmp_path):
     assert loaded == []
 
 
+def test_perfbench_tracer_runs_a_tiny_trace(tmp_path):
+    # perfbench/tracer.py rebinds functions by their module and name before
+    # the run starts, so deleting or renaming one of them breaks the tracer
+    data = tiny_map_config("atrace")
+    data["model"]["detuning"] = 0.5
+    data["run"] = {"t_final": 0.2, "dt": 0.01, "stride": 7}
+    spans = tmp_path / "spans.json"
+    tracer = CONFIGS.parent / "perfbench" / "tracer.py"
+    src = str(Path(ad.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, str(tracer), str(spans), "atrace",
+         "--config", str(write_config(tmp_path, data)),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    names = set(json.loads(spans.read_text())["names"])
+    assert {"propagation.run_scenario", "experiments.write_csv"} <= names
+
+
 def test_public_api_names():
     assert sorted(ad.__all__) == [
         "ADIABATIC", "AdiabaticFrame", "AdiabaticPropagator",

@@ -36,7 +36,7 @@ def test_a0_map_sweep_accepted():
     }
     cfg = validate_config(data)
     assert cfg.experiment == "a0-map"
-    assert cfg.swept and cfg.detunings.size == 5
+    assert cfg.detunings.size == 5
     assert cfg.detunings[0] == pytest.approx(1e-4)
     assert cfg.base_params.mode.width == 50.0
 
@@ -70,10 +70,10 @@ def test_detuning_forms():
     data = fig_map_config()
     data["model"]["detuning"] = 0.7
     cfg = validate_config(data)
-    assert not cfg.swept and cfg.detunings.tolist() == [0.7]
+    assert cfg.detunings.tolist() == [0.7]
     data["model"]["detuning"] = {"values": [0.1, 0.2, 0.4]}
     cfg = validate_config(data)
-    assert cfg.swept and cfg.detunings.tolist() == [0.1, 0.2, 0.4]
+    assert cfg.detunings.tolist() == [0.1, 0.2, 0.4]
     data["model"]["detuning"] = {"start": -1.0, "stop": 1.0, "count": 2,
                                  "spacing": "log"}
     with pytest.raises(ConfigError, match="log"):
@@ -133,6 +133,29 @@ def test_search_block_only_for_max_locus():
     }
     cfg = validate_config(locus)
     assert cfg.search.window() == (0.5, 300.0)
+
+
+@pytest.mark.parametrize("mode", [
+    {"kind": "linear", "gradient": 0.1},
+    {"kind": "tabulated", "positions": [0.0, 1.0, 2.0, 3.0],
+     "samples": [0.0, 1.0, 0.0, -1.0]},
+])
+def test_max_locus_without_length_scale_needs_a_window(mode):
+    # the default window scales with the mode's length; a mode without one
+    # must be rejected at load time, with the key path, not when the search
+    # starts
+    locus = {
+        "experiment": "max-locus",
+        "model": {"detuning": {"values": [0.1, 1.0]}, "mode": mode},
+        "state": {"p0": 10.0},
+    }
+    for search in (None, {"scan_points": 50}):
+        if search is not None:
+            locus["search"] = search
+        with pytest.raises(ConfigError, match=r"^config\.search: .*'x_lo'"):
+            validate_config(locus)
+    locus["search"] = {"x_lo": 0.5, "x_hi": 3.0}
+    assert validate_config(locus).search.window() == (0.5, 3.0)
 
 
 def tabulated_config():

@@ -439,7 +439,7 @@ def _with_block(monkeypatch, scenario, samples_per_block):
 @contextlib.contextmanager
 def _time_bound(seconds=60):
     """Fail with TimeoutError after `seconds`, so that a run waiting on a
-    lost sampler process fails instead of hanging."""
+    lost helper process fails instead of hanging."""
     def time_out(signum, frame):
         raise TimeoutError(f"run_scenario did not finish in {seconds} s")
 
@@ -583,8 +583,9 @@ def _on_cpus(monkeypatch, cpus, run, pipeline_bytes=0):
 
 @pytest.mark.parametrize("lower_amplitude", [0.6, 0.0, np.sqrt(3e-10)])
 def test_pipelined_run_matches_inline_run(monkeypatch, lower_amplitude):
-    # with a second CPU, a run of two or more full blocks samples in a forked
-    # process; one block per sample and blocks of 6 (the last one partial)
+    # with a second CPU, a run of two or more full blocks propagates in a
+    # forked process; one block per sample and blocks of 6 (the last one
+    # partial)
     sc = _scenario_from_adiabatic(lower_amplitude)
     pair_bytes = 4 * sc.grid.npoints * 16
     for samples_per_block in (1, 6):
@@ -598,8 +599,8 @@ def test_pipelined_run_matches_inline_run(monkeypatch, lower_amplitude):
         pipelined, forked = _on_cpus(monkeypatch, {0, 1}, run)
         assert len(forked) == 1
         _assert_same_run(pipelined, inline, samples_per_block)
-        # the sampled columns are the arrays the sampler sent back, not
-        # views of shared memory
+        # the sampled columns are the caller's own arrays, not views of
+        # shared memory
         for name in _SAMPLED_COLUMNS:
             assert getattr(pipelined, name).flags.owndata, name
     # one full block stays inline
@@ -608,7 +609,7 @@ def test_pipelined_run_matches_inline_run(monkeypatch, lower_amplitude):
 
 
 def test_only_runs_that_sample_enough_pipeline(monkeypatch):
-    # starting and stopping the sampler costs more than a short or sparse
+    # starting and stopping the helper costs more than a short or sparse
     # run saves, so a run pipelines from _PIPELINE_BYTES of sampled states
     sc = _scenario_from_adiabatic(0.6)
     sampled_bytes = 16 * 4 * sc.grid.npoints * 16
@@ -635,7 +636,7 @@ def test_only_runs_that_sample_enough_pipeline(monkeypatch):
 
 def test_pipelined_run_raises_the_first_failing_sample(monkeypatch):
     # the scenario of test_run_scenario_guard_fires_at_the_first_failing_sample
-    # fails at a sample inside a block of 5; the sampler process must report
+    # fails at a sample inside a block of 5; the pipelined run must report
     # that sample, with the inline type and text
     sc = dataclasses.replace(_scenario_from_adiabatic(0.6), t_final=40.0,
                              stride=5, keep_states=False)
@@ -651,66 +652,72 @@ def test_pipelined_run_raises_the_first_failing_sample(monkeypatch):
     assert str(pipelined) == str(inline)
 
 
-def test_pipelined_run_reaps_the_sampler_on_interrupt(monkeypatch):
+def test_pipelined_run_reaps_the_helper_on_interrupt(monkeypatch):
+    # Ctrl-C lands in the caller, which samples every block; the helper
+    # that propagates ahead must still be reaped
     sc = dataclasses.replace(_scenario_from_adiabatic(0.6), keep_states=False)
-    real_strang = ad.propagation._strang
+    real_check = ad.propagation._check_domain
     calls = []
 
-    def interrupted_strang(*args, **kwargs):
+    def interrupted_check(*args, **kwargs):
         calls.append(None)
         if len(calls) == 50:
             raise KeyboardInterrupt
-        real_strang(*args, **kwargs)
+        real_check(*args, **kwargs)
 
     def run():
         monkeypatch.setattr(ad.propagation, "_BLOCK_BYTES", 2 * 4 * 256 * 16)
-        monkeypatch.setattr(ad.propagation, "_strang", interrupted_strang)
+        monkeypatch.setattr(ad.propagation, "_check_domain", interrupted_check)
         return ad.run_scenario(dataclasses.replace(sc, stride=1))
 
     outcome, forked = _on_cpus(monkeypatch, {0, 1}, run)
     assert isinstance(outcome, KeyboardInterrupt) and len(forked) == 1
 
 
-def test_pipelined_run_reports_a_lost_sampler(monkeypatch):
-    # a sampler process that dies (say, killed for memory) must not leave the
+def test_pipelined_run_reports_a_lost_helper(monkeypatch):
+    # a helper process that dies (say, killed for memory) must not leave the
     # run waiting or raise a bare pipe error
     sc = dataclasses.replace(_scenario_from_adiabatic(0.6), keep_states=False)
 
     def run():
         monkeypatch.setattr(ad.propagation, "_BLOCK_BYTES", 2 * 4 * 256 * 16)
-        monkeypatch.setattr(ad.propagation, "_serve_blocks",
+        monkeypatch.setattr(ad.propagation, "_run_ahead",
                             lambda *args: os._exit(1))
         return ad.run_scenario(sc)
 
     outcome, forked = _on_cpus(monkeypatch, {0, 1}, run)
     assert type(outcome) is RuntimeError and len(forked) == 1
-    assert str(outcome) == "the sampler process exited unexpectedly"
+    assert str(outcome) == "the propagation process exited unexpectedly"
 
 
-def test_pipelined_run_reports_a_sampler_lost_at_the_hand_back(monkeypatch):
-    # the sampler sends its columns back only after the last block; one that
-    # dies then must fail the run the same way, and be reaped
+def test_pipelined_run_reports_a_helper_lost_after_its_first_block(monkeypatch):
+    # a helper that dies after handing over one block makes the caller's
+    # acknowledgement or its next receive fail; either must fail the run
+    # the same way, and the helper must be reaped
     sc = dataclasses.replace(_scenario_from_adiabatic(0.6), keep_states=False)
 
-    def acknowledge_then_exit(conn, parent_end, sample_block, columns):
-        parent_end.close()
-        while conn.recv() is not None:
-            conn.send(None)
-        os._exit(1)
+    def hand_over_one_block_then_exit(conn, caller_end, propagate):
+        caller_end.close()
+
+        def hand_off(first, count):
+            conn.send((first, count))
+            os._exit(1)
+
+        propagate(hand_off)
 
     def run():
         monkeypatch.setattr(ad.propagation, "_BLOCK_BYTES", 2 * 4 * 256 * 16)
-        monkeypatch.setattr(ad.propagation, "_serve_blocks",
-                            acknowledge_then_exit)
+        monkeypatch.setattr(ad.propagation, "_run_ahead",
+                            hand_over_one_block_then_exit)
         return ad.run_scenario(sc)
 
     outcome, forked = _on_cpus(monkeypatch, {0, 1}, run)
     assert type(outcome) is RuntimeError and len(forked) == 1
-    assert str(outcome) == "the sampler process exited unexpectedly"
+    assert str(outcome) == "the propagation process exited unexpectedly"
 
 
 def test_runs_in_a_threaded_caller_sample_inline(monkeypatch):
-    # forking a process with other threads running can leave the sampler
+    # forking a process with other threads running can leave the helper
     # waiting on a lock one of them held; such a caller's runs stay inline
     sc = dataclasses.replace(_scenario_from_adiabatic(0.6), keep_states=False)
     inline, _ = _on_cpus(monkeypatch, {0}, lambda: ad.run_scenario(sc))
@@ -733,7 +740,7 @@ def _pipelines_here():
 
 def test_pool_workers_sample_inline(monkeypatch):
     # a fidelity-map pool already keeps every CPU busy, so its workers never
-    # start a sampler process of their own
+    # start a helper process of their own
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert _pipelines_here()
     context = multiprocessing.get_context("fork")
