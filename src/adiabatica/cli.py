@@ -36,7 +36,7 @@ def main(argv=None) -> int:
         config = load_config(args.config, experiment=args.experiment,
                              overrides=args.override)
         paths = run_experiment(config, out_dir)
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"adiabatica: error: {exc}", file=sys.stderr)
         return 1
     for path in paths:

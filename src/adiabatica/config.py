@@ -2,14 +2,16 @@
 
 Configs are strict: unknown keys are rejected and every guard of the
 downstream modules is checked at load time, with the offending key path in
-the error message.
+the error message.  That includes a run's time grid: the final time, the
+`dt` (checked against the phase bound and the step cap) and the stride are
+resolved here into a `RunSpec`, which the runners only read.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ import numpy as np
 from .grids import EDGE_MARGIN, Grid, _near_edge, momentum_cover
 from .model import (FrameCase, GaussianMode, LinearMode, ModelParams,
                     StandingWaveMode, TabulatedMode)
+from .propagation import default_time_step
 
 EXPERIMENTS = ("a0-map", "max-locus", "fidelity-map", "atrace",
                "effective-model", "snapshot")
@@ -27,6 +30,8 @@ _SINGLE_DETUNING = {"atrace", "effective-model", "snapshot"}
 
 #: Largest step count t_final/dt of a run, with an explicit or a default dt.
 MAX_STEPS = 10_000_000
+#: Largest grid.points; a grid allocates several arrays of this length.
+MAX_GRID_POINTS = 2**22
 
 
 class ConfigError(ValueError):
@@ -169,6 +174,8 @@ def _parse_grid(obj, path):
     points = obj["points"]
     if isinstance(points, bool) or not isinstance(points, int):
         _fail(f"{path}.points", "expected an integer power of two")
+    if points > MAX_GRID_POINTS:
+        _fail(f"{path}.points", f"expected at most {MAX_GRID_POINTS} points")
     try:
         return Grid(points, _number(obj, "x_min", path), _number(obj, "x_max", path))
     except ValueError as exc:
@@ -212,22 +219,14 @@ def _parse_state(obj, path):
 
 @dataclass
 class RunSpec:
-    t_final: float | None
-    x_stop: float | None
-    dt: float | None
-    stride: int | None
-
-    def resolve_t_final(self, state: StateSpec, mass: float) -> float:
-        if self.t_final is not None:
-            return self.t_final
-        duration = (self.x_stop - state.x0) * mass / state.p0
-        if duration <= 0:
-            raise ConfigError(
-                "run.x_stop: not reachable from state.x0 with the given p0")
-        return duration
+    """The resolved time grid of a run: every cell of a map shares it."""
+    t_final: float
+    dt: float
+    stride: int
 
 
-def _parse_run(obj, path):
+def _parse_run(obj, path, state, mass):
+    """The run block as (t_final, dt or None, stride or None)."""
     _check_keys(obj, path, {"t_final", "x_stop", "dt", "stride"}, set())
     if ("t_final" in obj) == ("x_stop" in obj):
         _fail(path, "exactly one of 't_final' and 'x_stop' is required")
@@ -236,7 +235,44 @@ def _parse_run(obj, path):
     dt = _positive(obj, "dt", path) if "dt" in obj else None
     # a null stride means the default, like an absent one
     stride = None if obj.get("stride") is None else _integer(obj, "stride", path)
-    return RunSpec(t_final, x_stop, dt, stride)
+    if x_stop is not None:
+        if state.p0 == 0:
+            _fail(f"{path}.x_stop", "requires a state block with nonzero p0")
+        t_final = (x_stop - state.x0) * mass / state.p0
+        if t_final <= 0:
+            _fail("run.x_stop", "not reachable from state.x0 with the given p0")
+    return t_final, dt, stride
+
+
+@np.errstate(over="ignore", divide="ignore")
+def _resolve_run(tag, t_final, dt, stride, base, detunings, grid, state):
+    """The one dt of the runs at these detunings, checked against the phase
+    bound and the step cap (an overflow reads as inf), and the stride."""
+    runs = [replace(base, detuning=float(d)) for d in detunings]
+    delta, which = runs[0].detuning, "t_final/dt"
+    if dt is None:
+        if tag == "effective-model":
+            _fail("config.run.dt", "effective-model needs an explicit dt")
+        # the smallest default, so every cell of a map samples the same instants
+        p_needed = momentum_cover(state.p0, state.width)
+        dt, delta = min((default_time_step(p, grid, p_needed), p.detuning)
+                        for p in runs)
+        which = f"t_final/dt with the default dt {dt:.3g}"
+    elif tag != "effective-model":
+        # max|Delta_+- - mean_shift|: a constant shift adds no splitting error
+        phase, worst = max((dt * np.max(np.hypot(0.5 * p.level_splitting,
+                                                  p.coupling(grid.x))),
+                            p.detuning) for p in runs)
+        if not phase <= 1.0:
+            _fail("config.run.dt", f"dt*max|Delta_+- - mean_shift| = "
+                  f"{phase:.3g} exceeds 1 at detuning {worst!r}")
+    steps = t_final / dt
+    if not math.isfinite(steps) or steps > MAX_STEPS:
+        _fail("config.run.dt", f"{which} = {steps:.3g} steps exceeds the "
+              f"limit of {MAX_STEPS} at detuning {delta!r}")
+    if stride is None:
+        stride = 1 if tag == "effective-model" else max(1, round(steps) // 800)
+    return RunSpec(t_final, dt, stride)
 
 
 @dataclass
@@ -306,15 +342,11 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
         _fail("config.state", f"experiment {tag!r} needs a state block with p0")
     state = _parse_state(data["state"], "config.state")
 
-    run = _parse_run(data["run"], "config.run") if "run" in data else None
+    # checked for every experiment, resolved below for those that run it
+    run = (_parse_run(data["run"], "config.run", state, base.mass)
+           if "run" in data else None)
     if tag in _NEEDS_RUN and run is None:
         _fail("config.run", f"experiment {tag!r} needs a run block")
-    if run is not None:
-        if run.x_stop is not None and state.p0 == 0:
-            _fail("config.run.x_stop", "requires a state block with nonzero p0")
-        # x_stop must be reachable; experiments checks MAX_STEPS against the
-        # dt each run resolves
-        run.resolve_t_final(state, base.mass)
 
     search = (_parse_search(data["search"], "config.search")
               if "search" in data else None)
@@ -348,6 +380,9 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
         if _near_edge(grid, state.x0, state.width):
             _fail("config.state.x0", f"packet sits closer than {EDGE_MARGIN:g} "
                   "widths to a domain edge")
+
+    run = (_resolve_run(tag, *run, base, detunings, grid, state)
+           if tag in _NEEDS_RUN else None)
 
     canonical = json.loads(json.dumps(data, sort_keys=True))
     canonical["experiment"] = tag

@@ -10,20 +10,17 @@ runner hands it the columns of its table, as documented in docs/formats/.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import MAX_STEPS, ConfigError, ScenarioConfig
+from .config import ScenarioConfig
 from .diagnostics import adiabaticity_max_locus, local_adiabaticity
-from .grids import (ADIABATIC, BARE, SpinorField, gaussian_bare_state,
-                    momentum_cover, to_bare)
+from .grids import ADIABATIC, BARE, SpinorField, gaussian_bare_state, to_bare
 from .model import adiabatic_frame
-from .propagation import (Scenario, _available_cpus, _fork_context,
-                          default_time_step, run_scenario)
+from .propagation import Scenario, _available_cpus, _fork_context, run_scenario
 from .twolevel import substitution_model
 
 #: Format of every table cell and of the detuning header labels.
@@ -78,55 +75,13 @@ def _initial_state(config: ScenarioConfig, params) -> SpinorField:
     return SpinorField(config.grid, comps, BARE)
 
 
-def _check_step_count(t_final: float, dt: float, config: ScenarioConfig,
-                      detuning: float) -> None:
-    """Reject a run of more than MAX_STEPS steps before any of it starts."""
-    steps = t_final / dt
-    if not math.isfinite(steps) or steps > MAX_STEPS:
-        which = ("t_final/dt" if config.run.dt is not None
-                 else f"t_final/dt with the default dt {dt:.3g}")
-        raise ConfigError(
-            f"config.run.dt: {which} = {steps:.3g} steps exceeds the limit "
-            f"of {MAX_STEPS} at detuning {detuning!r}")
-
-
-def _time_step(config: ScenarioConfig, deltas) -> float:
-    """The dt of the runs at these detunings, checked against the step cap:
-    run.dt, else the smallest default dt over them, so that every cell of a
-    map samples the same instants.  A run.dt must also resolve the phases."""
-    state = config.state
-    t_final = config.run.resolve_t_final(state, config.base_params.mass)
-    runs = [replace(config.base_params, detuning=float(d)) for d in deltas]
-    if config.run.dt is not None:
-        dt, delta = config.run.dt, runs[0].detuning
-        # max|Delta_+- - mean_shift|: a constant shift adds no splitting error
-        phase, worst = max((dt * np.max(np.hypot(0.5 * p.level_splitting,
-                                                  p.coupling(config.grid.x))),
-                            p.detuning) for p in runs)
-        if phase > 1.0:
-            raise ConfigError(f"config.run.dt: dt*max|Delta_+- - mean_shift| = "
-                              f"{phase:.3g} exceeds 1 at detuning {worst!r}")
-    else:
-        p_needed = momentum_cover(state.p0, state.width)
-        dt, delta = min((default_time_step(p, config.grid, p_needed),
-                         p.detuning) for p in runs)
-    _check_step_count(t_final, dt, config, delta)
-    return dt
-
-
-def _build_scenario(config: ScenarioConfig, delta: float,
-                    dt: float | None = None) -> Scenario:
-    """The run at one detuning, at `dt` or else at its own _time_step."""
-    if dt is None:
-        dt = _time_step(config, [delta])
+def _build_scenario(config: ScenarioConfig, delta: float) -> Scenario:
+    """The run at one detuning, on the config's resolved time grid."""
     params = replace(config.base_params, detuning=float(delta))
-    state = config.state
-    t_final = config.run.resolve_t_final(state, params.mass)
-    n_steps = max(1, int(round(t_final / dt)))
-    stride = config.run.stride or max(1, n_steps // 800)
+    run, state = config.run, config.state
     return Scenario(params=params, grid=config.grid,
                     initial=_initial_state(config, params),
-                    t_final=t_final, dt=dt, stride=stride,
+                    t_final=run.t_final, dt=run.dt, stride=run.stride,
                     x0=state.x0, p0=state.p0)
 
 
@@ -164,8 +119,7 @@ def _sweep_cell(scenario: Scenario):
 
 
 def _run_fidelity_map(config: ScenarioConfig, out_dir: Path):
-    dt = _time_step(config, config.detunings)
-    scenarios = [_build_scenario(config, d, dt) for d in config.detunings]
+    scenarios = [_build_scenario(config, d) for d in config.detunings]
     context = _fork_context() if len(scenarios) > 1 else None
     if context is None:
         records = [_sweep_cell(s) for s in scenarios]
@@ -202,16 +156,11 @@ def _run_atrace(config: ScenarioConfig, out_dir: Path):
 
 
 def _run_effective_model(config: ScenarioConfig, out_dir: Path):
-    if config.run.dt is None:
-        raise ConfigError("config.run.dt: effective-model needs an explicit dt")
-    state = config.state
+    state, run = config.state, config.run
     params = replace(config.base_params, detuning=float(config.detunings[0]))
     model = substitution_model(params, state.p0, state.x0)
-    t_final = config.run.resolve_t_final(state, params.mass)
-    _check_step_count(t_final, config.run.dt, config, params.detuning)
-    stride = config.run.stride or 1
-    step = config.run.dt * stride
-    times = np.arange(0.0, t_final + 0.5 * step, step)
+    step = run.dt * run.stride
+    times = np.arange(0.0, run.t_final + 0.5 * step, step)
     coupling = np.asarray(model.coupling(times), dtype=float)
     comment = _comment(config) + f" delta={_fmt(model.detuning)}"
     return [write_csv(out_dir / "effective_model.csv", comment,

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,9 +10,11 @@ import numpy as np
 import pytest
 
 import adiabatica as ad
+import adiabatica.cli
 from adiabatica import experiments
 from adiabatica.cli import main
-from adiabatica.config import load_config
+from adiabatica.config import ConfigError, load_config
+from adiabatica.grids import momentum_cover
 from adiabatica.experiments import run_experiment, write_csv, write_run_csv
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -153,8 +156,12 @@ def test_swept_map_without_dt_runs_every_cell_at_one_dt(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
     cfg = load_config(cfg_path)
-    own = [experiments._build_scenario(cfg, d).dt for d in cfg.detunings]
+    p_max = momentum_cover(cfg.state.p0, cfg.state.width)
+    own = [ad.default_time_step(dataclasses.replace(cfg.base_params,
+                                                    detuning=float(d)),
+                                cfg.grid, p_max) for d in cfg.detunings]
     assert own[1] < own[0]
+    assert cfg.run.dt == min(own)
     _, _, table = read_table(tmp_path / "out" / "fidelity_map.csv")
     n_steps = round(4.0 / own[1])
     assert np.array_equal(table[:, 1], np.arange(n_steps + 1.0) * own[1])
@@ -177,7 +184,6 @@ def test_atrace_output_columns(tmp_path):
 def test_fidelity_map_rejects_measured_abscissa_for_sweeps(tmp_path):
     data = tiny_map_config()
     data["output"] = {"abscissa": "measured"}
-    from adiabatica.config import ConfigError
     with pytest.raises(ConfigError, match="kinematic"):
         load_config(write_config(tmp_path, data))
 
@@ -342,6 +348,39 @@ def test_cli_reports_os_errors_in_one_line(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+def test_cli_rejects_an_outsized_grid_before_allocating_it(tmp_path, capsys,
+                                                           monkeypatch):
+    # 2**40 points asked for an 8 TiB array in Grid.__post_init__ and ended
+    # in a MemoryError traceback; no Grid may be built for it at all
+    def no_grid(*args):
+        raise AssertionError("a Grid was built for an outsized point count")
+
+    monkeypatch.setattr(ad.config, "Grid", no_grid)
+    fig9a = CONFIGS / "fig9a_atrace.json"
+    assert main(["atrace", "--config", str(fig9a), "--override",
+                 "grid.points=1099511627776",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == ("adiabatica: error: config.grid.points: expected at most "
+                   f"{ad.config.MAX_GRID_POINTS} points\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_reports_a_memory_error_in_one_line(tmp_path, capsys,
+                                                monkeypatch):
+    # an allocation that fails (a huge detuning count or scan_points) printed
+    # a numpy _ArrayMemoryError traceback; no real allocation is made here
+    def fail(config, out_dir):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+    monkeypatch.setattr(adiabatica.cli, "run_experiment", fail)
+    cfg_path = write_config(tmp_path, tiny_map_config("a0-map"))
+    assert main(["a0-map", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("adiabatica: error: Unable to allocate 72.8 TiB for an "
+                   "array\n")
+
+
 def test_cli_names_a_config_that_is_not_utf8(tmp_path, capsys):
     # the codec error named no file, unlike a JSON syntax error
     cfg_path = tmp_path / "bad.json"
@@ -377,7 +416,7 @@ def test_cli_rejects_a_dt_that_does_not_resolve_the_phases(tmp_path, capsys,
     for extra in (["run.dt=0.99"], ["model.frame_case=case2",
                                     "model.photon_index=3", "run.dt=0.98"]):
         cfg = load_config(cfg_path, overrides=extra)
-        assert experiments._time_step(cfg, cfg.detunings) == cfg.run.dt
+        assert cfg.run.dt == float(extra[-1].partition("=")[2])
 
 
 @pytest.mark.parametrize("dt", ["1e-300", "1e-9"])
@@ -397,11 +436,14 @@ def test_cli_rejects_a_dt_past_the_step_cap(tmp_path, capsys, dt):
 
 def test_cli_rejects_a_default_dt_past_the_step_cap(tmp_path, capsys):
     # without run.dt the step follows the detuning: 1e9 would ask for 1e11
-    # steps, which no load-time check of the file can see
+    # steps, which load_config sees once it has resolved the default dt
     fig9a = CONFIGS / "fig9a_atrace.json"
+    overrides = ['run={"x_stop": 50.0, "stride": 20}', "model.detuning=1e9"]
+    with pytest.raises(ConfigError, match="with the default dt"):
+        load_config(fig9a, overrides=overrides)
     assert main(["atrace", "--config", str(fig9a), "--override",
-                 'run={"x_stop": 50.0, "stride": 20}', "--override",
-                 "model.detuning=1e9", "--out", str(tmp_path / "out")]) == 1
+                 overrides[0], "--override", overrides[1],
+                 "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("adiabatica: error: config.run.dt: ")
     assert "with the default dt" in err
@@ -413,17 +455,19 @@ def test_cli_rejects_a_default_dt_past_the_step_cap(tmp_path, capsys):
 def test_every_bundled_config_builds_its_runs():
     # load and assemble every run of every shipped config, without
     # propagating: this covers the load-time guards and the step cap
-    configs = sorted(CONFIGS.glob("*.json"))
+    # configs/golden.json holds the digests of their outputs, not a config
+    configs = sorted(p for p in CONFIGS.glob("*.json") if p.name != "golden.json")
     assert len(configs) == 11
     built = 0
     for path in configs:
         cfg = load_config(path)
         if cfg.experiment not in ("fidelity-map", "atrace", "snapshot"):
             continue
-        # the one dt every cell of the config runs at
-        dt = experiments._time_step(cfg, cfg.detunings)
         for delta in cfg.detunings:
-            scenario = experiments._build_scenario(cfg, delta, dt)
+            # every cell runs on the one time grid the config resolved
+            scenario = experiments._build_scenario(cfg, delta)
+            assert (scenario.t_final, scenario.dt, scenario.stride) == (
+                cfg.run.t_final, cfg.run.dt, cfg.run.stride)
             assert scenario.t_final / scenario.dt <= ad.config.MAX_STEPS
             built += 1
     # the 20 + 20 + 12 + 12 cells of fig4-fig7, two traces and one snapshot

@@ -1,11 +1,12 @@
+import copy
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import adiabatica as ad
-from adiabatica import experiments
 from adiabatica.config import (ConfigError, apply_overrides, load_config,
                                validate_config)
 
@@ -95,13 +96,30 @@ def test_x_stop_resolution():
     del data["run"]["t_final"]
     data["run"]["x_stop"] = 200.0
     cfg = validate_config(data)
-    assert cfg.run.resolve_t_final(cfg.state, cfg.base_params.mass) == \
-        pytest.approx(80.0)
+    assert cfg.run.t_final == pytest.approx(80.0)
     data["run"]["x_stop"] = -500.0  # behind the packet
     with pytest.raises(ConfigError, match="x_stop"):
         validate_config(data)
     data = fig_map_config(x_stop=200.0)  # both given
     with pytest.raises(ConfigError, match="exactly one"):
+        validate_config(data)
+
+
+def test_run_block_of_a_pointwise_experiment_is_still_checked():
+    # a0-map and max-locus do not run, so their run block resolves to None,
+    # but its keys and its x_stop are checked as for any experiment
+    data = fig_map_config()
+    data["experiment"] = "a0-map"
+    assert validate_config(data).run is None
+    data["run"]["dtt"] = 0.1
+    with pytest.raises(ConfigError, match=re.escape(
+            "config.run: unknown key(s) ['dtt']")):
+        validate_config(data)
+    data = fig_map_config()
+    data["experiment"] = "a0-map"
+    del data["run"]["t_final"]
+    data["run"]["x_stop"] = -500.0  # behind the packet
+    with pytest.raises(ConfigError, match="run.x_stop: not reachable"):
         validate_config(data)
 
 
@@ -225,23 +243,22 @@ def test_state_population_validation():
     assert cfg.state.population_lower == 0.5
 
 
-def _first_scenario(data):
-    cfg = validate_config(data)
-    return experiments._build_scenario(cfg, cfg.detunings[0])
-
-
-def test_step_cap_on_explicit_dt(tmp_path):
-    # the cap is checked where a run resolves its dt, before it propagates
+def test_step_cap_on_explicit_dt():
+    # the cap is checked where the config resolves its dt, at load time; a
+    # single small detuning, so that dt=0.5 also passes the phase bound
     cap = ad.config.MAX_STEPS
-    _first_scenario(fig_map_config(t_final=0.5 * cap, dt=0.5))
+    data = fig_map_config(t_final=0.5 * cap, dt=0.5)
+    data["model"]["detuning"] = 0.05
+    assert validate_config(data).run.dt == 0.5
+    data["run"]["dt"] = 0.4999
     with pytest.raises(ConfigError, match=r"config\.run\.dt: .* exceeds"):
-        _first_scenario(fig_map_config(t_final=0.5 * cap, dt=0.4999))
+        validate_config(data)
     # the cap also holds when t_final comes from x_stop
     data = fig_map_config(dt=1e-9)
     del data["run"]["t_final"]
     data["run"]["x_stop"] = 200.0
     with pytest.raises(ConfigError, match=r"config\.run\.dt"):
-        _first_scenario(data)
+        validate_config(data)
     # and for the effective model, which builds no scenario
     data = {"experiment": "effective-model",
             "model": {"detuning": 0.5,
@@ -250,8 +267,28 @@ def test_step_cap_on_explicit_dt(tmp_path):
             "state": {"x0": -200.0, "p0": 5.0, "width": 10.0},
             "run": {"t_final": 80.0, "dt": 1e-9}}
     with pytest.raises(ConfigError, match=r"config\.run\.dt: .* exceeds"):
-        experiments.run_experiment(validate_config(data), tmp_path / "out")
-    assert not (tmp_path / "out").exists()
+        validate_config(data)
+    del data["run"]["dt"]
+    with pytest.raises(ConfigError, match=re.escape(
+            "config.run.dt: effective-model needs an explicit dt")):
+        validate_config(data)
+
+
+@pytest.mark.parametrize("model, run", [
+    ({}, {"t_final": 80.0, "dt": 1e300}),
+    ({"frame_case": "case2", "photon_index": 4}, {"t_final": 80.0, "dt": 0.05}),
+    ({}, {"t_final": 80.0}),
+])
+def test_an_overflowing_time_grid_is_rejected_without_a_warning(model, run):
+    # near the largest float the phase product overflows to inf, case2's
+    # level shifts to a NaN splitting, and the default dt to 0: each must
+    # fail the phase bound or the step cap, not raise a RuntimeWarning or
+    # pass a NaN phase
+    data = fig_map_config()
+    data["model"].update(detuning=1e308, **model)
+    data["run"] = run
+    with pytest.raises(ConfigError, match=r"config\.run\.dt: "):
+        validate_config(data)
 
 
 def test_experiment_tag_consistency():
@@ -278,6 +315,55 @@ def test_overrides():
         apply_overrides(data, ["model.detuning.start=1"])
 
 
+def test_overrides_round_trip_over_generated_values(tmp_path):
+    # dotted overrides of run.dt, run.stride and model.detuning give what
+    # validate_config gives for the dict with those values set: the same
+    # canonical config, detunings and resolved run, or the same error.  A dt
+    # of None stands for none at all, from a copy of the file without one.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    shipped_path = (Path(__file__).resolve().parents[1] / "configs"
+                    / "fig9a_atrace.json")
+    shipped = json.loads(shipped_path.read_text())
+    no_dt = copy.deepcopy(shipped)
+    del no_dt["run"]["dt"]
+    no_dt_path = tmp_path / "no_dt.json"
+    no_dt_path.write_text(json.dumps(no_dt))
+    odd = st.one_of(st.floats(), st.integers(-10**6, 10**6), st.booleans())
+
+    def outcome(load):
+        try:
+            cfg = load()
+        except ConfigError as exc:
+            return str(exc)
+        return cfg.raw, cfg.detunings.tolist(), cfg.run
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        dt=st.one_of(st.none(), st.floats(1e-4, 0.1), odd),
+        stride=st.one_of(st.none(), st.integers(1, 10**4), odd),
+        detuning=st.one_of(st.floats(-20.0, 20.0), odd,
+                           st.lists(st.floats(-20.0, 20.0), max_size=3).map(
+                               lambda v: {"values": v})))
+    def check(dt, stride, detuning):
+        path, data = ((no_dt_path, no_dt) if dt is None
+                      else (shipped_path, shipped))
+        values = {"run.dt": dt, "run.stride": stride,
+                  "model.detuning": detuning}
+        if dt is None:
+            del values["run.dt"]
+        data = copy.deepcopy(data)
+        for key, value in values.items():
+            block, name = key.split(".")
+            data[block][name] = value
+        overrides = [f"{key}={json.dumps(value)}"
+                     for key, value in values.items()]
+        assert outcome(lambda: load_config(path, overrides=overrides)) == \
+            outcome(lambda: validate_config(data))
+
+    check()
+
+
 def test_load_config_reports_parse_location(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"experiment": "a0-map",\n  "model": }\n')
@@ -294,9 +380,9 @@ def test_load_config_round_trip(tmp_path):
 
 
 def test_bundled_configs_validate():
-    from pathlib import Path
     bundle = Path(__file__).resolve().parents[1] / "configs"
-    paths = sorted(bundle.glob("*.json"))
+    # configs/golden.json holds the digests of their outputs, not a config
+    paths = sorted(p for p in bundle.glob("*.json") if p.name != "golden.json")
     assert paths, "bundled configuration examples are missing"
     for path in paths:
         load_config(path)

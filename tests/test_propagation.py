@@ -137,6 +137,9 @@ def test_full_propagator_keeps_the_norm_over_generated_inputs():
     def check(params, psi, dt, n_steps):
         out = ad.FullPropagator(params, grid, dt).advance(psi, n_steps)
         assert abs(out.norm() - psi.norm()) <= 1e-12 * psi.norm()
+        # the Strang step is symmetric, so -dt undoes it up to rounding
+        back = ad.FullPropagator(params, grid, -dt).advance(out, n_steps)
+        assert l2_distance(back, psi) <= 1e-11
 
     check()
 
