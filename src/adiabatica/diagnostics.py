@@ -20,7 +20,7 @@ from .grids import (ADIABATIC, BARE, SpinorField, _component_norms,
                     _grid_average, _slope_momentum_average, expect_grid_values,
                     expect_slope_momentum, to_adiabatic)
 from .model import (DEGENERACY_FLOOR, AdiabaticFrame, LinearMode, ModelParams,
-                    StandingWaveMode, _angle_curvature_raw, _angle_slope_raw)
+                    StandingWaveMode, _angle_derivatives)
 
 #: Channels with smaller initial population are skipped in the averaged parameter.
 WEIGHT_FLOOR = 1e-12
@@ -39,24 +39,29 @@ def local_adiabaticity(params: ModelParams, x, p0: float,
     |(p0/m) split sqrt(n) g' / (split^2 + 4 n g^2)^(3/2)|, optionally with the
     angle-curvature term added inside the modulus.  Evaluations where
     split^2 + 4 n g^2 < 1e-24 return inf (the singular points of the
-    zero-detuning limit) instead of overflowing.
+    zero-detuning limit) instead of overflowing.  A detuning so large that
+    numerator and denominator both overflow raises ValueError: their ratio
+    would read nan, not its small true value.
     """
     x = np.asarray(x, dtype=float)
     split = params.level_splitting
     n = params.photon_index
     g = np.asarray(params.mode.value(x), dtype=float)
-    den_sq = split * split + 4.0 * n * g * g
-    singular = den_sq < DEGENERACY_FLOOR
-    safe = np.where(singular, 1.0, den_sq)
     rate = p0 / params.mass
-    if include_curvature:
-        slope = _angle_slope_raw(params, x, raise_on_degenerate=False)
-        curv = _angle_curvature_raw(params, x, raise_on_degenerate=False)
-        value = np.abs(2.0 * rate * slope + curv) / (2.0 * np.sqrt(safe))
-    else:
-        dg = np.asarray(params.mode.slope(x), dtype=float)
-        value = np.abs(rate * split * math.sqrt(n) * dg) / safe**1.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        den_sq = split * split + 4.0 * n * g * g
+        singular = den_sq < DEGENERACY_FLOOR
+        safe = np.where(singular, 1.0, den_sq)
+        if include_curvature:
+            slope, curv, _ = _angle_derivatives(params, x)
+            value = np.abs(2.0 * rate * slope + curv) / (2.0 * np.sqrt(safe))
+        else:
+            dg = np.asarray(params.mode.slope(x), dtype=float)
+            value = np.abs(rate * split * math.sqrt(n) * dg) / safe**1.5
     out = np.where(singular, np.inf, value)
+    if np.isnan(out).any():
+        raise ValueError("pointwise adiabaticity parameter overflows at "
+                         f"detuning {params.detuning}")
     return out if out.ndim else float(out)
 
 

@@ -5,9 +5,11 @@ channels with the position-dependent potential
 
     V(x) = [[eps_+, G(x)], [G(x), eps_-]],      G(x) = sqrt(n) * g(x),
 
-where g(x) is the mode shape, n the photon index of the block and the
-diagonal shifts eps_+- depend on the chosen rotating frame.  Diagonalizing
-V(x) pointwise with the rotation
+where g(x) is the mode shape and n the photon index of the block.  The
+diagonal shifts eps_+- depend on the chosen rotating frame only through
+their common offset; their difference, the level splitting, is the detuning
+in both frames, so every pointwise quantity but the surfaces' offset is the
+same in both.  Diagonalizing V(x) pointwise with the rotation
 
     U(x) = [[cos(theta), sin(theta)], [-sin(theta), cos(theta)]]
 
@@ -35,6 +37,12 @@ class DegeneratePointError(ValueError):
     """The mixing angle is undefined: zero coupling and zero level splitting."""
 
 
+def _require_finite(owner: str, **fields) -> None:
+    for name, value in fields.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{owner}.{name} must be finite")
+
+
 # ---------------------------------------------------------------------------
 # Mode shapes
 # ---------------------------------------------------------------------------
@@ -47,6 +55,7 @@ class GaussianMode:
     width: float
 
     def __post_init__(self):
+        _require_finite("GaussianMode", amplitude=self.amplitude, width=self.width)
         if self.width <= 0:
             raise ValueError("GaussianMode.width must be > 0")
 
@@ -76,6 +85,8 @@ class StandingWaveMode:
     wavenumber: float
 
     def __post_init__(self):
+        _require_finite("StandingWaveMode", amplitude=self.amplitude,
+                        wavenumber=self.wavenumber)
         if self.wavenumber <= 0:
             raise ValueError("StandingWaveMode.wavenumber must be > 0")
 
@@ -101,6 +112,9 @@ class LinearMode:
     """Locally linear coupling g(x) = C x (model for the region around a node)."""
 
     gradient: float
+
+    def __post_init__(self):
+        _require_finite("LinearMode", gradient=self.gradient)
 
     def value(self, x):
         return self.gradient * np.asarray(x, dtype=float)
@@ -137,6 +151,7 @@ class TabulatedMode:
             raise ValueError("TabulatedMode needs at least 4 sample positions")
         if val.shape != pos.shape:
             raise ValueError("TabulatedMode positions and samples must match in length")
+        _require_finite("TabulatedMode", positions=pos, samples=val)
         steps = np.diff(pos)
         if steps.min() <= 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
             raise ValueError("TabulatedMode positions must be uniformly increasing")
@@ -202,6 +217,7 @@ class ModelParams:
     frame_case: FrameCase = FrameCase.CASE1
 
     def __post_init__(self):
+        _require_finite("ModelParams", detuning=self.detuning, mass=self.mass)
         if self.mass <= 0:
             raise ValueError("ModelParams.mass must be > 0")
         if int(self.photon_index) != self.photon_index or self.photon_index < 1:
@@ -218,9 +234,8 @@ class ModelParams:
 
     @property
     def level_splitting(self) -> float:
-        """eps_+ - eps_- (equals the detuning in both frame cases)."""
-        up, dn = self.level_shifts
-        return up - dn
+        """eps_+ - eps_-, which is the detuning in both frame cases."""
+        return self.detuning
 
     @property
     def mean_shift(self) -> float:
@@ -333,22 +348,11 @@ def large_detuning_potential(params: ModelParams, x):
 
 def mixing_angle_slope(params: ModelParams, x):
     """d(theta)/dx = split * sqrt(n) * g' / (split^2 + 4 n g^2)."""
-    return _angle_slope_raw(params, x, raise_on_degenerate=True)
-
-
-def _angle_slope_raw(params: ModelParams, x, raise_on_degenerate: bool):
-    split = params.level_splitting
-    g = params.mode.value(x)
-    dg = params.mode.slope(x)
-    n = params.photon_index
-    den = split * split + 4.0 * n * g * g
-    degenerate = den == 0.0
-    if raise_on_degenerate and np.any(degenerate):
+    slope, _, degenerate = _angle_derivatives(params, x)
+    if np.any(degenerate):
         raise DegeneratePointError(
             "angle slope undefined: coupling and level splitting both vanish")
-    num = split * math.sqrt(n) * dg
-    return np.divide(num, den, out=np.zeros_like(np.asarray(num, dtype=float)),
-                     where=~degenerate)
+    return slope
 
 
 def mixing_angle_curvature(params: ModelParams, x):
@@ -356,26 +360,31 @@ def mixing_angle_curvature(params: ModelParams, x):
 
     split sqrt(n) [g'' (split^2 + 4 n g^2) - 8 n g g'^2] / (split^2 + 4 n g^2)^2
     """
-    return _angle_curvature_raw(params, x, raise_on_degenerate=True)
+    _, curvature, degenerate = _angle_derivatives(params, x)
+    if np.any(degenerate):
+        raise DegeneratePointError(
+            "angle curvature undefined: coupling and level splitting both vanish")
+    return curvature
 
 
-def _angle_curvature_raw(params: ModelParams, x, raise_on_degenerate: bool):
+def _angle_derivatives(params: ModelParams, x):
+    """(theta', theta'', degenerate) at x; both derivatives read 0 where degenerate."""
     split = params.level_splitting
     g = params.mode.value(x)
     dg = params.mode.slope(x)
-    d2g = params.mode.curvature(x)
     n = params.photon_index
     den = split * split + 4.0 * n * g * g
     degenerate = den == 0.0
-    if raise_on_degenerate and np.any(degenerate):
-        raise DegeneratePointError(
-            "angle curvature undefined: coupling and level splitting both vanish")
-    num = split * math.sqrt(n) * (d2g * den - 8.0 * n * g * dg * dg)
+    num = split * math.sqrt(n) * dg
+    slope = np.divide(num, den, out=np.zeros_like(np.asarray(num, dtype=float)),
+                      where=~degenerate)
+    num = split * math.sqrt(n) * (params.mode.curvature(x) * den - 8.0 * n * g * dg * dg)
     # a tiny splitting and coupling underflow den * den to 0, not den: divide twice
     tiny = (den * den == 0.0) & ~degenerate
     out = np.divide(num, den * den, out=np.zeros_like(np.asarray(num, dtype=float)),
                     where=~degenerate & ~tiny)
-    return np.divide(num / np.where(tiny, den, 1.0), den, out=out, where=tiny)
+    curvature = np.divide(num / np.where(tiny, den, 1.0), den, out=out, where=tiny)
+    return slope, curvature, degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +435,13 @@ def adiabatic_frame(params: ModelParams, grid) -> AdiabaticFrame:
     """Evaluate the adiabatic diagonalization on every grid point."""
     x = grid.x
     theta, mask = _theta_arrays(params, x)
+    slope, curvature, _ = _angle_derivatives(params, x)
     upper, lower = adiabatic_eigenvalues(params, x)
     return AdiabaticFrame(
         grid=grid,
         theta=theta,
-        theta_slope=_angle_slope_raw(params, x, raise_on_degenerate=False),
-        theta_curvature=_angle_curvature_raw(params, x, raise_on_degenerate=False),
+        theta_slope=slope,
+        theta_curvature=curvature,
         upper=np.asarray(upper, dtype=float),
         lower=np.asarray(lower, dtype=float),
         coupling=np.asarray(params.coupling(x), dtype=float),

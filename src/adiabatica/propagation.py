@@ -124,7 +124,24 @@ def _strang(rows: np.ndarray, n_steps: int, half_kin: np.ndarray,
         _kinetic(rows, half_kin if j == n_steps - 1 else full_kin)
 
 
-class FullPropagator:
+class _Stepper:
+    """step and the body of advance, shared by both propagators."""
+
+    def step(self, field: SpinorField) -> SpinorField:
+        return self.advance(field, 1)
+
+    def _advance(self, field: SpinorField, n_steps: int, frame: str,
+                 wrong_frame: str) -> SpinorField:
+        if field.frame != frame:
+            raise ValueError(wrong_frame)
+        if field.grid != self.grid:
+            raise ValueError("field grid does not match propagator grid")
+        comps = field.components.copy()
+        _strang(comps, n_steps, self._half_kin, self._full_kin, self._apply_potential)
+        return SpinorField(self.grid, comps, frame)
+
+
+class FullPropagator(_Stepper):
     """Split-operator stepper for the coupled two-channel problem (bare basis)."""
 
     def __init__(self, params: ModelParams, grid: Grid, dt: float):
@@ -146,22 +163,13 @@ class FullPropagator:
         np.multiply(self._p12, comps[::-1], out=cross)  # p12 dn, p12 up
         np.add(diag, cross, out=comps)
 
-    def step(self, field: SpinorField) -> SpinorField:
-        return self.advance(field, 1)
-
     def advance(self, field: SpinorField, n_steps: int) -> SpinorField:
         """Apply n_steps Strang steps with fused interior kinetic factors."""
-        if field.frame != BARE:
-            raise ValueError("FullPropagator expects a bare-frame field")
-        if field.grid != self.grid:
-            raise ValueError("field grid does not match propagator grid")
-        comps = field.components.copy()
-        _strang(comps, n_steps, self._half_kin, self._full_kin,
-                self._apply_potential)
-        return SpinorField(self.grid, comps, BARE)
+        return self._advance(field, n_steps, BARE,
+                             "FullPropagator expects a bare-frame field")
 
 
-class AdiabaticPropagator:
+class AdiabaticPropagator(_Stepper):
     """Independent channel evolution under p^2/2m + Delta_+-(x); no coupling."""
 
     def __init__(self, frame: AdiabaticFrame, params: ModelParams, dt: float):
@@ -174,18 +182,9 @@ class AdiabaticPropagator:
     def _apply_potential(self, comps: np.ndarray) -> None:
         comps *= self._pot
 
-    def step(self, field: SpinorField) -> SpinorField:
-        return self.advance(field, 1)
-
     def advance(self, field: SpinorField, n_steps: int) -> SpinorField:
-        if field.frame != ADIABATIC:
-            raise ValueError("AdiabaticPropagator expects an adiabatic-frame field")
-        if field.grid != self.grid:
-            raise ValueError("field grid does not match propagator grid")
-        comps = field.components.copy()
-        _strang(comps, n_steps, self._half_kin, self._full_kin,
-                self._apply_potential)
-        return SpinorField(self.grid, comps, ADIABATIC)
+        return self._advance(field, n_steps, ADIABATIC,
+                             "AdiabaticPropagator expects an adiabatic-frame field")
 
 
 def default_time_step(params: ModelParams, grid: Grid, p_max: float) -> float:

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import (DEGENERACY_FLOOR, ModelParams, _angle_slope_raw,
+from .model import (DEGENERACY_FLOOR, ModelParams, _angle_derivatives,
                     _su2_step, adiabatic_eigenvalues, adiabatic_gradient)
 
 
@@ -217,16 +217,13 @@ def classical_trajectories(params: ModelParams, initial, t_final: float,
     for ch, name in enumerate(TrajectorySet.CHANNELS):
         if name not in initial:
             continue
-        sign = 0 if name == "upper" else 1
         x, p = map(float, initial[name])
 
         def surface(xv):
-            up, lo = adiabatic_eigenvalues(params, xv)
-            return float(up) if sign == 0 else float(lo)
+            return float(adiabatic_eigenvalues(params, xv)[ch])
 
         def force(xv):
-            gup, glo = adiabatic_gradient(params, xv)
-            return -float(gup) if sign == 0 else -float(glo)
+            return -float(adiabatic_gradient(params, xv)[ch])
 
         pos[ch, 0], mom[ch, 0] = x, p
         eng[ch, 0] = p * p / (2.0 * m) + surface(x)
@@ -262,7 +259,7 @@ def trajectory_adiabaticity(params: ModelParams, trajectories: TrajectorySet,
             continue
         x = trajectories.positions[ch]
         p = trajectories.momenta[ch]
-        slope = _angle_slope_raw(params, x, raise_on_degenerate=False)
+        slope, _, _ = _angle_derivatives(params, x)
         up, lo = adiabatic_eigenvalues(params, x)
         split = np.asarray(up) - np.asarray(lo)
         term = np.abs(2.0 * slope * p) / np.maximum(split, 1e-300)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,26 @@ def test_fidelity_map_output_serial_and_pool(tmp_path, monkeypatch, pool_sizes):
         # array does not always reproduce in the last bit
         assert np.array_equal(rec.fidelity_magnitude,
                               [abs(z) for z in rec.fidelity])
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["serial", "pool"])
+def test_fidelity_map_cell_order_does_not_matter(tmp_path, monkeypatch,
+                                                 pool_sizes, cpus):
+    # each cell is its own run: listing the detunings in another order
+    # permutes the detuning columns and their labels, and nothing else
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    tables = []
+    for order in ([0.5, 2.0, 1.0], [1.0, 0.5, 2.0]):
+        data = tiny_map_config()
+        data["model"]["detuning"] = {"values": order}
+        out = tmp_path / "-".join(map(str, order))
+        path = run_experiment(load_config(write_config(tmp_path, data)), out)[0]
+        lines = path.read_text().splitlines()[1:]
+        tables.append(list(zip(*(line.split(",") for line in lines))))
+    assert pool_sizes == ([2, 2] if len(cpus) > 1 else [])
+    first, second = tables
+    assert first[:2] == second[:2]
+    assert [first[2 + j] for j in (2, 0, 1)] == second[2:]
 
 
 def test_fidelity_map_in_a_threaded_caller_runs_serially(tmp_path, monkeypatch,
@@ -485,6 +506,44 @@ def test_cli_names_detuning_of_cell_that_leaves_the_grid(tmp_path, capsys,
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "domain edge" in err and "(detuning 0.5)" in err
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("fig1_a0_map", []),
+    ("fig2_max_locus", []),
+    ("fig3_a0_map", ["model.frame_case=case2", "model.photon_index=4"]),
+])
+def test_cli_rejects_an_overflowing_pointwise_parameter(tmp_path, capsys, name,
+                                                         overrides):
+    # at detuning 1e308 the numerator and the denominator of the pointwise
+    # parameter both overflow: a0-map wrote a table of nan behind two
+    # RuntimeWarnings, and max-locus reported a flat profile
+    cfg_path = CONFIGS / f"{name}.json"
+    experiment = json.loads(cfg_path.read_text())["experiment"]
+    args = [experiment, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    for override in ["model.detuning=1e308"] + overrides:
+        args += ["--override", override]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == ("adiabatica: error: pointwise adiabaticity parameter "
+                   "overflows at detuning 1e+308\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["fig2_max_locus", "fig3_a0_map"])
+def test_pointwise_outputs_do_not_depend_on_the_frame_case(tmp_path, name):
+    # both frames have the detuning as level splitting; computing it as
+    # eps_+ - eps_- moved case2's values by an ulp
+    tables = []
+    for case in ("case1", "case2"):
+        cfg = load_config(CONFIGS / f"{name}.json",
+                          overrides=[f"model.frame_case={case}",
+                                     "model.photon_index=3"])
+        path = run_experiment(cfg, tmp_path / case)[0]
+        tables.append(path.read_bytes().split(b"\n", 1)[1])
+    assert tables[0] == tables[1]
 
 
 def test_cli_runs_leave_scipy_unloaded(tmp_path):

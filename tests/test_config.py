@@ -280,10 +280,10 @@ def test_step_cap_on_explicit_dt():
     ({}, {"t_final": 80.0}),
 ])
 def test_an_overflowing_time_grid_is_rejected_without_a_warning(model, run):
-    # near the largest float the phase product overflows to inf, case2's
-    # level shifts to a NaN splitting, and the default dt to 0: each must
-    # fail the phase bound or the step cap, not raise a RuntimeWarning or
-    # pass a NaN phase
+    # near the largest float the phase product overflows to inf and the
+    # default dt to 0; case2, whose splitting is the detuning as well, fails
+    # the phase bound through a finite product: each must fail the phase
+    # bound or the step cap, not raise a RuntimeWarning or pass a NaN phase
     data = fig_map_config()
     data["model"].update(detuning=1e308, **model)
     data["run"] = run

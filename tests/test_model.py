@@ -90,6 +90,25 @@ def test_level_shifts_case1_case2():
     assert p2.mean_shift == pytest.approx(-3.0 * 3.5)
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda v: ad.ModelParams(ad.GaussianMode(1.0, 5.0), detuning=v),
+     "ModelParams.detuning"),
+    (lambda v: ad.ModelParams(ad.GaussianMode(1.0, 5.0), 1.0, mass=v),
+     "ModelParams.mass"),
+    (lambda v: ad.GaussianMode(v, 5.0), "GaussianMode.amplitude"),
+    (lambda v: ad.GaussianMode(1.0, v), "GaussianMode.width"),
+    (lambda v: ad.StandingWaveMode(v, 1.0), "StandingWaveMode.amplitude"),
+    (lambda v: ad.StandingWaveMode(1.0, v), "StandingWaveMode.wavenumber"),
+    (lambda v: ad.LinearMode(v), "LinearMode.gradient"),
+    (lambda v: ad.TabulatedMode(np.arange(4.0), np.array([0.0, v, 1.0, 0.0])),
+     "TabulatedMode.samples"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_model_constructors_reject_non_finite_parameters(build, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        build(value)
+
+
 def test_params_guards():
     mode = ad.GaussianMode(1.0, 50.0)
     with pytest.raises(ValueError):
@@ -158,12 +177,14 @@ def test_mixing_angle_standing_wave_example():
 
 def test_mixing_angle_degenerate_point_flagged():
     p = ad.ModelParams(mode=ad.StandingWaveMode(1.0, 1.0), detuning=0.0)
-    with pytest.raises(DegeneratePointError):
+    both = ": coupling and level splitting both vanish"
+    with pytest.raises(DegeneratePointError, match="^mixing angle undefined" + both):
         ad.mixing_angle(p, 0.0)
-    with pytest.raises(DegeneratePointError):
+    with pytest.raises(DegeneratePointError, match="^angle slope undefined" + both):
         ad.mixing_angle_slope(p, 0.0)
-    with pytest.raises(DegeneratePointError):
-        ad.mixing_angle_curvature(p, 0.0)
+    with pytest.raises(DegeneratePointError,
+                       match="^angle curvature undefined" + both):
+        ad.mixing_angle_curvature(p, np.array([1.0, 0.0]))
 
 
 def test_adiabatic_eigenvalues_examples():
