@@ -54,9 +54,8 @@ def _check_keys(obj: dict, path: str, allowed: set[str], required: set[str]):
 
 
 def _number(obj: dict, key: str, path: str, default=None):
+    """obj[key] as a finite float; callers without a default read required keys."""
     if key not in obj:
-        if default is None:
-            _fail(path, f"missing required key '{key}'")
         return float(default)
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -240,7 +239,7 @@ def _parse_run(obj, path, state, mass):
             _fail(f"{path}.x_stop", "requires a state block with nonzero p0")
         t_final = (x_stop - state.x0) * mass / state.p0
         if t_final <= 0:
-            _fail("run.x_stop", "not reachable from state.x0 with the given p0")
+            _fail(f"{path}.x_stop", "not reachable from state.x0 with the given p0")
     return t_final, dt, stride
 
 

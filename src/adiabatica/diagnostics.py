@@ -32,12 +32,13 @@ SPLITTING_FLOOR = 1e-12
 # Pointwise (semiclassical) adiabaticity parameter
 # ---------------------------------------------------------------------------
 
-def local_adiabaticity(params: ModelParams, x, p0: float,
+def local_adiabaticity(params: ModelParams, x, p0,
                        include_curvature: bool = False):
     """Pointwise adiabaticity parameter for a packet moving at momentum p0.
 
-    |(p0/m) split sqrt(n) g' / (split^2 + 4 n g^2)^(3/2)|, optionally with the
-    angle-curvature term added inside the modulus.  Evaluations where
+    |(p0/m) split sqrt(n) g' / Delta^3| = |2 p0 theta'| / (2 m Delta) with
+    Delta^2 = split^2 + 4 n g^2, optionally with theta'' added inside the
+    modulus; p0 may be an array that broadcasts with x.  Evaluations where
     split^2 + 4 n g^2 < 1e-24 return inf (the singular points of the
     zero-detuning limit) instead of overflowing.  A detuning so large that
     numerator and denominator both overflow raises ValueError: their ratio
@@ -54,7 +55,8 @@ def local_adiabaticity(params: ModelParams, x, p0: float,
         safe = np.where(singular, 1.0, den_sq)
         if include_curvature:
             slope, curv, _ = _angle_derivatives(params, x)
-            value = np.abs(2.0 * rate * slope + curv) / (2.0 * np.sqrt(safe))
+            value = (np.abs(2.0 * rate * slope + curv / params.mass)
+                     / (2.0 * np.sqrt(safe)))
         else:
             dg = np.asarray(params.mode.slope(x), dtype=float)
             value = np.abs(rate * split * math.sqrt(n) * dg) / safe**1.5
@@ -337,19 +339,18 @@ class NodeLimitReport:
         return float(self.node_values[-1] / self.off_node_values[-1])
 
 
-def node_limit_probe(params: ModelParams, p0: float, deltas=None,
-                     node_index: int = 0, off_node_fraction: float = 0.3,
-                     approach_points: int = 12) -> NodeLimitReport:
-    """Evaluate the pointwise parameter along the two limit orderings."""
+def node_limit_probe(params: ModelParams, p0: float,
+                     deltas=None) -> NodeLimitReport:
+    """Evaluate the pointwise parameter along the two limit orderings, at
+    the node x = 0 and at x = 0.3/q, whose offset the approach halves."""
     mode = params.mode
     if not isinstance(mode, StandingWaveMode):
         raise ValueError("the limit-ordering probe needs a standing-wave mode")
     if deltas is None:
         deltas = np.logspace(-2, -5, 13)
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
-    q = mode.wavenumber
-    node = node_index * math.pi / q
-    off_x = node + off_node_fraction / q
+    node = 0.0
+    off_x = 0.3 / mode.wavenumber
 
     off_vals = np.empty_like(deltas)
     node_vals = np.empty_like(deltas)
@@ -363,7 +364,7 @@ def node_limit_probe(params: ModelParams, p0: float, deltas=None,
 
     probe_delta = float(deltas[-1])
     local = replace(params, detuning=probe_delta)
-    offsets = (off_node_fraction / q) * 0.5 ** np.arange(approach_points)
+    offsets = off_x * 0.5 ** np.arange(12)
     approach = np.asarray(
         [local_adiabaticity(local, node + off, p0) for off in offsets])
 

@@ -81,9 +81,6 @@ class SpinorField:
     def lower(self):
         return self.components[1]
 
-    def copy(self) -> "SpinorField":
-        return SpinorField(self.grid, self.components.copy(), self.frame)
-
     def norm_sq(self) -> float:
         """Total integral of |psi_upper|^2 + |psi_lower|^2."""
         return float(_norm_sq(np.abs(self.components) ** 2, self.grid.dx))

@@ -20,8 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .model import (DEGENERACY_FLOOR, ModelParams, _angle_derivatives,
-                    _su2_step, adiabatic_eigenvalues, adiabatic_gradient)
+from .diagnostics import local_adiabaticity
+from .model import (DEGENERACY_FLOOR, ModelParams, _su2_step,
+                    adiabatic_eigenvalues, adiabatic_gradient)
 
 
 @dataclass
@@ -92,18 +93,18 @@ class TwoLevelTrace:
 
 
 def solve_two_level(model: EffectiveModel, initial, t_final: float,
-                    dt: float, t0: float = 0.0) -> TwoLevelTrace:
-    """Integrate i d/dt psi = H(t) psi with per-step midpoint exponentials.
+                    dt: float) -> TwoLevelTrace:
+    """Integrate i d/dt psi = H(t) psi from t = 0 by midpoint exponentials.
 
     Each step applies the exact unitary of the Hamiltonian frozen at the step
     midpoint, so the norm is conserved to rounding and the scheme is second
     order in dt.  The midpoint couplings and step unitaries are evaluated in
     one vectorised call; only the 2-vector recursion runs per step.
     """
-    if dt <= 0 or t_final <= t0:
-        raise ValueError("need dt > 0 and t_final > t0")
-    n_steps = max(1, int(round((t_final - t0) / dt)))
-    times = t0 + dt * np.arange(n_steps + 1)
+    if dt <= 0 or t_final <= 0:
+        raise ValueError("need dt > 0 and t_final > 0")
+    n_steps = max(1, int(round(t_final / dt)))
+    times = dt * np.arange(n_steps + 1)
 
     g_samples = np.abs(np.asarray(model.coupling(times), dtype=float))
     scale = max(abs(model.detuning), float(np.max(g_samples)))
@@ -248,8 +249,8 @@ def trajectory_adiabaticity(params: ModelParams, trajectories: TrajectorySet,
                             weights) -> np.ndarray:
     """Averaged-parameter estimate along classical channel trajectories.
 
-    Each channel contributes |2 theta'(x_ch) p_ch| over its local surface
-    splitting, weighted by the initial channel populations; channels absent
+    Each channel contributes the pointwise parameter at its own position and
+    momentum, weighted by the initial channel populations; channels absent
     from the trajectory set are skipped.
     """
     weights = np.asarray(weights, dtype=float)
@@ -257,11 +258,6 @@ def trajectory_adiabaticity(params: ModelParams, trajectories: TrajectorySet,
     for ch in range(2):
         if np.isnan(trajectories.positions[ch, 0]) or weights[ch] == 0.0:
             continue
-        x = trajectories.positions[ch]
-        p = trajectories.momenta[ch]
-        slope, _, _ = _angle_derivatives(params, x)
-        up, lo = adiabatic_eigenvalues(params, x)
-        split = np.asarray(up) - np.asarray(lo)
-        term = np.abs(2.0 * slope * p) / np.maximum(split, 1e-300)
-        out = out + weights[ch] * term / (2.0 * params.mass)
+        out = out + weights[ch] * local_adiabaticity(
+            params, trajectories.positions[ch], trajectories.momenta[ch])
     return out

@@ -246,6 +246,35 @@ def test_snapshot_output(tmp_path):
     assert np.array_equal(table[:, 3] + 1j * table[:, 4], final.lower)
 
 
+def test_snapshot_starts_from_adiabatic_channel_populations(tmp_path, capsys):
+    # state.frame = "adiabatic" fills the adiabatic channels with the given
+    # populations and rotates them to the bare frame the run starts from
+    out = tmp_path / "out"
+    assert main(["snapshot", "--config", str(CONFIGS / "snapshot.json"),
+                 "--override", "state.frame=adiabatic",
+                 "--override", "state.population_upper=0.8",
+                 "--override", "state.population_lower=0.2",
+                 "--out", str(out)]) == 0
+    _, header, table = read_table(out / "snapshot_trajectory.csv")
+    first = dict(zip(header, table[0]))
+    assert first["t"] == 0.0
+    assert first["pop_upper"] == pytest.approx(0.8, abs=1e-12)
+    assert first["pop_lower"] == pytest.approx(0.2, abs=1e-12)
+    assert first["norm"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_max_locus_with_the_default_search_window(tmp_path, capsys):
+    # an empty search block searches the mode's default window,
+    # (1e-3, 8) times its length scale: (0.05, 400) for a width of 50
+    out = tmp_path / "out"
+    assert main(["max-locus", "--config", str(CONFIGS / "fig2_max_locus.json"),
+                 "--override", "search={}", "--out", str(out)]) == 0
+    _, header, table = read_table(out / "max_locus.csv")
+    assert header == ["detuning", "x_max", "value_at_max"]
+    assert table.shape == (40, 3)
+    assert np.all((table[:, 1] > 0.05) & (table[:, 1] < 400.0))
+
+
 def test_write_run_csv(tmp_path):
     grid = ad.Grid(256, -60.0, 60.0)
     params = ad.ModelParams(mode=ad.GaussianMode(1.0, 6.0), detuning=1.0)

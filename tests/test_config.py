@@ -119,8 +119,75 @@ def test_run_block_of_a_pointwise_experiment_is_still_checked():
     data["experiment"] = "a0-map"
     del data["run"]["t_final"]
     data["run"]["x_stop"] = -500.0  # behind the packet
-    with pytest.raises(ConfigError, match="run.x_stop: not reachable"):
+    with pytest.raises(ConfigError) as excinfo:
         validate_config(data)
+    assert str(excinfo.value) == ("config.run.x_stop: not reachable from "
+                                  "state.x0 with the given p0")
+
+
+def max_locus_config():
+    return {
+        "experiment": "max-locus",
+        "model": {"detuning": {"values": [0.1, 1.0]},
+                  "mode": {"kind": "gaussian", "amplitude": 1.0, "width": 50.0}},
+        "state": {"p0": 10.0},
+        "search": {"x_lo": 0.5, "x_hi": 300.0},
+    }
+
+
+def map_config_without(block):
+    def make():
+        data = fig_map_config()
+        del data[block]
+        return data
+    return make
+
+
+@pytest.mark.parametrize("make, overrides, message", [
+    (fig_map_config, ["state=[5.0]"], "config.state: expected an object"),
+    (fig_map_config, ['model.detuning={"values": "many"}'],
+     "config.model.detuning.values: expected a list of numbers"),
+    (fig_map_config, ['model.mode={"kind": "tabulated", '
+                      '"positions": [0, 1, 3, 4], "samples": [0, 1, 0, -1]}'],
+     "config.model.mode: TabulatedMode positions must be uniformly increasing"),
+    (fig_map_config, ['model.mode={"kind": "square"}'],
+     "config.model.mode.kind: unknown mode kind 'square'"),
+    (fig_map_config, ["model.detuning.spacing=cubic"],
+     "config.model.detuning.spacing: expected 'linear' or 'log'"),
+    (fig_map_config, ["model.frame_case=case3"],
+     "config.model.frame_case: expected 'case1' or 'case2'"),
+    (fig_map_config, ["grid.points=2048.0"],
+     "config.grid.points: expected an integer power of two"),
+    (fig_map_config, ["grid.points=2000"],
+     "config.grid: Grid.npoints must be a power of two >= 2"),
+    (fig_map_config, ["state.frame=dressed"],
+     "config.state.frame: expected 'bare' or 'adiabatic'"),
+    (fig_map_config, ["state.p0=0", 'run={"x_stop": 200.0}'],
+     "config.run.x_stop: requires a state block with nonzero p0"),
+    (max_locus_config, ['search={"x_lo": 0.5}'],
+     "config.search: 'x_lo' and 'x_hi' must be given together"),
+    (max_locus_config, ["search.x_lo=500.0"],
+     "config.search: needs x_hi > x_lo"),
+    (fig_map_config, ["experiment=b0-map"],
+     "config.experiment: unknown experiment 'b0-map'; expected one of "
+     "['a0-map', 'max-locus', 'fidelity-map', 'atrace', 'effective-model', "
+     "'snapshot']"),
+    (map_config_without("grid"), [],
+     "config.grid: experiment 'fidelity-map' needs a grid block"),
+    (map_config_without("state"), [],
+     "config.state: experiment 'fidelity-map' needs a state block with p0"),
+    (map_config_without("run"), [],
+     "config.run: experiment 'fidelity-map' needs a run block"),
+    (fig_map_config, ["output.abscissa=time"],
+     "config.output.abscissa: expected 'kinematic' or 'measured'"),
+    (lambda: [fig_map_config()], [], "<file>: top level must be an object"),
+])
+def test_config_errors_name_their_key_path(tmp_path, make, overrides, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(make()))
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path, overrides=overrides)
+    assert str(excinfo.value) == message.replace("<file>", str(path))
 
 
 def test_momentum_cutoff_guard():
@@ -142,14 +209,7 @@ def test_search_block_only_for_max_locus():
     data["search"] = {"x_lo": 1.0, "x_hi": 100.0}
     with pytest.raises(ConfigError, match="search"):
         validate_config(data)
-    locus = {
-        "experiment": "max-locus",
-        "model": {"detuning": {"values": [0.1, 1.0]},
-                  "mode": {"kind": "gaussian", "amplitude": 1.0, "width": 50.0}},
-        "state": {"p0": 10.0},
-        "search": {"x_lo": 0.5, "x_hi": 300.0, "scan_points": 200},
-    }
-    cfg = validate_config(locus)
+    cfg = validate_config(max_locus_config())
     assert cfg.search.window() == (0.5, 300.0)
 
 

@@ -96,6 +96,38 @@ def test_local_adiabaticity_curvature_variant_consistency():
                                rtol=1e-12)
 
 
+@pytest.mark.parametrize("mass", [1.0, 2.0, 5.0])
+def test_pointwise_parameter_is_the_narrow_packet_limit_at_any_mass(mass):
+    # a narrow packet in the upper adiabatic channel: its averaged parameter
+    # approaches the pointwise one, with and without the curvature term,
+    # which both carry the same 1/m
+    params = ad.ModelParams(mode=ad.GaussianMode(1.0, 5.0), detuning=0.3,
+                            mass=mass)
+    grid = ad.Grid(8192, -60.0, 60.0)
+    frame = ad.adiabatic_frame(params, grid)
+    envelope = ad.gaussian_bare_state(grid, 4.0, 3.0, 0.15).upper
+    reference = ad.SpinorField(
+        grid, np.stack([envelope, np.zeros_like(envelope)]), ad.ADIABATIC)
+    for curved in (False, True):
+        averaged = ad.packet_adiabaticity(reference, frame, params, (1.0, 0.0),
+                                          include_curvature=curved)
+        pointwise = ad.local_adiabaticity(params, 4.0, 3.0,
+                                          include_curvature=curved)
+        assert pointwise == pytest.approx(averaged, rel=1e-3)
+
+
+def test_local_adiabaticity_takes_a_momentum_per_point():
+    params = ad.ModelParams(mode=ad.GaussianMode(1.5, 30.0), detuning=1.1)
+    xs = np.linspace(-60, 60, 7)
+    momenta = np.linspace(1.0, 4.0, 7)
+    for curved in (False, True):
+        got = ad.local_adiabaticity(params, xs, momenta,
+                                    include_curvature=curved)
+        want = [ad.local_adiabaticity(params, x, p, include_curvature=curved)
+                for x, p in zip(xs, momenta)]
+        assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # Packet-averaged parameter
 # ---------------------------------------------------------------------------

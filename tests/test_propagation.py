@@ -371,6 +371,29 @@ def _scenario_from_adiabatic(lower_amplitude):
                        dt=0.01, stride=7, x0=-8.0, p0=3.0, keep_states=True)
 
 
+def test_run_scenario_transform_count(monkeypatch):
+    # 30 steps sampled every 7 (6 samples): each step is one fused kinetic
+    # factor, one forward and one inverse transform of the (4, N) pair; each
+    # sample adds the forward transform its observables need, and the chunk
+    # after it starts from that spectrum with one inverse transform
+    sc = dataclasses.replace(_scenario_from_adiabatic(0.6), t_final=0.3,
+                             keep_states=False)
+    shapes = {"fft": [], "ifft": []}
+    for name, seen in shapes.items():
+        def counted(a, *args, _transform=getattr(np.fft, name), _seen=seen,
+                    **kwargs):
+            _seen.append(np.shape(a))
+            return _transform(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    monkeypatch.setattr(ad.propagation, "_PIPELINE_BYTES", math.inf)
+    record = ad.run_scenario(sc, compute_adiabaticity=False)
+    n_steps, n_samples = 30, record.times.size
+    assert n_samples == 6
+    assert len(shapes["fft"]) == n_steps + n_samples
+    assert len(shapes["ifft"]) == n_steps + n_samples - 1
+    assert set(shapes["fft"]) | set(shapes["ifft"]) == {(4, sc.grid.npoints)}
+
+
 @pytest.mark.parametrize("lower_amplitude, lower_filled", [
     (0.6, "ref_and_a"),            # both channels active
     (0.0, "none"),                 # lower weight below both floors

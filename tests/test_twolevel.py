@@ -285,3 +285,44 @@ def test_trajectory_adiabaticity_tracks_pointwise_parameter():
     direct = ad.local_adiabaticity(params, traj.positions[0], 5.0)
     # momentum is nearly constant here, so the two agree closely
     np.testing.assert_allclose(along, direct, rtol=2e-3, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode, start", [
+    (ad.GaussianMode(1.0, 5.0), -15.0),
+    (ad.StandingWaveMode(1.0, 0.5), -3.0),
+])
+def test_trajectory_adiabaticity_is_the_weighted_pointwise_parameter(mode,
+                                                                    start):
+    params = ad.ModelParams(mode=mode, detuning=0.4, mass=1.7, photon_index=2)
+    traj = ad.classical_trajectories(
+        params, {"upper": (start, 3.0), "lower": (start, 2.5)},
+        t_final=4.0, dt=0.005)
+    weights = (0.6, 0.4)
+    along = ad.trajectory_adiabaticity(params, traj, weights)
+    pointwise = [ad.local_adiabaticity(params, traj.positions[ch],
+                                       traj.momenta[ch]) for ch in range(2)]
+    assert np.array_equal(along, 0.6 * pointwise[0] + 0.4 * pointwise[1])
+    # each channel term is |2 theta'(x) p| over 2m times the local splitting
+    # of the adiabatic surfaces
+    want = 0.0
+    for ch in range(2):
+        x, p = traj.positions[ch], traj.momenta[ch]
+        upper, lower = ad.adiabatic_eigenvalues(params, x)
+        want = want + weights[ch] * np.abs(
+            2.0 * ad.mixing_angle_slope(params, x) * p) / (
+                2.0 * params.mass * (upper - lower))
+    np.testing.assert_allclose(along, want, rtol=1e-14)
+
+
+def test_trajectory_adiabaticity_diverges_at_a_degenerate_point():
+    # zero detuning at a standing-wave node closes the surface gap: the
+    # estimate takes the pointwise convention, inf, not a finite value
+    params = ad.ModelParams(mode=ad.StandingWaveMode(1.0, 0.5), detuning=0.0)
+    nan = np.full(3, np.nan)
+    traj = ad.TrajectorySet(times=np.arange(3.0),
+                            positions=np.stack([[-1.0, 0.0, 1.0], nan]),
+                            momenta=np.stack([np.full(3, 2.0), nan]),
+                            energies=np.stack([np.zeros(3), nan]))
+    along = ad.trajectory_adiabaticity(params, traj, (1.0, 0.0))
+    assert along[1] == np.inf
+    assert np.isfinite(along[[0, 2]]).all()
