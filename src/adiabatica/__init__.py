@@ -6,18 +6,18 @@ adiabaticity parameters, overlap fidelity, and the reduction to (and inverse
 construction of) effective time-dependent two-level models.
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .model import (AdiabaticFrame, DegeneratePointError, FrameCase,
                     GaussianMode, LinearMode, ModelParams, StandingWaveMode,
                     TabulatedMode, adiabatic_eigenvalues, adiabatic_frame,
-                    adiabatic_gradient, bare_potential,
-                    large_detuning_potential, mixing_angle,
-                    mixing_angle_curvature, mixing_angle_slope)
+                    mixing_angle)
 from .grids import (ADIABATIC, BARE, Grid, SpinorField, expect_momentum,
-                    expect_momentum_sq, expect_position, expect_grid_values,
-                    expect_slope_momentum, gaussian_bare_state, mean_momentum,
-                    mean_position, packet_width, to_adiabatic, to_bare)
+                    expect_position, expect_grid_values, expect_slope_momentum,
+                    gaussian_bare_state, mean_momentum, mean_position,
+                    packet_width, to_adiabatic, to_bare)
 from .propagation import (AdiabaticPropagator, DomainGuardError,
                           FullPropagator, RunRecord, Scenario,
                           default_time_step, run_scenario)
@@ -26,9 +26,10 @@ from .diagnostics import (AdiabaticityParts, NodeLimitReport,
                           initial_channel_weights, local_adiabaticity,
                           lorentzian_peak_integral, node_limit_probe,
                           packet_adiabaticity)
-from .twolevel import (EffectiveModel, TrajectorySet, TwoLevelTrace,
-                       classical_trajectories, coupling_from_adiabaticity,
-                       solve_two_level, substitution_model, time_adiabaticity,
-                       trajectory_adiabaticity)
+from .twolevel import (EffectiveModel, coupling_from_adiabaticity,
+                       substitution_model, time_adiabaticity)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above; the submodules they come from are reached as
+# attributes (adiabatica.model, ...) but are not part of the flat API.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -276,10 +276,6 @@ def expect_momentum(field: SpinorField, component: int | None = None):
     return _expect_spectrum(field, field.grid.k, component)
 
 
-def expect_momentum_sq(field: SpinorField, component: int | None = None):
-    return _expect_spectrum(field, field.grid.k**2, component)
-
-
 def expect_slope_momentum(field: SpinorField, slope_values: np.ndarray,
                           component: int | None = None):
     """<f(x) p> per component with the operator product as written (f then p).

@@ -252,30 +252,14 @@ class ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# Bare potential and adiabatic diagonalization
+# Adiabatic diagonalization
 # ---------------------------------------------------------------------------
-
-def bare_potential(params: ModelParams, x) -> np.ndarray:
-    """Potential matrix [[eps_+, G], [G, eps_-]] at x.
-
-    Scalar x gives a (2, 2) array; an array of shape s gives (s + (2, 2)).
-    """
-    up, dn = params.level_shifts
-    g = params.coupling(x)
-    out = np.zeros(np.shape(g) + (2, 2))
-    out[..., 0, 0] = up
-    out[..., 1, 1] = dn
-    out[..., 0, 1] = g
-    out[..., 1, 0] = g
-    return out
-
 
 def _su2_step(half_split, g, dt: float):
     """exp(-i dt (half_split sigma_z + g sigma_x)) in closed form, elementwise.
 
-    Returns the entries (u11, u22, u12) as arrays; the matrix is symmetric,
-    so u21 = u12.  Shared by the spatial propagator (one matrix per grid
-    point) and the two-level solver (one per time step).
+    Returns the entries (u11, u22, u12) as arrays, one matrix per element of
+    g; the matrix is symmetric, so u21 = u12.
     """
     rot = np.hypot(half_split, g)
     cos = np.cos(rot * dt)
@@ -319,56 +303,12 @@ def adiabatic_eigenvalues(params: ModelParams, x):
     return mean + root, mean - root
 
 
-def adiabatic_gradient(params: ModelParams, x):
-    """Spatial derivatives (dDelta_+/dx, dDelta_-/dx) of the surfaces.
-
-    At exactly degenerate points the one-sided limits differ; the gradient is
-    reported as 0 there.
-    """
-    g = params.coupling(x)
-    dg = params.coupling_slope(x)
-    half = 0.5 * params.level_splitting
-    root = np.hypot(half, g)
-    grad = np.divide(g * dg, root, out=np.zeros_like(np.asarray(root, dtype=float)),
-                     where=root > 0.0)
-    return grad, -grad
-
-
-def large_detuning_potential(params: ModelParams, x):
-    """Asymptotic level shift n g(x)^2 / detuning of the upper surface.
-
-    Leading correction to Delta_+ - mean_shift - splitting/2 when the
-    detuning dominates the coupling; rejects zero detuning.
-    """
-    if params.level_splitting == 0.0:
-        raise ValueError("large_detuning_potential requires a nonzero detuning")
-    g = params.mode.value(x)
-    return g * g * params.photon_index / params.level_splitting
-
-
-def mixing_angle_slope(params: ModelParams, x):
-    """d(theta)/dx = split * sqrt(n) * g' / (split^2 + 4 n g^2)."""
-    slope, _, degenerate = _angle_derivatives(params, x)
-    if np.any(degenerate):
-        raise DegeneratePointError(
-            "angle slope undefined: coupling and level splitting both vanish")
-    return slope
-
-
-def mixing_angle_curvature(params: ModelParams, x):
-    """Exact x-derivative of mixing_angle_slope.
-
-    split sqrt(n) [g'' (split^2 + 4 n g^2) - 8 n g g'^2] / (split^2 + 4 n g^2)^2
-    """
-    _, curvature, degenerate = _angle_derivatives(params, x)
-    if np.any(degenerate):
-        raise DegeneratePointError(
-            "angle curvature undefined: coupling and level splitting both vanish")
-    return curvature
-
-
 def _angle_derivatives(params: ModelParams, x):
-    """(theta', theta'', degenerate) at x; both derivatives read 0 where degenerate."""
+    """(theta', theta'', degenerate) at x; both derivatives read 0 where degenerate.
+
+    With D = split^2 + 4 n g^2, theta' = split sqrt(n) g' / D and
+    theta'' = split sqrt(n) [g'' D - 8 n g g'^2] / D^2.
+    """
     split = params.level_splitting
     g = params.mode.value(x)
     dg = params.mode.slope(x)

@@ -6,11 +6,10 @@ Both propagators use Strang splitting,
 
 with the kinetic factor applied in momentum space and the potential factor in
 position space.  The coupled 2x2 potential exponential is computed in closed
-form from its Pauli decomposition by `model._su2_step`, the same helper that
-steps the effective two-level model in `twolevel.solve_two_level`, so each
-factor is exactly unitary and the scheme is second order in dt.  Consecutive
-steps fuse the adjacent kinetic half-steps, which halves the FFT count
-without changing the result.
+form from its Pauli decomposition by `model._su2_step`, so each factor is
+exactly unitary and the scheme is second order in dt.  Consecutive steps
+fuse the adjacent kinetic half-steps, which halves the FFT count without
+changing the result.
 
 One kernel, `_strang`, runs the steps in place on the rows of a complex
 array: each kinetic factor is one in-place forward FFT, phase multiply and

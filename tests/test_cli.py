@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -648,18 +649,43 @@ def test_public_api_names():
         "DomainGuardError", "EffectiveModel", "FrameCase", "FullPropagator",
         "GaussianMode", "Grid", "LinearMode", "ModelParams", "NodeLimitReport",
         "RunRecord", "Scenario", "SpinorField", "StandingWaveMode",
-        "TabulatedMode", "TrajectorySet", "TwoLevelTrace",
-        "adiabatic_eigenvalues", "adiabatic_frame", "adiabatic_gradient",
-        "adiabaticity_max_locus", "adiabaticity_parts", "bare_potential",
-        "classical_trajectories", "coupling_from_adiabaticity",
-        "default_time_step", "diagnostics", "expect_grid_values",
-        "expect_momentum", "expect_momentum_sq", "expect_position",
-        "expect_slope_momentum", "fidelity", "gaussian_bare_state", "grids",
-        "initial_channel_weights", "large_detuning_potential",
-        "local_adiabaticity", "lorentzian_peak_integral", "mean_momentum",
-        "mean_position", "mixing_angle", "mixing_angle_curvature",
-        "mixing_angle_slope", "model", "node_limit_probe",
-        "packet_adiabaticity", "packet_width", "propagation", "run_scenario",
-        "solve_two_level", "substitution_model", "time_adiabaticity",
-        "to_adiabatic", "to_bare", "trajectory_adiabaticity", "twolevel",
+        "TabulatedMode", "adiabatic_eigenvalues", "adiabatic_frame",
+        "adiabaticity_max_locus", "adiabaticity_parts",
+        "coupling_from_adiabaticity", "default_time_step",
+        "expect_grid_values", "expect_momentum", "expect_position",
+        "expect_slope_momentum", "fidelity", "gaussian_bare_state",
+        "initial_channel_weights", "local_adiabaticity",
+        "lorentzian_peak_integral", "mean_momentum", "mean_position",
+        "mixing_angle", "node_limit_probe", "packet_adiabaticity",
+        "packet_width", "run_scenario", "substitution_model",
+        "time_adiabaticity", "to_adiabatic", "to_bare",
     ]
+
+
+def test_every_public_name_has_a_user_outside_its_unit_tests():
+    # A user is a reference in the package source other than the name's own
+    # definition and the package's import list (a call, a return type, an
+    # exception that is raised), in the acceptance criteria, in the
+    # benchmark tracer, or in the README and the format docs.  A name that
+    # only its own unit tests call belongs in a test or nowhere.
+    root = CONFIGS.parent
+    package = Path(ad.__file__).resolve().parent
+    sources = [path.read_text() for path in sorted(package.glob("*.py"))
+               if path.name != "__init__.py"]
+    outside = "\n".join(path.read_text() for path in [
+        root / "tests" / "test_acceptance.py", root / "perfbench" / "tracer.py",
+        root / "README.md", *sorted((root / "docs").rglob("*.md"))])
+    unused = []
+    for name in sorted(ad.__all__):
+        if isinstance(getattr(ad, name), type(ad)):
+            unused.append(name)  # a submodule is an attribute, not an API name
+            continue
+        word = re.compile(rf"\b{name}\b")
+        definition = re.compile(rf"^(def|class) {name}\b|^{name}\b *[:=]",
+                                re.MULTILINE)
+        references = sum(len(word.findall(text)) for text in sources)
+        defined = sum(len(definition.findall(text)) for text in sources)
+        assert defined == 1, name
+        if references == defined and not word.search(outside):
+            unused.append(name)
+    assert unused == []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import adiabatica as ad
+from adiabatica.model import _angle_derivatives
 
 
 def small_run(params, grid=None, x0=-20.0, p0=3.0, width=3.0, t_final=2.0):
@@ -85,12 +86,11 @@ def test_local_adiabaticity_curvature_variant_consistency():
                             photon_index=2)
     xs = np.linspace(-60, 60, 21)
     plain = ad.local_adiabaticity(params, xs, 4.0)
-    slope = ad.mixing_angle_slope(params, xs)
+    slope, curv, _ = _angle_derivatives(params, xs)
     split = np.sqrt(1.1**2 + 4.0 * params.coupling(xs) ** 2)
     np.testing.assert_allclose(plain, np.abs(2.0 * 4.0 * slope) / (2.0 * split),
                                rtol=1e-12)
     curved = ad.local_adiabaticity(params, xs, 4.0, include_curvature=True)
-    curv = ad.mixing_angle_curvature(params, xs)
     np.testing.assert_allclose(curved,
                                np.abs(2.0 * 4.0 * slope + curv) / (2.0 * split),
                                rtol=1e-12)

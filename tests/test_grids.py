@@ -72,7 +72,7 @@ def test_gaussian_state_moments():
     assert abs(x_mean - x0) < 1e-8
     assert abs(p_mean - p0) < 1e-8
     # <p^2> = p0^2 + 1 / (2 width^2) for this envelope convention
-    p2 = ad.expect_momentum_sq(psi, component=0)
+    p2 = ad.grids._expect_spectrum(psi, grid.k**2, 0)
     assert p2 == pytest.approx(p0**2 + 1.0 / (2.0 * width**2), abs=1e-8)
     assert ad.packet_width(psi) == pytest.approx(width, abs=1e-8)
     assert ad.mean_position(psi) == pytest.approx(x0, abs=1e-8)
@@ -214,7 +214,8 @@ def test_hermitian_expectations_real(small_grid):
     field = random_field(small_grid)
     assert np.all(np.isreal(ad.expect_position(field)))
     assert np.all(np.isreal(ad.expect_momentum(field)))
-    assert np.all(np.isreal(ad.expect_momentum_sq(field)))
+    assert np.all(np.isreal(ad.grids._expect_spectrum(field, small_grid.k**2,
+                                                      None)))
 
 
 # ---------------------------------------------------------------------------

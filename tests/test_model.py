@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import adiabatica as ad
-from adiabatica.model import DegeneratePointError
+from adiabatica.model import DegeneratePointError, _angle_derivatives
 
 from conftest import constant_mode
 
@@ -124,37 +124,6 @@ def test_effective_coupling_scales_with_sqrt_photon_index():
 
 
 # ---------------------------------------------------------------------------
-# Bare potential
-# ---------------------------------------------------------------------------
-
-def test_bare_potential_zero_coupling_case1():
-    p = ad.ModelParams(mode=ad.GaussianMode(0.0, 50.0), detuning=1.0)
-    np.testing.assert_allclose(ad.bare_potential(p, 0.3),
-                               [[0.5, 0.0], [0.0, -0.5]])
-
-
-def test_bare_potential_gaussian_off_diagonal():
-    # direct evaluation of A / (sqrt(2 pi) a) with A=1, a=50 at x=0
-    p = ad.ModelParams(mode=ad.GaussianMode(1.0, 50.0), detuning=0.0)
-    v = ad.bare_potential(p, 0.0)
-    assert v[0, 1] == pytest.approx(0.007978845608028654, rel=1e-14)
-    assert v[0, 0] == 0.0 and v[1, 1] == 0.0
-
-
-def test_bare_potential_case2_zero_coupling():
-    p = ad.ModelParams(mode=ad.GaussianMode(0.0, 50.0), detuning=2.0,
-                       frame_case=ad.FrameCase.CASE2)
-    np.testing.assert_allclose(ad.bare_potential(p, 1.0),
-                               [[0.0, 0.0], [0.0, -2.0]])
-
-
-def test_bare_potential_array_shape():
-    p = ad.ModelParams(mode=ad.GaussianMode(1.0, 5.0), detuning=1.0)
-    v = ad.bare_potential(p, np.linspace(-1, 1, 7))
-    assert v.shape == (7, 2, 2)
-
-
-# ---------------------------------------------------------------------------
 # Mixing angle and eigenvalues
 # ---------------------------------------------------------------------------
 
@@ -177,14 +146,10 @@ def test_mixing_angle_standing_wave_example():
 
 def test_mixing_angle_degenerate_point_flagged():
     p = ad.ModelParams(mode=ad.StandingWaveMode(1.0, 1.0), detuning=0.0)
-    both = ": coupling and level splitting both vanish"
-    with pytest.raises(DegeneratePointError, match="^mixing angle undefined" + both):
-        ad.mixing_angle(p, 0.0)
-    with pytest.raises(DegeneratePointError, match="^angle slope undefined" + both):
-        ad.mixing_angle_slope(p, 0.0)
     with pytest.raises(DegeneratePointError,
-                       match="^angle curvature undefined" + both):
-        ad.mixing_angle_curvature(p, np.array([1.0, 0.0]))
+                       match="^mixing angle undefined: coupling and level "
+                             "splitting both vanish"):
+        ad.mixing_angle(p, 0.0)
 
 
 def test_adiabatic_eigenvalues_examples():
@@ -205,29 +170,14 @@ def test_adiabatic_eigenvalues_examples():
     np.testing.assert_allclose(dng, -2.0 * pg.mode.value(xs), rtol=1e-14)
 
 
-def test_large_detuning_potential():
-    pg = ad.ModelParams(mode=ad.GaussianMode(1.0, 50.0), detuning=10.0)
-    assert ad.large_detuning_potential(pg, 0.0) == pytest.approx(
-        0.007978845608028654**2 / 10.0, rel=1e-13)
-    p0 = ad.ModelParams(mode=ad.GaussianMode(0.0, 50.0), detuning=10.0)
-    assert ad.large_detuning_potential(p0, 3.0) == 0.0
-    # linear in the photon index at fixed g and detuning
-    p1 = replace(pg, photon_index=1)
-    p4 = replace(pg, photon_index=4)
-    assert ad.large_detuning_potential(p4, 20.0) == pytest.approx(
-        4.0 * ad.large_detuning_potential(p1, 20.0), rel=1e-14)
-    with pytest.raises(ValueError):
-        ad.large_detuning_potential(replace(pg, detuning=0.0), 0.0)
-
-
 def test_angle_slope_examples():
     pg = ad.ModelParams(mode=ad.GaussianMode(1.0, 50.0), detuning=3.0)
-    assert ad.mixing_angle_slope(pg, 0.0) == 0.0
+    assert _angle_derivatives(pg, 0.0)[0] == 0.0
     psw = ad.ModelParams(mode=ad.StandingWaveMode(1.0, 1.0), detuning=2.0)
     # split sqrt(n) g' / (split^2 + 4 n g^2) = 2 * 1 / 4 at x = 0
-    assert ad.mixing_angle_slope(psw, 0.0) == pytest.approx(0.5, rel=1e-14)
+    assert _angle_derivatives(psw, 0.0)[0] == pytest.approx(0.5, rel=1e-14)
     p0 = ad.ModelParams(mode=constant_mode(0.4), detuning=0.0)
-    assert ad.mixing_angle_slope(p0, 1.0) == 0.0
+    assert _angle_derivatives(p0, 1.0)[0] == 0.0
 
 
 @pytest.mark.parametrize("params", [
@@ -241,24 +191,11 @@ def test_angle_derivatives_match_finite_differences(params):
     h = 1e-5
     slope_fd = (ad.mixing_angle(params, xs + h)
                 - ad.mixing_angle(params, xs - h)) / (2 * h)
-    np.testing.assert_allclose(ad.mixing_angle_slope(params, xs), slope_fd,
-                               rtol=1e-7, atol=1e-10)
-    curv_fd = (ad.mixing_angle_slope(params, xs + h)
-               - ad.mixing_angle_slope(params, xs - h)) / (2 * h)
-    np.testing.assert_allclose(ad.mixing_angle_curvature(params, xs), curv_fd,
-                               rtol=1e-6, atol=1e-10)
-
-
-def test_adiabatic_gradient_matches_finite_differences():
-    params = ad.ModelParams(mode=ad.GaussianMode(2.0, 20.0), detuning=0.4,
-                            photon_index=3)
-    xs = np.linspace(-50, 50, 17)
-    h = 1e-5
-    up_p, dn_p = ad.adiabatic_eigenvalues(params, xs + h)
-    up_m, dn_m = ad.adiabatic_eigenvalues(params, xs - h)
-    gup, gdn = ad.adiabatic_gradient(params, xs)
-    np.testing.assert_allclose(gup, (up_p - up_m) / (2 * h), rtol=1e-6, atol=1e-11)
-    np.testing.assert_allclose(gdn, (dn_p - dn_m) / (2 * h), rtol=1e-6, atol=1e-11)
+    slope, curvature, _ = _angle_derivatives(params, xs)
+    np.testing.assert_allclose(slope, slope_fd, rtol=1e-7, atol=1e-10)
+    curv_fd = (_angle_derivatives(params, xs + h)[0]
+               - _angle_derivatives(params, xs - h)[0]) / (2 * h)
+    np.testing.assert_allclose(curvature, curv_fd, rtol=1e-6, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +210,10 @@ def test_rotation_diagonalizes_potential(case, detuning):
     xs = np.linspace(-9.0, 9.0, 101)
     theta = ad.mixing_angle(params, xs)
     up, dn = ad.adiabatic_eigenvalues(params, xs)
-    v = ad.bare_potential(params, xs)
-    for i, x in enumerate(xs):
+    eu, el = params.level_shifts
+    for i, g in enumerate(params.coupling(xs)):
         u = rotation(theta[i])
-        w = u @ v[i] @ u.T
+        w = u @ np.array([[eu, g], [g, el]]) @ u.T
         assert abs(w[0, 1]) < 1e-12 and abs(w[1, 0]) < 1e-12
         assert w[0, 0] == pytest.approx(up[i], abs=1e-12)
         assert w[1, 1] == pytest.approx(dn[i], abs=1e-12)
@@ -366,7 +303,7 @@ def test_angle_curvature_at_zero_detuning_where_the_coupling_underflows():
     params = ad.ModelParams(mode=ad.GaussianMode(1.0, 1.0), detuning=0.0)
     x = np.linspace(19.5, 27.0, 16)
     with np.errstate(divide="raise", invalid="raise"):
-        assert np.array_equal(ad.mixing_angle_curvature(params, x),
+        assert np.array_equal(_angle_derivatives(params, x)[1],
                               np.zeros_like(x))
     frame = ad.adiabatic_frame(params, ad.Grid(256, -40.0, 40.0))
     assert np.array_equal(frame.theta_curvature, np.zeros(256))
