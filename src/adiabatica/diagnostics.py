@@ -116,8 +116,13 @@ def _modulus(values: np.ndarray) -> np.ndarray:
     return np.hypot(values.real, values.imag)
 
 
+def _collapsed(splittings):
+    """Whether an averaged splitting is too small to divide by; elementwise."""
+    return np.abs(splittings) < SPLITTING_FLOOR
+
+
 def _require_splitting(splittings: np.ndarray) -> None:
-    if (np.abs(splittings) < SPLITTING_FLOOR).any():
+    if _collapsed(splittings).any():
         raise ValueError(
             "averaged surface splitting collapsed below "
             f"{SPLITTING_FLOOR}; adiabaticity ratio undefined")
@@ -134,33 +139,31 @@ def adiabaticity_parts(reference: SpinorField, frame: AdiabaticFrame,
     dens = np.abs(rows) ** 2
     norms = _component_norms(dens, reference.grid.dx, active)
     slope, curv, split = _adiabaticity_parts(
-        rows, dens, np.fft.fft(rows, axis=1), norms, frame, active)
+        np.conj(rows), dens, np.fft.fft(rows, axis=1), norms, frame, active)
     return AdiabaticityParts(slope, curv, split, weights, params.mass, active)
 
 
-def _adiabaticity_parts(rows: np.ndarray, dens: np.ndarray,
+def _adiabaticity_parts(conj_rows: np.ndarray, dens: np.ndarray,
                         spectrum: np.ndarray, norms: np.ndarray,
-                        frame: AdiabaticFrame, active: np.ndarray):
+                        frame: AdiabaticFrame, active: np.ndarray,
+                        out: np.ndarray | None = None):
     """(slope, curvature, splitting) averages of adiabatic channel rows.
 
-    Channels lie on axis -2 of `rows`, their |psi|^2 `dens` and FFT
-    `spectrum`, and on the last axis of `norms` (checked by the caller for
-    every active channel) and of the results, which are nan for inactive
-    channels.  Leading axes are batch axes.
+    Channels lie on axis -2 of the rows' complex conjugates `conj_rows`,
+    their |psi|^2 `dens` and FFT `spectrum`, and on the last axis of `norms`
+    (checked by the caller for every active channel) and of the results,
+    which are nan for inactive channels.  Leading axes are batch axes.  Both
+    channels are averaged at once, the slope term in `out` when given; an
+    inactive channel's population may be zero, so its quotients are taken
+    silently before they are masked.
     """
     grid = frame.grid
-    slope_avg = np.full(rows.shape[:-1], np.nan, dtype=np.complex128)
-    curv_avg = np.full(rows.shape[:-1], np.nan)
-    split_avg = np.full(rows.shape[:-1], np.nan)
-    for ch in np.flatnonzero(active):
-        ch_rows, ch_dens, ch_norms = rows[..., ch, :], dens[..., ch, :], norms[..., ch]
-        slope_avg[..., ch] = 2.0 * _slope_momentum_average(
-            ch_rows, spectrum[..., ch, :], frame.theta_slope, grid, ch_norms)
-        curv_avg[..., ch] = _grid_average(ch_dens, frame.theta_curvature,
-                                          grid.dx, ch_norms)
-        split_avg[..., ch] = _grid_average(ch_dens, frame.splitting, grid.dx,
-                                           ch_norms)
-    return slope_avg, curv_avg, split_avg
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = 2.0 * _slope_momentum_average(
+            conj_rows, spectrum, frame.theta_slope, grid, norms, out=out)
+        curv = _grid_average(dens, frame.theta_curvature, grid.dx, norms)
+        split = _grid_average(dens, frame.splitting, grid.dx, norms)
+    return tuple(np.where(active, avg, np.nan) for avg in (slope, curv, split))
 
 
 def packet_adiabaticity(reference: SpinorField, frame: AdiabaticFrame,
@@ -195,16 +198,16 @@ def fidelity(exact: SpinorField, reference: SpinorField,
     if exact.grid != reference.grid:
         raise ValueError("fidelity operands live on different grids")
     probe = to_adiabatic(exact, frame) if exact.frame == BARE else exact
-    return complex(_overlap(reference.components, probe.components,
+    return complex(_overlap(np.conj(reference.components), probe.components,
                             exact.grid.dx))
 
 
-def _overlap(reference: np.ndarray, probe: np.ndarray, dx: float,
+def _overlap(conj_reference: np.ndarray, probe: np.ndarray, dx: float,
              out: np.ndarray | None = None):
-    """<reference|probe> over the last two axes (components, points); the
-    integrand is formed in `out` when given."""
-    integrand = np.conj(reference, out=out)
-    integrand *= probe
+    """<reference|probe> over the last two axes (components, points), from
+    the complex conjugate of the reference; the integrand is formed in `out`
+    when given."""
+    integrand = np.multiply(conj_reference, probe, out=out)
     return np.sum(integrand, axis=(-2, -1)) * dx
 
 

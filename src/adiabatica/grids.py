@@ -16,6 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# the gufuncs behind np.fft.fft and np.fft.ifft (numpy >= 2.0)
+from numpy.fft._pocketfft_umath import fft as _pocketfft_fft
+from numpy.fft._pocketfft_umath import ifft as _pocketfft_ifft
 
 from .model import AdiabaticFrame
 
@@ -93,6 +96,17 @@ class SpinorField:
         return _populations(np.abs(self.components) ** 2, self.grid.dx)
 
 
+def _fft(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.fft.fft over the last axis, bit for bit, written into `out` (which
+    may be `values`) without np.fft's per-call argument handling."""
+    return _pocketfft_fft(values, 1, out=out)
+
+
+def _ifft(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.fft.ifft over the last axis, bit for bit, written into `out`."""
+    return _pocketfft_ifft(values, 1.0 / values.shape[-1], out=out)
+
+
 def _norm_sq(dens: np.ndarray, dx: float):
     """Population of |psi|^2 over its last two axes (components, points)."""
     return np.sum(dens, axis=(-2, -1)) * dx
@@ -109,10 +123,11 @@ def _populations(dens: np.ndarray, dx: float):
     return np.sum(dens, axis=-1) * dx
 
 
-def _near_edge(grid: Grid, centre, width) -> bool:
-    """Whether a packet sits within EDGE_MARGIN widths of a domain edge."""
-    return (centre - EDGE_MARGIN * width < grid.x_min
-            or centre + EDGE_MARGIN * width > grid.x_max)
+def _near_edge(grid: Grid, centre, width):
+    """Whether a packet sits within EDGE_MARGIN widths of a domain edge;
+    elementwise for arrays of centres and widths."""
+    return ((centre - EDGE_MARGIN * width < grid.x_min)
+            | (centre + EDGE_MARGIN * width > grid.x_max))
 
 
 def momentum_cover(p0: float, width: float) -> float:
@@ -200,8 +215,13 @@ def _rows(field: SpinorField, component: int | None) -> np.ndarray:
     return field.components[component:component + 1]
 
 
+def _unpopulated(norms):
+    """Whether a population is too small to normalise by; elementwise."""
+    return norms <= _NORM_FLOOR
+
+
 def _require_populated(norms: np.ndarray) -> None:
-    if (norms <= _NORM_FLOOR).any():
+    if _unpopulated(norms).any():
         raise ValueError("expectation over a zero-population component")
 
 
@@ -233,14 +253,16 @@ def _spectrum_average(power: np.ndarray, values: np.ndarray, grid: Grid,
     return (weights[..., None, :] @ values)[..., 0] / norms
 
 
-def _slope_momentum_average(rows: np.ndarray, spectrum: np.ndarray,
+def _slope_momentum_average(conj_rows: np.ndarray, spectrum: np.ndarray,
                             slope_values: np.ndarray, grid: Grid,
-                            norms: np.ndarray) -> np.ndarray:
-    """Per-row <f(x) p>, with p psi taken from the rows' FFT `spectrum`."""
-    p_psi = grid.k * spectrum
-    np.fft.ifft(p_psi, axis=-1, out=p_psi)
-    integrand = np.conj(rows)
-    integrand *= slope_values
+                            norms: np.ndarray,
+                            out: np.ndarray | None = None) -> np.ndarray:
+    """Per-row <f(x) p> from the complex conjugates of the rows and their FFT
+    `spectrum`: one inverse transform over all rows, formed in `out` when
+    given."""
+    p_psi = np.multiply(grid.k, spectrum, out=out)
+    _ifft(p_psi, out=p_psi)
+    integrand = conj_rows * slope_values
     integrand *= p_psi
     return np.sum(integrand, axis=-1) * grid.dx / norms
 
@@ -285,7 +307,7 @@ def expect_slope_momentum(field: SpinorField, slope_values: np.ndarray,
     """
     rows = _rows(field, component)
     norms = _component_norms(np.abs(rows) ** 2, field.grid.dx)
-    out = _slope_momentum_average(rows, np.fft.fft(rows, axis=1),
+    out = _slope_momentum_average(np.conj(rows), np.fft.fft(rows, axis=1),
                                   np.asarray(slope_values, dtype=float),
                                   field.grid, norms)
     return _squeeze(out, component)
@@ -297,7 +319,7 @@ def expect_slope_momentum(field: SpinorField, slope_values: np.ndarray,
 
 def _require_field(total, caller: str) -> None:
     """Raise if the whole-field population `total` is empty; `caller` names it."""
-    if total <= _NORM_FLOOR:
+    if _unpopulated(total):
         raise ValueError(f"{caller} of an empty field")
 
 

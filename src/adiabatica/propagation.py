@@ -14,7 +14,11 @@ changing the result.
 One kernel, `_strang`, runs the steps in place on the rows of a complex
 array: each kinetic factor is one in-place forward FFT, phase multiply and
 inverse FFT over all rows, and each potential factor is applied by the
-propagator that owns the rows.  FullPropagator (a 2x2 unitary per point) and
+propagator that owns the rows.  The transforms call the pocketfft gufuncs
+behind np.fft directly (grids._fft, grids._ifft: the same bits without
+np.fft's argument handling), the loop runs its last step, which ends on a
+half kinetic factor, after the loop instead of testing for it on every
+step, and each potential factor is a closure over its arrays.  FullPropagator (a 2x2 unitary per point) and
 AdiabaticPropagator (diagonal phases) differ only in that potential factor.
 run_scenario keeps the exact state (bare rows 0-1) and the adiabatic
 reference (rows 2-3) in one (4, N) array, so every kinetic factor is one
@@ -31,27 +35,33 @@ private helpers behind the public observables.  The largest arrays of
 that pass live in buffers allocated once per run: fresh temporaries of this
 size (128 KiB at B=4, N=1024) go back to the operating system when freed and
 are faulted in again on every block.
-Checks then run sample by sample, so a failing run raises the error of its
-first failing sample.  The forward FFT each sample needs is also the first
-transform of the next chunk: _strang starts from that spectrum instead of
-transforming the state again.
+The pass conjugates the reference rows once for the overlap and <theta' p>,
+and averages both reference channels at once: one inverse transform of the
+block's (B, 2, N) channels for <theta' p>.  The checks then test the
+block's arrays at once; only a block that fails them is checked sample by
+sample, so a failing run raises the error of its first failing sample.
+The forward FFT each sample needs is also the first transform of the next
+chunk: _strang starts from that spectrum instead of transforming the state
+again.
 
 Propagation is one loop, propagate(hand_off), that fills the ring and calls
 hand_off(first, count) on each finished block; the calling process always
 runs the block pass on every block and so owns the record.  Inline, hand_off
 is the block pass itself.  A run that samples densely pipelines the two
 stages when its affinity set holds a second CPU: a forked helper process
-runs the same loop one block ahead, propagating block k+1 while the caller
-samples block k.  The ring then holds 2B slots, and it is the one array in
-anonymous shared memory: sample idx sits in slot idx mod the ring size, so
-the helper names a finished block by one (first, count) message and the
-caller answers it with one acknowledgement.  The chunk that starts a block
-reads the last spectrum of the block before, and the helper writes a
-block's slots again only after their acknowledgement.  Nothing else crosses
-the pipe, so the record is bit-identical to an inline run.  A failing sample
-raises at once in the caller, which terminates and reaps the helper, after
-at most 2B-1 chunks propagated past that sample (B-1 inline); a helper that
-dies fails the run with a RuntimeError.
+runs the same loop up to three blocks ahead, propagating blocks k+1 to k+3
+while the caller samples block k.  The ring then holds 4B slots
+(_RING_BLOCKS blocks), and it is the one array in anonymous shared memory:
+sample idx sits in slot idx mod the ring size, so the helper names a
+finished block by one (first, count) message.  The chunk that starts a
+block reads the last spectrum of the block before.  Block k+4 reuses the
+slots of block k, so before writing it the helper waits for the caller to
+acknowledge block k; the caller acknowledges only those blocks, so it never
+writes to a helper that has finished.  Nothing else crosses the pipe, so
+the record is bit-identical to an inline run.  A failing sample raises in
+the caller, which terminates and reaps the helper, after at most 4B-1
+chunks propagated past that sample (B-1 inline); a helper that dies fails
+the run with a RuntimeError.
 
 The pipeline saves at most the sampling time of a run, while starting and
 stopping the helper and the hand-offs cost some 10-50 ms.  So a run
@@ -78,11 +88,12 @@ from . import diagnostics
 # packet_width go unused here but stay bound: perfbench/tracer.py rebinds
 # them by this module's name.
 from .grids import (ADIABATIC, BARE, EDGE_MARGIN, Grid, SpinorField, _centre,
-                    _abs2, _grid_average, _mean_momentum, _near_edge, _norm_sq,
-                    _populations, _require_field, _require_populated,
-                    _rotate_to_adiabatic, _spectrum_average, _width,
-                    expect_momentum, expect_position, mean_momentum,
-                    mean_position, packet_width, to_adiabatic)
+                    _abs2, _fft, _grid_average, _ifft, _mean_momentum,
+                    _near_edge, _norm_sq, _populations, _require_field,
+                    _require_populated, _rotate_to_adiabatic,
+                    _spectrum_average, _unpopulated, _width, expect_momentum,
+                    expect_position, mean_momentum, mean_position,
+                    packet_width, to_adiabatic)
 from .model import (AdiabaticFrame, ModelParams, _su2_step, adiabatic_eigenvalues,
                     adiabatic_frame)
 
@@ -97,9 +108,9 @@ def _kinetic_phases(grid: Grid, mass: float, dt: float):
 
 
 def _kinetic(rows: np.ndarray, phase: np.ndarray) -> None:
-    np.fft.fft(rows, axis=1, out=rows)
+    _fft(rows, out=rows)
     rows *= phase
-    np.fft.ifft(rows, axis=1, out=rows)
+    _ifft(rows, out=rows)
 
 
 def _strang(rows: np.ndarray, n_steps: int, half_kin: np.ndarray,
@@ -117,10 +128,12 @@ def _strang(rows: np.ndarray, n_steps: int, half_kin: np.ndarray,
         _kinetic(rows, half_kin)
     else:
         np.multiply(spectrum, half_kin, out=rows)
-        np.fft.ifft(rows, axis=1, out=rows)
-    for j in range(n_steps):
+        _ifft(rows, out=rows)
+    for _ in range(n_steps - 1):
         kick(rows)
-        _kinetic(rows, half_kin if j == n_steps - 1 else full_kin)
+        _kinetic(rows, full_kin)
+    kick(rows)
+    _kinetic(rows, half_kin)
 
 
 class _Stepper:
@@ -152,15 +165,17 @@ class FullPropagator(_Stepper):
         p11, p22, p12 = _su2_step(0.5 * params.level_splitting, g, dt)
         phase = np.exp(-1j * params.mean_shift * dt)
         # rows (p11, p22) of the unitary and its symmetric off-diagonal p12
-        self._diag = phase * np.stack([p11, p22])
-        self._p12 = phase * p12
-        self._scratch = np.empty((2, 2, grid.npoints), dtype=np.complex128)
+        diag_factor = phase * np.stack([p11, p22])
+        cross_factor = phase * p12
+        diag, cross = np.empty((2, 2, grid.npoints), dtype=np.complex128)
 
-    def _apply_potential(self, comps: np.ndarray) -> None:
-        diag, cross = self._scratch
-        np.multiply(self._diag, comps, out=diag)        # p11 up, p22 dn
-        np.multiply(self._p12, comps[::-1], out=cross)  # p12 dn, p12 up
-        np.add(diag, cross, out=comps)
+        def apply_potential(comps: np.ndarray) -> None:
+            np.multiply(diag_factor, comps, out=diag)        # p11 up, p22 dn
+            np.multiply(cross_factor, comps[::-1], out=cross)  # p12 dn, p12 up
+            np.add(diag, cross, out=comps)
+
+        # a closure over its arrays, which the Strang loop calls every step
+        self._apply_potential = apply_potential
 
     def advance(self, field: SpinorField, n_steps: int) -> SpinorField:
         """Apply n_steps Strang steps with fused interior kinetic factors."""
@@ -176,10 +191,12 @@ class AdiabaticPropagator(_Stepper):
         self.grid = frame.grid
         self.dt = dt
         self._half_kin, self._full_kin = _kinetic_phases(self.grid, params.mass, dt)
-        self._pot = np.exp(-1j * dt * np.stack([frame.upper, frame.lower]))
+        pot = np.exp(-1j * dt * np.stack([frame.upper, frame.lower]))
 
-    def _apply_potential(self, comps: np.ndarray) -> None:
-        comps *= self._pot
+        def apply_potential(comps: np.ndarray) -> None:
+            comps *= pot
+
+        self._apply_potential = apply_potential
 
     def advance(self, field: SpinorField, n_steps: int) -> SpinorField:
         return self._advance(field, n_steps, ADIABATIC,
@@ -269,6 +286,8 @@ _BLOCK_BYTES = 256 * 1024
 #: Sampled pair-state bytes from which run_scenario pipelines its sampling
 #: (see the module docstring): 256 samples at N=1024, 16 at N=16384.
 _PIPELINE_BYTES = 16 * 1024 * 1024
+#: Blocks of slots in the ring of a pipelined run.
+_RING_BLOCKS = 4
 
 
 def _check_domain(mean: float, width: float, total: float, grid: Grid,
@@ -315,12 +334,14 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
-def _run_ahead(conn, caller_end, propagate) -> None:
-    """Helper process: propagate(hand_off) one block ahead of the caller.
+def _run_ahead(conn, caller_end, propagate, reuses_slots) -> None:
+    """Helper process: propagate(hand_off) up to _RING_BLOCKS - 1 blocks
+    ahead of the caller.
 
-    Each finished block is announced as (first, count); from the second
-    block on, the helper then waits for the caller to acknowledge the block
-    before, whose slots the next block overwrites."""
+    Each finished block is announced as (first, count).  When the next
+    block, which starts at first + count, reuses the slots of an earlier
+    block (reuses_slots), the helper first waits for the caller to
+    acknowledge that earlier block."""
     import signal  # loaded with multiprocessing already
 
     # Ctrl-C reaches the whole process group; the caller handles it and
@@ -330,7 +351,7 @@ def _run_ahead(conn, caller_end, propagate) -> None:
 
     def hand_off(first: int, count: int) -> None:
         conn.send((first, count))
-        if first:
+        if reuses_slots(first + count):
             conn.recv()
 
     try:
@@ -347,8 +368,8 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
     observables, overlap and the averaged adiabaticity parameter are sampled
     every `stride` steps (the final step is always sampled).  Samples are
     evaluated in blocks of consecutive instants in the calling process; a
-    densely sampled run propagates in a second process, one block ahead
-    (see the module docstring).
+    densely sampled run propagates in a second process, up to three blocks
+    ahead (see the module docstring).
     With `keep_states` the full spinor pair is retained at every sample as
     (t, exact, reference) tuples.
     """
@@ -371,13 +392,14 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
     n_samples = len(sample_steps)
 
     # a ring of pair states (index 0) and their FFTs (index 1): one block of
-    # consecutive samples, twice over when a helper process propagates one
-    # block ahead, in the one mapping it shares (see the module docstring)
+    # consecutive samples, _RING_BLOCKS times over when a helper process
+    # propagates ahead, in the one mapping it shares (see the module
+    # docstring)
     block = max(1, _BLOCK_BYTES // pair.nbytes)
     pipelined = (n_samples // block >= 2
                  and n_samples * pair.nbytes >= _PIPELINE_BYTES)
     context = _fork_context() if pipelined else None
-    ring_size = block * (1 if context is None else 2)
+    ring_size = block * (1 if context is None else _RING_BLOCKS)
     ring, ring_spectra = np.frombuffer(
         mmap.mmap(-1, 2 * ring_size * pair.nbytes),
         np.complex128).reshape((2, ring_size) + pair.shape)
@@ -408,17 +430,20 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
     dens_buf = np.empty((block,) + pair.shape)
     power_buf = np.empty_like(dens_buf)
     rotated_buf = np.empty((block, 2, grid.npoints), dtype=np.complex128)
-    overlap_buf = np.empty_like(rotated_buf)
+    conj_buf = np.empty_like(rotated_buf)
+    product_buf = np.empty_like(rotated_buf)
 
     def sample_block(first: int, count: int) -> None:
         slots = slice(first % ring_size, first % ring_size + count)
         rows, spec = ring[slots], ring_spectra[slots]
         dens = _abs2(rows, out=dens_buf[:count])
         power = _abs2(spec, out=power_buf[:count])
-        ref_rows, ref_dens = rows[:, 2:], dens[:, 2:]
+        ref_dens = dens[:, 2:]
+        # the conjugated reference rows serve the overlap and <theta' p>
+        conj_ref = np.conj(rows[:, 2:], out=conj_buf[:count])
         span = slice(first, first + count)
         # every column of the block first (an empty row or an unused channel
-        # gives inf or nan here), then the checks sample by sample
+        # gives inf or nan here), then the checks
         with np.errstate(divide="ignore", invalid="ignore"):
             # total densities of the exact state and of the reference
             tot = np.sum(dens.reshape(count, 2, 2, -1), axis=2)
@@ -434,8 +459,8 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
                                             out=rotated_buf[:count])
             rec.pop_upper[span], rec.pop_lower[span] = _populations(
                 _abs2(exact_ad), dx).T
-            rec.fidelity[span] = diagnostics._overlap(ref_rows, exact_ad, dx,
-                                                     out=overlap_buf[:count])
+            rec.fidelity[span] = diagnostics._overlap(conj_ref, exact_ad, dx,
+                                                     out=product_buf[:count])
             norms = _populations(ref_dens, dx)
             rec.ref_x[active, span] = _grid_average(ref_dens, grid.x, dx,
                                                     norms).T[active]
@@ -444,17 +469,26 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
             if compute_adiabaticity:
                 parts = diagnostics.AdiabaticityParts(
                     *diagnostics._adiabaticity_parts(
-                        ref_rows, ref_dens, spec[:, 2:], norms, frame,
-                        terms_active),
+                        conj_ref, ref_dens, spec[:, 2:], norms, frame,
+                        terms_active, out=product_buf[:count]),
                     weights, params.mass, terms_active)
                 splittings = parts.splittings[:, terms_active]
-        needed_norms = norms[:, needed]
-        for i in range(count):
-            t = sample_steps[first + i] * scenario.dt
-            if scenario.keep_states:
+        if scenario.keep_states:
+            for i in range(count):
                 rec.snapshots.append((
-                    t, SpinorField(grid, rows[i, :2].copy(), BARE),
+                    sample_steps[first + i] * scenario.dt,
+                    SpinorField(grid, rows[i, :2].copy(), BARE),
                     SpinorField(grid, rows[i, 2:].copy(), ADIABATIC)))
+        # the checks test the whole block at once; only a failing block
+        # runs them sample by sample, so that its first failing sample raises
+        needed_norms = norms[:, needed]
+        domain = _unpopulated(total) | _near_edge(grid, mean, width)
+        failing = (domain.any(axis=1) | _unpopulated(p_total)
+                   | _unpopulated(needed_norms).any(axis=1))
+        if compute_adiabaticity:
+            failing |= diagnostics._collapsed(splittings).any(axis=1)
+        for i in np.flatnonzero(failing):
+            t = sample_steps[first + i] * scenario.dt
             for k, label in enumerate(("exact", "reference")):
                 _check_domain(mean[i, k], width[i, k], total[i, k], grid,
                               label, t, params.detuning)
@@ -465,9 +499,14 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
         if compute_adiabaticity:
             rec.adiabaticity_terms[:, span] = parts.channel_terms(True).T
 
+    exact_kick, ref_kick = exact_prop._apply_potential, ref_prop._apply_potential
+
     def kick(rows: np.ndarray) -> None:
-        exact_prop._apply_potential(rows[:2])
-        ref_prop._apply_potential(rows[2:])
+        exact_kick(rows[:2])
+        ref_kick(rows[2:])
+
+    # same grid, mass and dt: the exact kinetic phases serve both states
+    half_kin, full_kin = exact_prop._half_kin, exact_prop._full_kin
 
     # sample idx goes to slot idx mod ring size, and its chunk starts from
     # the spectrum in the slot before; each finished block is handed off
@@ -475,15 +514,17 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
         for idx, step in enumerate(sample_steps):
             pos = idx % ring_size
             if idx:
-                # same grid, mass and dt: the exact kinetic phases serve both
-                # states
-                _strang(ring[pos], step - sample_steps[idx - 1],
-                        exact_prop._half_kin, exact_prop._full_kin, kick,
-                        spectrum=ring_spectra[pos - 1])
-            np.fft.fft(ring[pos], axis=1, out=ring_spectra[pos])
+                _strang(ring[pos], step - sample_steps[idx - 1], half_kin,
+                        full_kin, kick, spectrum=ring_spectra[pos - 1])
+            _fft(ring[pos], out=ring_spectra[pos])
             slot = pos % block
             if slot == block - 1 or idx == n_samples - 1:
                 hand_off(idx - slot, slot + 1)
+
+    def reuses_slots(first: int) -> bool:
+        """Whether the block starting at sample `first` reuses the slots of
+        an earlier block, which the caller must have sampled first."""
+        return ring_size <= first < n_samples
 
     ring[0] = pair
     if context is None:
@@ -491,8 +532,9 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
     else:
         # forked, so the helper inherits the ring and the propagate closure
         conn, child_end = context.Pipe()
-        helper = context.Process(target=_run_ahead,
-                                 args=(child_end, conn, propagate), daemon=True)
+        helper = context.Process(
+            target=_run_ahead, args=(child_end, conn, propagate, reuses_slots),
+            daemon=True)
         helper.start()
         child_end.close()
         try:
@@ -501,8 +543,10 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
                 first, count = conn.recv()
                 sample_block(first, count)
                 done = first + count
-                if done < n_samples:
-                    conn.send(None)  # the helper may now reuse these slots
+                # only a block whose slots the helper reuses is acknowledged,
+                # so nothing is sent to a helper that has finished
+                if reuses_slots(first + ring_size):
+                    conn.send(None)
         except (EOFError, ConnectionError):  # a broken pipe or a reset socket
             raise RuntimeError(
                 "the propagation process exited unexpectedly") from None

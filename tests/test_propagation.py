@@ -371,27 +371,65 @@ def _scenario_from_adiabatic(lower_amplitude):
                        dt=0.01, stride=7, x0=-8.0, p0=3.0, keep_states=True)
 
 
-def test_run_scenario_transform_count(monkeypatch):
-    # 30 steps sampled every 7 (6 samples): each step is one fused kinetic
-    # factor, one forward and one inverse transform of the (4, N) pair; each
-    # sample adds the forward transform its observables need, and the chunk
-    # after it starts from that spectrum with one inverse transform
+def _count_transforms(monkeypatch, compute_adiabaticity):
+    """Run 30 steps sampled every 7 (6 samples, one block) inline and
+    check the transforms, counted at the bound pocketfft names; np.fft
+    itself must not be called."""
     sc = dataclasses.replace(_scenario_from_adiabatic(0.6), t_final=0.3,
                              keep_states=False)
-    shapes = {"fft": [], "ifft": []}
-    for name, seen in shapes.items():
-        def counted(a, *args, _transform=getattr(np.fft, name), _seen=seen,
-                    **kwargs):
-            _seen.append(np.shape(a))
-            return _transform(a, *args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+    shapes = {"_fft": [], "_ifft": [], "np.fft": []}
+
+    def counter(transform, seen):
+        def counted(a, *args, **kwargs):
+            seen.append(np.shape(a))
+            return transform(a, *args, **kwargs)
+        return counted
+
+    for module in (ad.propagation, ad.grids):
+        for name in ("_fft", "_ifft"):
+            monkeypatch.setattr(module, name,
+                                counter(getattr(module, name), shapes[name]))
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name,
+                            counter(getattr(np.fft, name), shapes["np.fft"]))
     monkeypatch.setattr(ad.propagation, "_PIPELINE_BYTES", math.inf)
-    record = ad.run_scenario(sc, compute_adiabaticity=False)
-    n_steps, n_samples = 30, record.times.size
+    record = ad.run_scenario(sc, compute_adiabaticity=compute_adiabaticity)
+    n_steps, n_samples, pair = 30, record.times.size, (4, sc.grid.npoints)
     assert n_samples == 6
-    assert len(shapes["fft"]) == n_steps + n_samples
-    assert len(shapes["ifft"]) == n_steps + n_samples - 1
-    assert set(shapes["fft"]) | set(shapes["ifft"]) == {(4, sc.grid.npoints)}
+    assert shapes["_fft"] == [pair] * (n_steps + n_samples)
+    block_ifft = [(n_samples, 2, sc.grid.npoints)] if compute_adiabaticity else []
+    assert sorted(shapes["_ifft"]) == sorted(
+        [pair] * (n_steps + n_samples - 1) + block_ifft)
+    assert shapes["np.fft"] == []
+
+
+def test_run_scenario_transform_count(monkeypatch):
+    # each step is one fused kinetic factor, one forward and one inverse
+    # transform of the (4, N) pair; each sample adds the forward transform
+    # its observables need, and the chunk after it starts from that spectrum
+    # with one inverse transform
+    _count_transforms(monkeypatch, compute_adiabaticity=False)
+
+
+def test_run_scenario_transform_count_with_adiabaticity(monkeypatch):
+    # <theta' p> adds one inverse transform per block, of the block's
+    # (6, 2, N) reference channels, not one per channel
+    _count_transforms(monkeypatch, compute_adiabaticity=True)
+
+
+def test_bound_transforms_match_numpy_fft():
+    # the private pocketfft binding must keep the bits of np.fft.fft and
+    # np.fft.ifft, in place, on the pair shape and on a block of channels
+    rng = np.random.default_rng(7)
+    for npoints in (256, 1024, 2048):
+        for shape in ((4, npoints), (3, 2, npoints)):
+            values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for bound, reference in ((ad.grids._fft, np.fft.fft),
+                                     (ad.grids._ifft, np.fft.ifft)):
+                got = values.copy()
+                assert bound(got, out=got) is got
+                assert np.array_equal(got, reference(values, axis=-1)), (
+                    bound.__name__, shape)
 
 
 @pytest.mark.parametrize("lower_amplitude, lower_filled", [
@@ -536,13 +574,10 @@ def _assert_same_run(rec, want, context):
         assert np.array_equal(got[2].components, expected[2].components)
 
 
-@pytest.mark.parametrize("samples_per_block", [1, 5, None])
-def test_run_scenario_guard_fires_at_the_first_failing_sample(monkeypatch,
-                                                              samples_per_block):
-    # the packet reaches the edge margin in the middle of a block of 5 and of
-    # one of 16 (the default budget at N=256); the error must name the first
-    # failing sample, found here with the public observables on chunked
-    # propagator runs
+def _guarded_scenario():
+    """A scenario whose packets reach the edge margin, and its first failing
+    sample (index, packet label, time), found with the public observables on
+    chunked propagator runs."""
     sc = dataclasses.replace(_scenario_from_adiabatic(0.6), t_final=40.0,
                              stride=5, keep_states=False)
     grid, frame = sc.grid, ad.adiabatic_frame(sc.params, sc.grid)
@@ -560,15 +595,35 @@ def test_run_scenario_guard_fires_at_the_first_failing_sample(monkeypatch,
                 failing = (idx, label, step * sc.dt)
                 break
         if failing:
-            break
-    idx, label, t = failing
+            return sc, failing
+
+
+def _guard_block(samples_per_block, idx):
+    """Samples per block: a number, None (the default budget), or "first" or
+    "last" for blocks that start or end at sample `idx`."""
+    if samples_per_block == "first":
+        return idx  # block 1 starts at idx
+    if samples_per_block == "last":
+        block = next(b for b in range(2, idx) if (idx + 1) % b == 0)
+        assert idx % block == block - 1
+        return block
+    return samples_per_block
+
+
+@pytest.mark.parametrize("samples_per_block", [1, 5, None, "first", "last"])
+def test_run_scenario_guard_fires_at_the_first_failing_sample(monkeypatch,
+                                                              samples_per_block):
+    # the packet reaches the edge margin in the middle of a block of 5 and of
+    # one of 16 (the default budget at N=256), and in the first and the last
+    # slot of a block; the error must name the first failing sample
+    sc, (idx, label, t) = _guarded_scenario()
     assert idx % 5 not in (0, 4) and idx % 16 not in (0, 15)
     with pytest.raises(ad.DomainGuardError) as single:
         _with_block(monkeypatch, sc, 1)
     assert str(single.value).startswith(f"{label} packet at ")
     assert f" at t={t:.6g} (detuning 0.5)" in str(single.value)
     with pytest.raises(ad.DomainGuardError) as blocked:
-        _with_block(monkeypatch, sc, samples_per_block)
+        _with_block(monkeypatch, sc, _guard_block(samples_per_block, idx))
     assert str(blocked.value) == str(single.value)
 
 
@@ -634,6 +689,58 @@ def test_pipelined_run_matches_inline_run(monkeypatch, lower_amplitude):
     assert forked == []
 
 
+@pytest.mark.parametrize("n_blocks, helper_first", [
+    (2, False), (3, False), (4, False), (5, False), (9, False),
+    (2, True), (4, True),
+])
+def test_pipelined_run_matches_inline_run_for_any_block_count(monkeypatch,
+                                                              n_blocks,
+                                                              helper_first):
+    # blocks of 2 samples in a ring of 4 blocks: the helper waits for an
+    # acknowledgement only before it reuses a block's slots, from the fifth
+    # block on, and the caller acknowledges only those blocks.  With
+    # helper_first the caller samples block 0 only after the helper has
+    # propagated every block and exited, so a message sent to it would
+    # raise BrokenPipeError.
+    n_samples = {2: 4, 3: 5, 4: 8, 5: 10, 9: 17}[n_blocks]
+    sc = dataclasses.replace(_scenario_from_adiabatic(0.6),
+                             t_final=7 * (n_samples - 1) * 0.01)
+    # once the caller closes its write end, the helper holds the last one
+    # until it exits
+    exit_read, exit_write = os.pipe()
+    open_fds = {exit_read, exit_write}
+    real_rotate = ad.propagation._rotate_to_adiabatic
+    waited = []
+
+    def rotate_after_helper(*args, **kwargs):
+        if not waited:
+            os.close(exit_write)
+            open_fds.discard(exit_write)
+            waited.append(os.read(exit_read, 1))
+        return real_rotate(*args, **kwargs)
+
+    def run(wait_for_helper):
+        def call():
+            monkeypatch.setattr(ad.propagation, "_BLOCK_BYTES", 2 * 4 * 256 * 16)
+            if wait_for_helper:
+                monkeypatch.setattr(ad.propagation, "_rotate_to_adiabatic",
+                                    rotate_after_helper)
+            return ad.run_scenario(sc)
+        return call
+
+    try:
+        inline, forked = _on_cpus(monkeypatch, {0}, run(False))
+        assert forked == [] and inline.times.size == n_samples
+        pipelined, forked = _on_cpus(monkeypatch, {0, 1}, run(helper_first))
+    finally:
+        for fd in open_fds:
+            os.close(fd)
+    assert not isinstance(pipelined, BaseException), repr(pipelined)
+    assert len(forked) == 1
+    assert waited == ([b""] if helper_first else [])
+    _assert_same_run(pipelined, inline, n_blocks)
+
+
 def test_only_runs_that_sample_enough_pipeline(monkeypatch):
     # starting and stopping the helper costs more than a short or sparse
     # run saves, so a run pipelines from _PIPELINE_BYTES of sampled states
@@ -660,15 +767,14 @@ def test_only_runs_that_sample_enough_pipeline(monkeypatch):
     assert 2001 * 1024 * pair_bytes >= ad.propagation._PIPELINE_BYTES
 
 
-def test_pipelined_run_raises_the_first_failing_sample(monkeypatch):
-    # the scenario of test_run_scenario_guard_fires_at_the_first_failing_sample
-    # fails at a sample inside a block of 5; the pipelined run must report
-    # that sample, with the inline type and text
-    sc = dataclasses.replace(_scenario_from_adiabatic(0.6), t_final=40.0,
-                             stride=5, keep_states=False)
+def _check_pipelined_guard(monkeypatch, samples_per_block):
+    """A pipelined run of _guarded_scenario, in blocks as _guard_block
+    reads `samples_per_block`, raises the inline run's error."""
+    sc, (idx, _, _) = _guarded_scenario()
+    block = _guard_block(samples_per_block, idx)
 
     def run():
-        monkeypatch.setattr(ad.propagation, "_BLOCK_BYTES", 5 * 4 * 256 * 16)
+        monkeypatch.setattr(ad.propagation, "_BLOCK_BYTES", block * 4 * 256 * 16)
         return ad.run_scenario(sc)
 
     inline, forked = _on_cpus(monkeypatch, {0}, run)
@@ -678,26 +784,43 @@ def test_pipelined_run_raises_the_first_failing_sample(monkeypatch):
     assert str(pipelined) == str(inline)
 
 
+def test_pipelined_run_raises_the_first_failing_sample(monkeypatch):
+    # the scenario of test_run_scenario_guard_fires_at_the_first_failing_sample
+    # fails at a sample inside a block of 5; the pipelined run must report
+    # that sample, with the inline type and text
+    _check_pipelined_guard(monkeypatch, 5)
+
+
+@pytest.mark.parametrize("samples_per_block", ["first", "last"])
+def test_pipelined_run_raises_a_failure_at_a_block_edge(monkeypatch,
+                                                       samples_per_block):
+    # the same failing sample in the first and in the last slot of a block
+    _check_pipelined_guard(monkeypatch, samples_per_block)
+
+
 def test_pipelined_run_reaps_the_helper_on_interrupt(monkeypatch):
-    # Ctrl-C lands in the caller, which samples every block; the helper
-    # that propagates ahead must still be reaped
+    # Ctrl-C lands in the caller, which samples every block (and rotates
+    # its exact states once per block); the helper that propagates ahead
+    # must still be reaped
     sc = dataclasses.replace(_scenario_from_adiabatic(0.6), keep_states=False)
-    real_check = ad.propagation._check_domain
+    real_rotate = ad.propagation._rotate_to_adiabatic
     calls = []
 
-    def interrupted_check(*args, **kwargs):
+    def interrupted_rotate(*args, **kwargs):
         calls.append(None)
-        if len(calls) == 50:
+        if len(calls) == 25:
             raise KeyboardInterrupt
-        real_check(*args, **kwargs)
+        return real_rotate(*args, **kwargs)
 
     def run():
         monkeypatch.setattr(ad.propagation, "_BLOCK_BYTES", 2 * 4 * 256 * 16)
-        monkeypatch.setattr(ad.propagation, "_check_domain", interrupted_check)
+        monkeypatch.setattr(ad.propagation, "_rotate_to_adiabatic",
+                            interrupted_rotate)
         return ad.run_scenario(dataclasses.replace(sc, stride=1))
 
     outcome, forked = _on_cpus(monkeypatch, {0, 1}, run)
     assert isinstance(outcome, KeyboardInterrupt) and len(forked) == 1
+    assert len(calls) == 25
 
 
 def test_pipelined_run_reports_a_lost_helper(monkeypatch):
@@ -722,7 +845,8 @@ def test_pipelined_run_reports_a_helper_lost_after_its_first_block(monkeypatch):
     # the same way, and the helper must be reaped
     sc = dataclasses.replace(_scenario_from_adiabatic(0.6), keep_states=False)
 
-    def hand_over_one_block_then_exit(conn, caller_end, propagate):
+    def hand_over_one_block_then_exit(conn, caller_end, propagate,
+                                      reuses_slots):
         caller_end.close()
 
         def hand_off(first, count):
