@@ -353,7 +353,7 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
         _fail("config.search", "only the max-locus experiment takes a search block")
     if tag == "max-locus":
         if search is None:
-            search = SearchSpec(None, None, 400)
+            search = _parse_search({}, "config.search")
         if search.window() is None and base.mode.length_scale() is None:
             _fail("config.search", "a mode without a length scale needs an "
                   "explicit window ('x_lo' and 'x_hi')")

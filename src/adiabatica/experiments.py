@@ -114,8 +114,10 @@ def _run_max_locus(config: ScenarioConfig, out_dir: Path):
 
 
 def _sweep_cell(scenario: Scenario):
-    """One fidelity-map cell; module level so a worker process can unpickle it."""
-    return run_scenario(scenario, compute_adiabaticity=False)
+    """One fidelity-map cell.  The pool pickles its callable by name, and
+    pickle rejects run_scenario itself once a profiler such as
+    perfbench/tracer.py has rebound it here to a wrapper."""
+    return run_scenario(scenario)
 
 
 def _run_fidelity_map(config: ScenarioConfig, out_dir: Path):
@@ -169,7 +171,7 @@ def _run_effective_model(config: ScenarioConfig, out_dir: Path):
 
 def _run_snapshot(config: ScenarioConfig, out_dir: Path):
     scenario = _build_scenario(config, config.detunings[0])
-    record = run_scenario(scenario, compute_adiabaticity=False)
+    record = run_scenario(scenario)
     final = record.final_exact
     header = ["x", "re_upper", "im_upper", "re_lower", "im_lower"]
     columns = [final.grid.x, final.upper.real, final.upper.imag,

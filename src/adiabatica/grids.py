@@ -47,7 +47,6 @@ class Grid:
             raise ValueError("Grid requires x_max > x_min")
         dx = (self.x_max - self.x_min) / n
         object.__setattr__(self, "dx", dx)
-        object.__setattr__(self, "dk", 2.0 * np.pi / (n * dx))
         object.__setattr__(self, "x", self.x_min + dx * np.arange(n))
         object.__setattr__(self, "k", 2.0 * np.pi * np.fft.fftfreq(n, d=dx))
 

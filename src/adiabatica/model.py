@@ -335,9 +335,9 @@ def _angle_derivatives(params: ModelParams, x):
 class AdiabaticFrame:
     """Mixing angle, its derivatives and the adiabatic surfaces on a grid.
 
-    degenerate marks grid points where the angle is undefined (possible only
-    at exactly zero detuning on nodes of the coupling); the angle and its
-    derivatives there are the analytic zero-detuning limits.
+    At grid points where the angle is undefined (possible only at exactly
+    zero detuning on nodes of the coupling) the angle and its derivatives
+    are the analytic zero-detuning limits.
     """
 
     grid: "object"
@@ -346,9 +346,6 @@ class AdiabaticFrame:
     theta_curvature: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
-    coupling: np.ndarray
-    mean_shift: float
-    degenerate: np.ndarray
 
     def __post_init__(self):
         # Evaluated once per frame and shared by every caller, hence read-only.
@@ -374,7 +371,7 @@ class AdiabaticFrame:
 def adiabatic_frame(params: ModelParams, grid) -> AdiabaticFrame:
     """Evaluate the adiabatic diagonalization on every grid point."""
     x = grid.x
-    theta, mask = _theta_arrays(params, x)
+    theta, _ = _theta_arrays(params, x)
     slope, curvature, _ = _angle_derivatives(params, x)
     upper, lower = adiabatic_eigenvalues(params, x)
     return AdiabaticFrame(
@@ -384,7 +381,4 @@ def adiabatic_frame(params: ModelParams, grid) -> AdiabaticFrame:
         theta_curvature=curvature,
         upper=np.asarray(upper, dtype=float),
         lower=np.asarray(lower, dtype=float),
-        coupling=np.asarray(params.coupling(x), dtype=float),
-        mean_shift=params.mean_shift,
-        degenerate=np.asarray(mask, dtype=bool),
     )

@@ -66,12 +66,13 @@ the run with a RuntimeError.
 The pipeline saves at most the sampling time of a run, while starting and
 stopping the helper and the hand-offs cost some 10-50 ms.  So a run
 pipelines only when its samples hold at least _PIPELINE_BYTES of pair states
-(256 samples at N=1024: a stride of 7 or less in the fig9a geometry) and
-fill two blocks.  Sparser and shorter runs, runs inside a worker process
-(the fidelity-map pool) or beside other threads of the caller, and runs with
-one CPU stay inline, with a ring of B slots.  Whether the second CPU is
-idle is not checked: runs started side by side on a busy machine each still
-fork.
+(256 samples at N=1024: a stride of 7 or less in the fig9a geometry), which
+fill at least two blocks: _PIPELINE_BYTES is 64 block budgets, and a pair
+larger than one budget makes blocks of one sample.  Sparser and shorter
+runs, runs inside a worker process (the fidelity-map pool) or beside other
+threads of the caller, and runs with one CPU stay inline, with a ring of B
+slots.  Whether the second CPU is idle is not checked: runs started side by
+side on a busy machine each still fork.
 """
 
 from __future__ import annotations
@@ -137,10 +138,7 @@ def _strang(rows: np.ndarray, n_steps: int, half_kin: np.ndarray,
 
 
 class _Stepper:
-    """step and the body of advance, shared by both propagators."""
-
-    def step(self, field: SpinorField) -> SpinorField:
-        return self.advance(field, 1)
+    """The body of advance, shared by both propagators."""
 
     def _advance(self, field: SpinorField, n_steps: int, frame: str,
                  wrong_frame: str) -> SpinorField:
@@ -157,9 +155,7 @@ class FullPropagator(_Stepper):
     """Split-operator stepper for the coupled two-channel problem (bare basis)."""
 
     def __init__(self, params: ModelParams, grid: Grid, dt: float):
-        self.params = params
         self.grid = grid
-        self.dt = dt
         self._half_kin, self._full_kin = _kinetic_phases(grid, params.mass, dt)
         g = np.asarray(params.coupling(grid.x), dtype=float)
         p11, p22, p12 = _su2_step(0.5 * params.level_splitting, g, dt)
@@ -187,9 +183,7 @@ class AdiabaticPropagator(_Stepper):
     """Independent channel evolution under p^2/2m + Delta_+-(x); no coupling."""
 
     def __init__(self, frame: AdiabaticFrame, params: ModelParams, dt: float):
-        self.frame = frame
         self.grid = frame.grid
-        self.dt = dt
         self._half_kin, self._full_kin = _kinetic_phases(self.grid, params.mass, dt)
         pot = np.exp(-1j * dt * np.stack([frame.upper, frame.lower]))
 
@@ -249,7 +243,13 @@ class Scenario:
 
 @dataclass
 class RunRecord:
-    """Sampled observables of one exact-versus-reference run."""
+    """Sampled observables of one exact-versus-reference run.
+
+    Per-channel columns have shape (2, samples), upper channel first.
+    ref_x and ref_p are nan for a channel whose initial weight is below
+    _GUARD_WEIGHT, adiabaticity_terms only for one below
+    diagnostics.WEIGHT_FLOOR; every other entry is filled on every run.
+    """
 
     times: np.ndarray
     x_kinematic: np.ndarray
@@ -360,18 +360,20 @@ def _run_ahead(conn, caller_end, propagate, reuses_slots) -> None:
         pass
 
 
-def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRecord:
+def run_scenario(scenario: Scenario) -> RunRecord:
     """Evolve exact and adiabatic-reference states side by side.
 
     The reference starts as the pointwise rotation of the initial bare state
     into the adiabatic basis and evolves without inter-channel coupling;
-    observables, overlap and the averaged adiabaticity parameter are sampled
-    every `stride` steps (the final step is always sampled).  Samples are
-    evaluated in blocks of consecutive instants in the calling process; a
-    densely sampled run propagates in a second process, up to three blocks
-    ahead (see the module docstring).
-    With `keep_states` the full spinor pair is retained at every sample as
-    (t, exact, reference) tuples.
+    observables, overlap and the averaged adiabaticity terms are sampled
+    every `stride` steps (the final step is always sampled).  Every sample
+    is checked: both packets clear of the domain edges, and each channel
+    the terms divide by populated, with an averaged splitting of at least
+    diagnostics.SPLITTING_FLOOR.  Samples are evaluated in blocks of
+    consecutive instants in the calling process; a densely sampled run
+    propagates in a second process, up to three blocks ahead (see the
+    module docstring).  With `keep_states` the full spinor pair is retained
+    at every sample as (t, exact, reference) tuples.
     """
     params, grid = scenario.params, scenario.grid
     frame = adiabatic_frame(params, grid)
@@ -396,8 +398,7 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
     # propagates ahead, in the one mapping it shares (see the module
     # docstring)
     block = max(1, _BLOCK_BYTES // pair.nbytes)
-    pipelined = (n_samples // block >= 2
-                 and n_samples * pair.nbytes >= _PIPELINE_BYTES)
+    pipelined = n_samples * pair.nbytes >= _PIPELINE_BYTES
     context = _fork_context() if pipelined else None
     ring_size = block * (1 if context is None else _RING_BLOCKS)
     ring, ring_spectra = np.frombuffer(
@@ -419,10 +420,10 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
         snapshots=[] if scenario.keep_states else None,
     )
 
+    # ref_x and ref_p skip the channels below _GUARD_WEIGHT, the
+    # adiabaticity terms (and so the norm checks) those below WEIGHT_FLOOR
     active = weights >= _GUARD_WEIGHT
     terms_active = weights >= diagnostics.WEIGHT_FLOOR
-    # reference channels whose norm some column divides by
-    needed = active | (compute_adiabaticity & terms_active)
     cos_theta, sin_theta = frame.cos_theta, frame.sin_theta
     dx = grid.dx
 
@@ -466,13 +467,12 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
                                                     norms).T[active]
             rec.ref_p[active, span] = _spectrum_average(power[:, 2:], grid.k,
                                                         grid, norms).T[active]
-            if compute_adiabaticity:
-                parts = diagnostics.AdiabaticityParts(
-                    *diagnostics._adiabaticity_parts(
-                        conj_ref, ref_dens, spec[:, 2:], norms, frame,
-                        terms_active, out=product_buf[:count]),
-                    weights, params.mass, terms_active)
-                splittings = parts.splittings[:, terms_active]
+            parts = diagnostics.AdiabaticityParts(
+                *diagnostics._adiabaticity_parts(
+                    conj_ref, ref_dens, spec[:, 2:], norms, frame,
+                    terms_active, out=product_buf[:count]),
+                weights, params.mass, terms_active)
+            splittings = parts.splittings[:, terms_active]
         if scenario.keep_states:
             for i in range(count):
                 rec.snapshots.append((
@@ -481,23 +481,20 @@ def run_scenario(scenario: Scenario, compute_adiabaticity: bool = True) -> RunRe
                     SpinorField(grid, rows[i, 2:].copy(), ADIABATIC)))
         # the checks test the whole block at once; only a failing block
         # runs them sample by sample, so that its first failing sample raises
-        needed_norms = norms[:, needed]
+        ref_norms = norms[:, terms_active]
         domain = _unpopulated(total) | _near_edge(grid, mean, width)
         failing = (domain.any(axis=1) | _unpopulated(p_total)
-                   | _unpopulated(needed_norms).any(axis=1))
-        if compute_adiabaticity:
-            failing |= diagnostics._collapsed(splittings).any(axis=1)
+                   | _unpopulated(ref_norms).any(axis=1)
+                   | diagnostics._collapsed(splittings).any(axis=1))
         for i in np.flatnonzero(failing):
             t = sample_steps[first + i] * scenario.dt
             for k, label in enumerate(("exact", "reference")):
                 _check_domain(mean[i, k], width[i, k], total[i, k], grid,
                               label, t, params.detuning)
             _require_field(p_total[i], "mean_momentum")
-            _require_populated(needed_norms[i])
-            if compute_adiabaticity:
-                diagnostics._require_splitting(splittings[i])
-        if compute_adiabaticity:
-            rec.adiabaticity_terms[:, span] = parts.channel_terms(True).T
+            _require_populated(ref_norms[i])
+            diagnostics._require_splitting(splittings[i])
+        rec.adiabaticity_terms[:, span] = parts.channel_terms(True).T
 
     exact_kick, ref_kick = exact_prop._apply_potential, ref_prop._apply_potential
 

@@ -60,7 +60,7 @@ def fwhm(x, y, x_peak):
 
 def gaussian_transit(amplitude, detuning, x_stop=200.0, x0=-200.0, p0=5.0,
                      width=10.0, dt=0.02, stride=25, domain=(-300.0, 300.0),
-                     points=2048, adiabaticity=False, keep_states=False):
+                     points=2048, keep_states=False):
     params = ad.ModelParams(mode=ad.GaussianMode(amplitude, 50.0),
                             detuning=detuning)
     grid = ad.Grid(points, *domain)
@@ -68,7 +68,7 @@ def gaussian_transit(amplitude, detuning, x_stop=200.0, x0=-200.0, p0=5.0,
     scenario = ad.Scenario(params=params, grid=grid, initial=psi,
                            t_final=(x_stop - x0) / p0, dt=dt, stride=stride,
                            x0=x0, p0=p0, keep_states=keep_states)
-    return ad.run_scenario(scenario, compute_adiabaticity=adiabaticity)
+    return ad.run_scenario(scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,7 @@ def test_criterion_10_node_localization():
     psi = ad.gaussian_bare_state(grid, -50.0, 5.0, 4.0)
     scenario = ad.Scenario(params=params, grid=grid, initial=psi, t_final=20.0,
                            dt=0.01, stride=10, x0=-50.0, p0=5.0)
-    rec = ad.run_scenario(scenario, compute_adiabaticity=False)
+    rec = ad.run_scenario(scenario)
     tops = steepest_descent_positions(rec.x_mean, np.abs(rec.fidelity), top=3)
     node_spacing = math.pi / 0.1
     dists = [min(abs(x - n * node_spacing) for n in range(-2, 3)) for x in tops]
@@ -316,8 +316,7 @@ def test_criterion_11_averaged_vs_pointwise_peaks():
     for cfg in runs:
         rec = gaussian_transit(1.0, cfg["detuning"], x_stop=cfg["x_stop"],
                                x0=cfg["x0"], p0=1.5, dt=cfg["dt"], stride=100,
-                               domain=cfg["domain"], adiabaticity=True,
-                               keep_states=True)
+                               domain=cfg["domain"], keep_states=True)
         params = ad.ModelParams(mode=ad.GaussianMode(1.0, 50.0),
                                 detuning=cfg["detuning"])
         frame = ad.adiabatic_frame(params, rec.final_reference.grid)

@@ -117,8 +117,7 @@ def test_fidelity_map_output_serial_and_pool(tmp_path, monkeypatch, pool_sizes):
     assert np.all(table[:, 2:] <= 1.0 + 1e-9)
     assert table[0, 2] == pytest.approx(1.0, abs=1e-9)
     for j, delta in enumerate(cfg.detunings):
-        rec = ad.run_scenario(experiments._build_scenario(cfg, delta),
-                              compute_adiabaticity=False)
+        rec = ad.run_scenario(experiments._build_scenario(cfg, delta))
         assert np.array_equal(table[:, 2 + j], rec.fidelity_magnitude)
         # the modulus of each complex scalar, which np.abs on the whole
         # array does not always reproduce in the last bit
@@ -240,8 +239,7 @@ def test_snapshot_output(tmp_path):
                   + table[:, 3] ** 2 + table[:, 4] ** 2) * (120.0 / 256)
     assert norm == pytest.approx(1.0, abs=1e-9)
     # 17 significant digits read back to the very grid and final state
-    final = ad.run_scenario(experiments._build_scenario(cfg, 0.5),
-                            compute_adiabaticity=False).final_exact
+    final = ad.run_scenario(experiments._build_scenario(cfg, 0.5)).final_exact
     assert np.array_equal(table[:, 0], cfg.grid.x)
     assert np.array_equal(table[:, 1] + 1j * table[:, 2], final.upper)
     assert np.array_equal(table[:, 3] + 1j * table[:, 4], final.lower)
@@ -536,6 +534,22 @@ def test_cli_names_detuning_of_cell_that_leaves_the_grid(tmp_path, capsys,
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "domain edge" in err and "(detuning 0.5)" in err
+
+
+@pytest.mark.parametrize("experiment", ["fidelity-map", "atrace", "snapshot"])
+def test_cli_runs_apply_the_same_checks(tmp_path, capsys, experiment):
+    # zero coupling at zero detuning collapses the averaged splitting; every
+    # run records the adiabaticity terms, so a fidelity map and a snapshot
+    # fail on it like the atrace of the same run, before writing a file
+    data = tiny_map_config(experiment, detuning=0.0,
+                           mode={"kind": "linear", "gradient": 0.0})
+    cfg_path = write_config(tmp_path, data)
+    assert main([experiment, "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "adiabatica: error: averaged surface splitting collapsed below "
+        f"{ad.diagnostics.SPLITTING_FLOOR}; adiabaticity ratio undefined\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name, overrides", [

@@ -191,16 +191,13 @@ def test_single_step_frame_tags(small_grid):
     psi = ad.gaussian_bare_state(small_grid, -10.0, 2.0, 3.0)
     full = ad.FullPropagator(params, small_grid, 0.02)
     adiabatic = ad.AdiabaticPropagator(frame, params, 0.02)
-    one = full.step(psi)
-    assert one.frame == ad.BARE
-    assert l2_distance(one, full.advance(psi, 1)) == 0.0
+    assert full.advance(psi, 1).frame == ad.BARE
     rotated = ad.to_adiabatic(psi, frame)
-    stepped = adiabatic.step(rotated)
-    assert stepped.frame == ad.ADIABATIC
+    assert adiabatic.advance(rotated, 1).frame == ad.ADIABATIC
     with pytest.raises(ValueError):
-        full.step(rotated)
+        full.advance(rotated, 1)
     with pytest.raises(ValueError):
-        adiabatic.step(psi)
+        adiabatic.advance(psi, 1)
 
 
 def test_advance_leaves_input_unchanged(small_grid):
@@ -371,10 +368,15 @@ def _scenario_from_adiabatic(lower_amplitude):
                        dt=0.01, stride=7, x0=-8.0, p0=3.0, keep_states=True)
 
 
-def _count_transforms(monkeypatch, compute_adiabaticity):
-    """Run 30 steps sampled every 7 (6 samples, one block) inline and
-    check the transforms, counted at the bound pocketfft names; np.fft
-    itself must not be called."""
+def test_run_scenario_transform_count_with_adiabaticity(monkeypatch):
+    # 30 steps sampled every 7 (6 samples, one block) inline, the transforms
+    # counted at the bound pocketfft names; np.fft itself must not be
+    # called.  Each step is one fused kinetic factor, one forward and one
+    # inverse transform of the (4, N) pair; each sample adds the forward
+    # transform its observables need, and the chunk after it starts from
+    # that spectrum with one inverse transform.  <theta' p> adds one
+    # inverse transform per block, of the block's (6, 2, N) reference
+    # channels, not one per channel.
     sc = dataclasses.replace(_scenario_from_adiabatic(0.6), t_final=0.3,
                              keep_states=False)
     shapes = {"_fft": [], "_ifft": [], "np.fft": []}
@@ -393,28 +395,13 @@ def _count_transforms(monkeypatch, compute_adiabaticity):
         monkeypatch.setattr(np.fft, name,
                             counter(getattr(np.fft, name), shapes["np.fft"]))
     monkeypatch.setattr(ad.propagation, "_PIPELINE_BYTES", math.inf)
-    record = ad.run_scenario(sc, compute_adiabaticity=compute_adiabaticity)
+    record = ad.run_scenario(sc)
     n_steps, n_samples, pair = 30, record.times.size, (4, sc.grid.npoints)
     assert n_samples == 6
     assert shapes["_fft"] == [pair] * (n_steps + n_samples)
-    block_ifft = [(n_samples, 2, sc.grid.npoints)] if compute_adiabaticity else []
     assert sorted(shapes["_ifft"]) == sorted(
-        [pair] * (n_steps + n_samples - 1) + block_ifft)
+        [pair] * (n_steps + n_samples - 1) + [(n_samples, 2, sc.grid.npoints)])
     assert shapes["np.fft"] == []
-
-
-def test_run_scenario_transform_count(monkeypatch):
-    # each step is one fused kinetic factor, one forward and one inverse
-    # transform of the (4, N) pair; each sample adds the forward transform
-    # its observables need, and the chunk after it starts from that spectrum
-    # with one inverse transform
-    _count_transforms(monkeypatch, compute_adiabaticity=False)
-
-
-def test_run_scenario_transform_count_with_adiabaticity(monkeypatch):
-    # <theta' p> adds one inverse transform per block, of the block's
-    # (6, 2, N) reference channels, not one per channel
-    _count_transforms(monkeypatch, compute_adiabaticity=True)
 
 
 def test_bound_transforms_match_numpy_fft():
@@ -633,7 +620,7 @@ _SAMPLED_COLUMNS = ("x_mean", "p_mean", "norm", "pop_upper", "pop_lower",
 
 def _on_cpus(monkeypatch, cpus, run, pipeline_bytes=0):
     """Call run() with the affinity set `cpus` and the sampled-bytes
-    threshold `pipeline_bytes` (0: any run of two full blocks may pipeline);
+    threshold `pipeline_bytes` (0: any run may pipeline);
     return its result (or the exception it raised) and the pids of the
     processes it forked, after checking that every one of them has been
     reaped."""
@@ -664,8 +651,8 @@ def _on_cpus(monkeypatch, cpus, run, pipeline_bytes=0):
 
 @pytest.mark.parametrize("lower_amplitude", [0.6, 0.0, np.sqrt(3e-10)])
 def test_pipelined_run_matches_inline_run(monkeypatch, lower_amplitude):
-    # with a second CPU, a run of two or more full blocks propagates in a
-    # forked process; one block per sample and blocks of 6 (the last one
+    # with a second CPU, a run that holds enough sampled bytes propagates in
+    # a forked process; one block per sample and blocks of 6 (the last one
     # partial)
     sc = _scenario_from_adiabatic(lower_amplitude)
     pair_bytes = 4 * sc.grid.npoints * 16
@@ -684,9 +671,34 @@ def test_pipelined_run_matches_inline_run(monkeypatch, lower_amplitude):
         # shared memory
         for name in _SAMPLED_COLUMNS:
             assert getattr(pipelined, name).flags.owndata, name
-    # one full block stays inline
-    _, forked = _on_cpus(monkeypatch, {0, 1}, lambda: ad.run_scenario(sc))
+    # one full block pipelines only by the byte rule: it does at a
+    # threshold of 0, and stays inline at the shipped one
+    inline = ad.run_scenario(sc)
+    assert inline.times.size == ad.propagation._BLOCK_BYTES // pair_bytes
+    pipelined, forked = _on_cpus(monkeypatch, {0, 1},
+                                 lambda: ad.run_scenario(sc))
+    assert len(forked) == 1
+    _assert_same_run(pipelined, inline, "one block")
+    _, forked = _on_cpus(monkeypatch, {0, 1}, lambda: ad.run_scenario(sc),
+                         ad.propagation._PIPELINE_BYTES)
     assert forked == []
+
+
+def test_a_run_that_pipelines_fills_two_blocks():
+    # run_scenario pipelines on the byte rule alone; at the shipped budgets
+    # that rule leaves the helper at least two blocks to run ahead with.
+    # With B = max(1, _BLOCK_BYTES // pair) samples per block, a run of at
+    # least _PIPELINE_BYTES / pair samples fills n // B >= 2 blocks when the
+    # pipeline budget is two block budgets or more; a pair larger than a
+    # block budget makes B = 1, and every run has at least 2 samples.
+    block_bytes = ad.propagation._BLOCK_BYTES
+    pipeline_bytes = ad.propagation._PIPELINE_BYTES
+    assert pipeline_bytes >= 2 * block_bytes
+    for log_n in range(1, 23):
+        pair = 4 * 16 << log_n
+        block = max(1, block_bytes // pair)
+        fewest = max(2, -(-pipeline_bytes // pair))
+        assert fewest // block >= 2, log_n
 
 
 @pytest.mark.parametrize("n_blocks, helper_first", [
