@@ -368,15 +368,10 @@ def _scenario_from_adiabatic(lower_amplitude):
                        dt=0.01, stride=7, x0=-8.0, p0=3.0, keep_states=True)
 
 
-def test_run_scenario_transform_count_with_adiabaticity(monkeypatch):
-    # 30 steps sampled every 7 (6 samples, one block) inline, the transforms
-    # counted at the bound pocketfft names; np.fft itself must not be
-    # called.  Each step is one fused kinetic factor, one forward and one
-    # inverse transform of the (4, N) pair; each sample adds the forward
-    # transform its observables need, and the chunk after it starts from
-    # that spectrum with one inverse transform.  <theta' p> adds one
-    # inverse transform per block, of the block's (6, 2, N) reference
-    # channels, not one per channel.
+def _count_transforms(monkeypatch):
+    """Run 30 steps sampled every 7 (6 samples, one block) inline, with the
+    transforms counted at the bound pocketfft names and at np.fft; return
+    the record, the (4, N) pair shape and the shapes each name saw."""
     sc = dataclasses.replace(_scenario_from_adiabatic(0.6), t_final=0.3,
                              keep_states=False)
     shapes = {"_fft": [], "_ifft": [], "np.fft": []}
@@ -396,11 +391,31 @@ def test_run_scenario_transform_count_with_adiabaticity(monkeypatch):
                             counter(getattr(np.fft, name), shapes["np.fft"]))
     monkeypatch.setattr(ad.propagation, "_PIPELINE_BYTES", math.inf)
     record = ad.run_scenario(sc)
-    n_steps, n_samples, pair = 30, record.times.size, (4, sc.grid.npoints)
-    assert n_samples == 6
+    assert record.times.size == 6
+    return record, (4, sc.grid.npoints), shapes
+
+
+def test_run_scenario_transform_count(monkeypatch):
+    # each step is one fused kinetic factor, one forward and one inverse
+    # transform of the (4, N) pair; each sample adds the forward transform
+    # its observables need, and the chunk after it starts from that spectrum
+    # with one inverse transform; np.fft itself must not be called
+    record, pair, shapes = _count_transforms(monkeypatch)
+    n_steps, n_samples = 30, record.times.size
+    assert shapes["_fft"] == [pair] * (n_steps + n_samples)
+    assert [s for s in shapes["_ifft"] if s == pair] == (
+        [pair] * (n_steps + n_samples - 1))
+    assert shapes["np.fft"] == []
+
+
+def test_run_scenario_transform_count_with_adiabaticity(monkeypatch):
+    # <theta' p> adds one inverse transform per block, of the block's
+    # (6, 2, N) reference channels, not one per channel
+    record, pair, shapes = _count_transforms(monkeypatch)
+    n_steps, n_samples = 30, record.times.size
     assert shapes["_fft"] == [pair] * (n_steps + n_samples)
     assert sorted(shapes["_ifft"]) == sorted(
-        [pair] * (n_steps + n_samples - 1) + [(n_samples, 2, sc.grid.npoints)])
+        [pair] * (n_steps + n_samples - 1) + [(n_samples, 2, pair[1])])
     assert shapes["np.fft"] == []
 
 
