@@ -16,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .diagnostics import SCAN_POINTS
 from .grids import EDGE_MARGIN, Grid, _near_edge, momentum_cover
 from .model import (FrameCase, GaussianMode, LinearMode, ModelParams,
-                    StandingWaveMode, TabulatedMode)
+                    StandingWaveMode, TabulatedMode, _phase_rate)
 from .propagation import default_time_step
 
 EXPERIMENTS = ("a0-map", "max-locus", "fidelity-map", "atrace",
@@ -258,10 +259,8 @@ def _resolve_run(tag, t_final, dt, stride, base, detunings, grid, state):
                         for p in runs)
         which = f"t_final/dt with the default dt {dt:.3g}"
     elif tag != "effective-model":
-        # max|Delta_+- - mean_shift|: a constant shift adds no splitting error
-        phase, worst = max((dt * np.max(np.hypot(0.5 * p.level_splitting,
-                                                  p.coupling(grid.x))),
-                            p.detuning) for p in runs)
+        phase, worst = max((dt * _phase_rate(p, grid.x), p.detuning)
+                           for p in runs)
         if not phase <= 1.0:
             _fail("config.run.dt", f"dt*max|Delta_+- - mean_shift| = "
                   f"{phase:.3g} exceeds 1 at detuning {worst!r}")
@@ -290,7 +289,7 @@ def _parse_search(obj, path):
     _check_keys(obj, path, {"x_lo", "x_hi", "scan_points"}, set())
     if ("x_lo" in obj) != ("x_hi" in obj):
         _fail(path, "'x_lo' and 'x_hi' must be given together")
-    scan = _integer(obj, "scan_points", path, default=400, minimum=8)
+    scan = _integer(obj, "scan_points", path, default=SCAN_POINTS, minimum=8)
     lo = _number(obj, "x_lo", path) if "x_lo" in obj else None
     hi = _number(obj, "x_hi", path) if "x_hi" in obj else None
     if lo is not None and hi is not None and hi <= lo:

@@ -19,13 +19,15 @@ import numpy as np
 from .grids import (ADIABATIC, BARE, SpinorField, _component_norms,
                     _grid_average, _slope_momentum_average, expect_grid_values,
                     expect_slope_momentum, to_adiabatic)
-from .model import (DEGENERACY_FLOOR, AdiabaticFrame, LinearMode, ModelParams,
-                    StandingWaveMode, _angle_derivatives)
+# SPLITTING_FLOOR is re-exported: averaged splittings below it collapse.
+from .model import (SPLITTING_FLOOR, AdiabaticFrame, LinearMode, ModelParams,
+                    StandingWaveMode, _angle_derivatives, _gap_ratio)
 
-#: Channels with smaller initial population are skipped in the averaged parameter.
+#: Channels with smaller initial population are skipped: a run fills no
+#: per-channel column for them and checks none of their norms.
 WEIGHT_FLOOR = 1e-12
-#: Averaged splittings below this are reported as a collapsed denominator.
-SPLITTING_FLOOR = 1e-12
+#: Default number of points of adiabaticity_max_locus's bracketing scan.
+SCAN_POINTS = 400
 
 
 # ---------------------------------------------------------------------------
@@ -39,32 +41,28 @@ def local_adiabaticity(params: ModelParams, x, p0,
     |(p0/m) split sqrt(n) g' / Delta^3| = |2 p0 theta'| / (2 m Delta) with
     Delta^2 = split^2 + 4 n g^2, optionally with theta'' added inside the
     modulus; p0 may be an array that broadcasts with x.  Evaluations where
-    split^2 + 4 n g^2 < 1e-24 return inf (the singular points of the
-    zero-detuning limit) instead of overflowing.  A detuning so large that
-    numerator and denominator both overflow raises ValueError: their ratio
-    would read nan, not its small true value.
+    the gap Delta is below SPLITTING_FLOOR return inf (the singular points
+    of the zero-detuning limit) instead of overflowing.  A detuning so large
+    that numerator and denominator both overflow raises ValueError: their
+    ratio would read nan, not its small true value.
     """
     x = np.asarray(x, dtype=float)
     split = params.level_splitting
     n = params.photon_index
     g = np.asarray(params.mode.value(x), dtype=float)
     rate = p0 / params.mass
-    with np.errstate(over="ignore", invalid="ignore"):
-        den_sq = split * split + 4.0 * n * g * g
-        singular = den_sq < DEGENERACY_FLOOR
-        safe = np.where(singular, 1.0, den_sq)
+
+    def ratio(den_sq):
         if include_curvature:
-            slope, curv, _ = _angle_derivatives(params, x)
-            value = (np.abs(2.0 * rate * slope + curv / params.mass)
-                     / (2.0 * np.sqrt(safe)))
-        else:
-            dg = np.asarray(params.mode.slope(x), dtype=float)
-            value = np.abs(rate * split * math.sqrt(n) * dg) / safe**1.5
-    out = np.where(singular, np.inf, value)
-    if np.isnan(out).any():
-        raise ValueError("pointwise adiabaticity parameter overflows at "
-                         f"detuning {params.detuning}")
-    return out if out.ndim else float(out)
+            slope, curv = _angle_derivatives(params, x)
+            return (np.abs(2.0 * rate * slope + curv / params.mass)
+                    / (2.0 * np.sqrt(den_sq)))
+        dg = np.asarray(params.mode.slope(x), dtype=float)
+        return np.abs(rate * split * math.sqrt(n) * dg) / den_sq**1.5
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _gap_ratio(split * split + 4.0 * n * g * g, ratio, "pointwise",
+                          params.detuning)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +235,7 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
 
 def adiabaticity_max_locus(params: ModelParams, deltas, p0: float,
                            window: tuple[float, float] | None = None,
-                           scan_points: int = 400) -> np.ndarray:
+                           scan_points: int = SCAN_POINTS) -> np.ndarray:
     """Positive-x location of the pointwise-parameter maximum per detuning.
 
     A grid scan over the window brackets the maximum and a golden-section

@@ -29,8 +29,9 @@ import numpy as np
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
-#: Denominator floor below which adiabaticity ratios are reported as singular.
-DEGENERACY_FLOOR = 1e-24
+#: Surface gap below which an adiabaticity ratio is singular: pointwise gaps
+#: return inf, averaged ones raise.
+SPLITTING_FLOOR = 1e-12
 
 
 class DegeneratePointError(ValueError):
@@ -271,13 +272,9 @@ def _su2_step(half_split, g, dt: float):
             -1j * g * sinc)
 
 
-def _theta_arrays(params: ModelParams, x):
-    """Mixing angle and degeneracy mask without raising."""
-    g2 = 2.0 * params.coupling(x)
-    split = params.level_splitting
-    theta = 0.5 * np.arctan2(g2, split)
-    mask = (g2 == 0.0) & (split == 0.0)
-    return theta, np.broadcast_to(mask, np.shape(theta))
+def _theta(params: ModelParams, x):
+    """Mixing angle without the degeneracy check."""
+    return 0.5 * np.arctan2(2.0 * params.coupling(x), params.level_splitting)
 
 
 def mixing_angle(params: ModelParams, x):
@@ -287,11 +284,10 @@ def mixing_angle(params: ModelParams, x):
     undefined there); with this branch the rotation puts the upper surface in
     the first matrix slot everywhere.
     """
-    theta, mask = _theta_arrays(params, x)
-    if np.any(mask):
+    if params.level_splitting == 0.0 and np.any(params.coupling(x) == 0.0):
         raise DegeneratePointError(
             "mixing angle undefined: coupling and level splitting both vanish")
-    return theta
+    return _theta(params, x)
 
 
 def adiabatic_eigenvalues(params: ModelParams, x):
@@ -303,8 +299,28 @@ def adiabatic_eigenvalues(params: ModelParams, x):
     return mean + root, mean - root
 
 
+def _phase_rate(params: ModelParams, x):
+    """max |Delta_+- - mean_shift| = max hypot(split/2, G) over x, the fastest
+    phase a step must resolve: both propagators apply the frame offset
+    mean_shift as an exact global phase."""
+    return np.max(np.hypot(0.5 * params.level_splitting, params.coupling(x)))
+
+
+def _gap_ratio(den_sq, ratio, kind: str, detuning):
+    """ratio(den_sq) of a squared surface gap, elementwise: inf where the gap
+    is below SPLITTING_FLOOR (ratio sees 1 there), and ValueError where it
+    reads nan, as when numerator and den_sq both overflow.  Callers evaluate
+    both under their overflow errstate."""
+    singular = den_sq < SPLITTING_FLOOR**2
+    out = np.where(singular, np.inf, ratio(np.where(singular, 1.0, den_sq)))
+    if np.isnan(out).any():
+        raise ValueError(f"{kind} adiabaticity parameter overflows at "
+                         f"detuning {detuning}")
+    return out if out.ndim else float(out)
+
+
 def _angle_derivatives(params: ModelParams, x):
-    """(theta', theta'', degenerate) at x; both derivatives read 0 where degenerate.
+    """(theta', theta'') at x; both read 0 where the angle is degenerate.
 
     With D = split^2 + 4 n g^2, theta' = split sqrt(n) g' / D and
     theta'' = split sqrt(n) [g'' D - 8 n g g'^2] / D^2.
@@ -324,7 +340,7 @@ def _angle_derivatives(params: ModelParams, x):
     out = np.divide(num, den * den, out=np.zeros_like(np.asarray(num, dtype=float)),
                     where=~degenerate & ~tiny)
     curvature = np.divide(num / np.where(tiny, den, 1.0), den, out=out, where=tiny)
-    return slope, curvature, degenerate
+    return slope, curvature
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +387,7 @@ class AdiabaticFrame:
 def adiabatic_frame(params: ModelParams, grid) -> AdiabaticFrame:
     """Evaluate the adiabatic diagonalization on every grid point."""
     x = grid.x
-    theta, _ = _theta_arrays(params, x)
-    slope, curvature, _ = _angle_derivatives(params, x)
+    slope, curvature = _angle_derivatives(params, x)
     upper, lower = adiabatic_eigenvalues(params, x)
-    return AdiabaticFrame(
-        grid=grid,
-        theta=theta,
-        theta_slope=slope,
-        theta_curvature=curvature,
-        upper=np.asarray(upper, dtype=float),
-        lower=np.asarray(lower, dtype=float),
-    )
+    return AdiabaticFrame(grid=grid, theta=_theta(params, x), theta_slope=slope,
+                          theta_curvature=curvature, upper=upper, lower=lower)

@@ -95,7 +95,7 @@ from .grids import (ADIABATIC, BARE, EDGE_MARGIN, Grid, SpinorField, _centre,
                     _spectrum_average, _unpopulated, _width, expect_momentum,
                     expect_position, mean_momentum, mean_position,
                     packet_width, to_adiabatic)
-from .model import (AdiabaticFrame, ModelParams, _su2_step, adiabatic_eigenvalues,
+from .model import (AdiabaticFrame, ModelParams, _phase_rate, _su2_step,
                     adiabatic_frame)
 
 
@@ -198,9 +198,10 @@ class AdiabaticPropagator(_Stepper):
 
 
 def default_time_step(params: ModelParams, grid: Grid, p_max: float) -> float:
-    """dt = 0.1 min(1/max|Delta_+-|, m dx / p_max): resolve phases and transport."""
-    upper, lower = adiabatic_eigenvalues(params, grid.x)
-    scale = max(np.max(np.abs(upper)), np.max(np.abs(lower)))
+    """dt = 0.1 min(1/max|Delta_+- - mean_shift|, m dx / p_max): resolve
+    phases and transport.  The frame offset mean_shift is an exact global
+    phase, so both frame cases get the same step."""
+    scale = _phase_rate(params, grid.x)
     phase_limit = 1.0 / scale if scale > 0 else np.inf
     transport_limit = params.mass * grid.dx / p_max if p_max > 0 else np.inf
     dt = 0.1 * min(phase_limit, transport_limit)
@@ -246,9 +247,9 @@ class RunRecord:
     """Sampled observables of one exact-versus-reference run.
 
     Per-channel columns have shape (2, samples), upper channel first.
-    ref_x and ref_p are nan for a channel whose initial weight is below
-    _GUARD_WEIGHT, adiabaticity_terms only for one below
-    diagnostics.WEIGHT_FLOOR; every other entry is filled on every run.
+    ref_x, ref_p and adiabaticity_terms are nan for a channel whose initial
+    weight is below diagnostics.WEIGHT_FLOOR; every other entry is filled on
+    every run.
     """
 
     times: np.ndarray
@@ -279,8 +280,6 @@ class RunRecord:
                                            self.adiabaticity_terms.T)
 
 
-#: Channels with smaller initial weight get no ref_x / ref_p samples.
-_GUARD_WEIGHT = 1e-9
 #: Byte budget of run_scenario's block of sampled pair states.
 _BLOCK_BYTES = 256 * 1024
 #: Sampled pair-state bytes from which run_scenario pipelines its sampling
@@ -420,10 +419,9 @@ def run_scenario(scenario: Scenario) -> RunRecord:
         snapshots=[] if scenario.keep_states else None,
     )
 
-    # ref_x and ref_p skip the channels below _GUARD_WEIGHT, the
-    # adiabaticity terms (and so the norm checks) those below WEIGHT_FLOOR
-    active = weights >= _GUARD_WEIGHT
-    terms_active = weights >= diagnostics.WEIGHT_FLOOR
+    # the per-channel columns and the norm checks skip the channels below
+    # WEIGHT_FLOOR
+    active = weights >= diagnostics.WEIGHT_FLOOR
     cos_theta, sin_theta = frame.cos_theta, frame.sin_theta
     dx = grid.dx
 
@@ -470,9 +468,9 @@ def run_scenario(scenario: Scenario) -> RunRecord:
             parts = diagnostics.AdiabaticityParts(
                 *diagnostics._adiabaticity_parts(
                     conj_ref, ref_dens, spec[:, 2:], norms, frame,
-                    terms_active, out=product_buf[:count]),
-                weights, params.mass, terms_active)
-            splittings = parts.splittings[:, terms_active]
+                    active, out=product_buf[:count]),
+                weights, params.mass, active)
+            splittings = parts.splittings[:, active]
         if scenario.keep_states:
             for i in range(count):
                 rec.snapshots.append((
@@ -481,7 +479,7 @@ def run_scenario(scenario: Scenario) -> RunRecord:
                     SpinorField(grid, rows[i, 2:].copy(), ADIABATIC)))
         # the checks test the whole block at once; only a failing block
         # runs them sample by sample, so that its first failing sample raises
-        ref_norms = norms[:, terms_active]
+        ref_norms = norms[:, active]
         domain = _unpopulated(total) | _near_edge(grid, mean, width)
         failing = (domain.any(axis=1) | _unpopulated(p_total)
                    | _unpopulated(ref_norms).any(axis=1)

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import DEGENERACY_FLOOR, ModelParams
+from .model import ModelParams, _gap_ratio
 
 
 @dataclass
@@ -47,24 +47,19 @@ def substitution_model(params: ModelParams, p0: float, x0: float) -> EffectiveMo
 def time_adiabaticity(model: EffectiveModel, t):
     """|delta dG/dt / (delta^2 + 4 G^2)^(3/2)|, the time-domain criterion.
 
-    Evaluations with delta^2 + 4 G^2 < 1e-24 return inf, matching the
-    singularity convention of the pointwise spatial parameter.  A value that
-    reads nan (numerator and denominator both overflow) raises ValueError.
+    Evaluations where the gap sqrt(delta^2 + 4 G^2) is below
+    model.SPLITTING_FLOOR return inf, with the same guard as the pointwise
+    spatial parameter.  A value that reads nan (numerator and denominator
+    both overflow) raises ValueError.
     """
     t = np.asarray(t, dtype=float)
     g = np.asarray(model.coupling(t), dtype=float)
     rate = np.asarray(model.coupling_rate(t), dtype=float)
     delta = model.detuning
     with np.errstate(over="ignore", invalid="ignore"):
-        den_sq = delta * delta + 4.0 * g * g
-        singular = den_sq < DEGENERACY_FLOOR
-        safe = np.where(singular, 1.0, den_sq)
-        value = np.abs(delta * rate) / safe**1.5
-    out = np.where(singular, np.inf, value)
-    if np.isnan(out).any():
-        raise ValueError("time-domain adiabaticity parameter overflows at "
-                         f"detuning {delta}")
-    return out if out.ndim else float(out)
+        return _gap_ratio(delta * delta + 4.0 * g * g,
+                          lambda den_sq: np.abs(delta * rate) / den_sq**1.5,
+                          "time-domain", delta)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,26 @@ import pytest
 
 import adiabatica as ad
 
+try:
+    import hypothesis
+except ImportError:  # the property tests skip themselves without it
+    hypothesis = None
+else:
+    # every run draws the same examples, so two runs pass the same tests,
+    # and no example database is kept
+    hypothesis.settings.register_profile(
+        "deterministic", derandomize=True, database=None, print_blob=True)
+    hypothesis.settings.load_profile("deterministic")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _hypothesis_storage(tmp_path_factory):
+    """Hypothesis also caches the constants it reads from the sources, in
+    ./.hypothesis by default; keep that out of the checkout."""
+    if hypothesis is not None:
+        from hypothesis.configuration import set_hypothesis_home_dir
+        set_hypothesis_home_dir(tmp_path_factory.mktemp("hypothesis"))
+
 
 @pytest.fixture
 def gaussian_params():

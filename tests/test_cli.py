@@ -274,6 +274,29 @@ def test_max_locus_with_the_default_search_window(tmp_path, capsys):
     assert np.all((table[:, 1] > 0.05) & (table[:, 1] < 400.0))
 
 
+def test_max_locus_with_the_default_window_of_a_standing_wave(tmp_path):
+    # a standing wave's length scale is 1/q, so an empty search block
+    # searches (1e-3, 8)/q; the parameter peaks on the nodes, and the one at
+    # x = 0 just below the window puts the maximum at its lower edge
+    q = 0.5
+    data = {"experiment": "max-locus",
+            "model": {"detuning": {"values": [0.5, 2.0]},
+                      "mode": {"kind": "standing_wave", "amplitude": 1.0,
+                               "wavenumber": q}},
+            "state": {"p0": 3.0},
+            "search": {}}
+    out = tmp_path / "out"
+    assert main(["max-locus", "--config", str(write_config(tmp_path, data)),
+                 "--out", str(out)]) == 0
+    _, header, table = read_table(out / "max_locus.csv")
+    assert header == ["detuning", "x_max", "value_at_max"]
+    params = ad.ModelParams(mode=ad.StandingWaveMode(1.0, q), detuning=0.5)
+    expected = ad.adiabaticity_max_locus(params, [0.5, 2.0], 3.0,
+                                         window=(1e-3 / q, 8.0 / q))
+    assert np.array_equal(table[:, :2], expected)
+    np.testing.assert_allclose(table[:, 1], 1e-3 / q, rtol=1e-6)
+
+
 def test_write_run_csv(tmp_path):
     grid = ad.Grid(256, -60.0, 60.0)
     params = ad.ModelParams(mode=ad.GaussianMode(1.0, 6.0), detuning=1.0)

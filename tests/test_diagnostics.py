@@ -86,7 +86,7 @@ def test_local_adiabaticity_curvature_variant_consistency():
                             photon_index=2)
     xs = np.linspace(-60, 60, 21)
     plain = ad.local_adiabaticity(params, xs, 4.0)
-    slope, curv, _ = _angle_derivatives(params, xs)
+    slope, curv = _angle_derivatives(params, xs)
     split = np.sqrt(1.1**2 + 4.0 * params.coupling(xs) ** 2)
     np.testing.assert_allclose(plain, np.abs(2.0 * 4.0 * slope) / (2.0 * split),
                                rtol=1e-12)
@@ -392,3 +392,53 @@ def test_node_limit_probe_requires_standing_wave():
     params = ad.ModelParams(mode=ad.GaussianMode(1.0, 5.0), detuning=1.0)
     with pytest.raises(ValueError):
         ad.node_limit_probe(params, p0=1.0)
+
+
+# ---------------------------------------------------------------------------
+# Argument guards of the library
+# ---------------------------------------------------------------------------
+
+_GRID = ad.Grid(64, -10.0, 10.0)
+_OTHER_GRID = ad.Grid(32, -10.0, 10.0)
+_PARAMS = ad.ModelParams(mode=ad.GaussianMode(1.0, 3.0), detuning=1.0)
+_FREE = ad.ModelParams(mode=ad.GaussianMode(0.0, 3.0), detuning=0.0)
+_EMPTY = np.zeros((2, _GRID.npoints))
+
+
+def _packet(grid=_GRID):
+    return ad.gaussian_bare_state(grid, 0.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ad.adiabaticity_parts(_packet(), ad.adiabatic_frame(_PARAMS, _GRID),
+                                   _PARAMS, [1.0, 0.0]),
+     "adiabaticity averages need the adiabatic-frame channels"),
+    (lambda: ad.initial_channel_weights(ad.SpinorField(_GRID, _EMPTY, ad.ADIABATIC)),
+     "cannot take channel weights of an empty field"),
+    (lambda: ad.fidelity(_packet(_OTHER_GRID),
+                         ad.SpinorField(_GRID, _EMPTY, ad.ADIABATIC),
+                         ad.adiabatic_frame(_PARAMS, _GRID)),
+     "fidelity operands live on different grids"),
+    (lambda: ad.SpinorField(_GRID, np.zeros((2, 3)), ad.BARE),
+     "SpinorField.components must have shape (2, npoints)"),
+    (lambda: ad.SpinorField(_GRID, _EMPTY, "rotated"),
+     "unknown frame tag 'rotated'"),
+    (lambda: ad.expect_position(_packet(), 2),
+     "component must be 0 (upper), 1 (lower) or None (both)"),
+    (lambda: ad.mean_position(ad.SpinorField(_GRID, _EMPTY, ad.BARE)),
+     "mean_position of an empty field"),
+    (lambda: ad.TabulatedMode(np.arange(3.0), np.zeros(3)),
+     "TabulatedMode needs at least 4 sample positions"),
+    (lambda: ad.TabulatedMode(np.arange(4.0), np.zeros(5)),
+     "TabulatedMode positions and samples must match in length"),
+    (lambda: ad.coupling_from_adiabaticity([0.0, 1.0], [0.0, 0.0], 1.0),
+     "need matching 1-d arrays with at least 3 samples"),
+    (lambda: ad.FullPropagator(_PARAMS, _GRID, 0.01).advance(_packet(_OTHER_GRID), 1),
+     "field grid does not match propagator grid"),
+    (lambda: ad.default_time_step(_FREE, _GRID, 0.0),
+     "cannot pick a default time step for a free, zero-momentum run"),
+])
+def test_library_guards_raise_their_messages(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message

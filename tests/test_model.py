@@ -191,7 +191,7 @@ def test_angle_derivatives_match_finite_differences(params):
     h = 1e-5
     slope_fd = (ad.mixing_angle(params, xs + h)
                 - ad.mixing_angle(params, xs - h)) / (2 * h)
-    slope, curvature, _ = _angle_derivatives(params, xs)
+    slope, curvature = _angle_derivatives(params, xs)
     np.testing.assert_allclose(slope, slope_fd, rtol=1e-7, atol=1e-10)
     curv_fd = (_angle_derivatives(params, xs + h)[0]
                - _angle_derivatives(params, xs - h)[0]) / (2 * h)

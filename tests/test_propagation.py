@@ -224,6 +224,28 @@ def test_default_time_step_rule():
     assert dt <= 0.1 * grid.dx / 5.6
 
 
+@pytest.mark.parametrize("photon_index", [1, 3])
+def test_default_time_step_ignores_the_frame_offset(photon_index):
+    # mean_shift is an exact global phase of both propagators, so a
+    # phase-limited default dt is the same in both frames, and both frames
+    # run at it give the same |F|
+    grid = ad.Grid(1024, -150.0, 150.0)
+    case1 = ad.ModelParams(mode=ad.GaussianMode(5.0, 20.0), detuning=50.0,
+                           photon_index=photon_index)
+    case2 = dataclasses.replace(case1, frame_case=ad.FrameCase.CASE2)
+    p_max = ad.grids.momentum_cover(5.0, 5.0)
+    dt = ad.default_time_step(case1, grid, p_max)
+    assert dt < 0.1 * grid.dx / p_max  # the phase bound sets it
+    assert ad.default_time_step(case2, grid, p_max) == dt
+    psi = ad.gaussian_bare_state(grid, -60.0, 5.0, 5.0)
+    magnitudes = []
+    for params in (case1, case2):
+        sc = ad.Scenario(params=params, grid=grid, initial=psi, t_final=20.0,
+                         dt=dt, stride=1000, x0=-60.0, p0=5.0)
+        magnitudes.append(ad.run_scenario(sc).fidelity_magnitude)
+    np.testing.assert_allclose(magnitudes[1], magnitudes[0], rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Scenario runs
 # ---------------------------------------------------------------------------
@@ -435,9 +457,9 @@ def test_bound_transforms_match_numpy_fft():
 
 
 @pytest.mark.parametrize("lower_amplitude, lower_filled", [
-    (0.6, "ref_and_a"),            # both channels active
-    (0.0, "none"),                 # lower weight below both floors
-    (np.sqrt(3e-10), "a_only"),    # 1e-12 <= lower weight < 1e-9
+    (0.6, "ref_and_a"),              # both channels active
+    (0.0, "none"),                   # lower weight below WEIGHT_FLOOR
+    (np.sqrt(3e-10), "ref_and_a"),   # lower weight just above WEIGHT_FLOOR
 ])
 def test_run_scenario_columns_match_public_observables(lower_amplitude,
                                                        lower_filled):
@@ -446,7 +468,7 @@ def test_run_scenario_columns_match_public_observables(lower_amplitude,
     sc = _scenario_from_adiabatic(lower_amplitude)
     rec = ad.run_scenario(sc)
     frame = ad.adiabatic_frame(sc.params, sc.grid)
-    active = rec.weights >= ad.propagation._GUARD_WEIGHT
+    active = rec.weights >= ad.diagnostics.WEIGHT_FLOOR
     columns = ("x_mean", "p_mean", "norm", "pop_upper", "pop_lower",
                "fidelity", "ref_x", "ref_p", "adiabaticity",
                "adiabaticity_terms")
@@ -470,14 +492,11 @@ def test_run_scenario_columns_match_public_observables(lower_amplitude,
     for name, values in want.items():
         assert np.array_equal(getattr(rec, name), values, equal_nan=True), name
 
-    # the weight floors: ref_x/ref_p need 1e-9, the adiabaticity terms 1e-12
-    filled = {"ref_x": lower_filled == "ref_and_a",
-              "ref_p": lower_filled == "ref_and_a",
-              "adiabaticity_terms": lower_filled != "none"}
-    for name, lower_is_filled in filled.items():
+    # one weight floor, WEIGHT_FLOOR, decides every per-channel column
+    for name in ("ref_x", "ref_p", "adiabaticity_terms"):
         upper, lower = getattr(rec, name)
         assert np.isfinite(upper).all(), name
-        if lower_is_filled:
+        if lower_filled == "ref_and_a":
             assert np.isfinite(lower).all(), name
         else:
             assert np.isnan(lower).all(), name
