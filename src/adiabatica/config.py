@@ -2,9 +2,9 @@
 
 Configs are strict: unknown keys are rejected and every guard of the
 downstream modules is checked at load time, with the offending key path in
-the error message.  That includes a run's time grid: the final time, the
-`dt` (checked against the phase bound and the step cap) and the stride are
-resolved here into a `RunSpec`, which the runners only read.
+the error message.  A run's time grid (final time, `dt` checked against the
+phase bound and step cap, stride) and a max-locus search window are resolved
+here into a `RunSpec` and a `SearchSpec`, which the runners only read.
 """
 
 from __future__ import annotations
@@ -275,25 +275,26 @@ def _resolve_run(tag, t_final, dt, stride, base, detunings, grid, state):
 
 @dataclass
 class SearchSpec:
-    x_lo: float | None
-    x_hi: float | None
+    x_lo: float
+    x_hi: float
     scan_points: int
 
-    def window(self):
-        if self.x_lo is None or self.x_hi is None:
-            return None
-        return (self.x_lo, self.x_hi)
 
-
-def _parse_search(obj, path):
+def _parse_search(obj, path, mode):
+    """'x_lo' and 'x_hi' as given, or (1e-3, 8) widths for a Gaussian mode;
+    other modes peak on every node or have no scale, so they give both."""
     _check_keys(obj, path, {"x_lo", "x_hi", "scan_points"}, set())
     if ("x_lo" in obj) != ("x_hi" in obj):
         _fail(path, "'x_lo' and 'x_hi' must be given together")
     scan = _integer(obj, "scan_points", path, default=SCAN_POINTS, minimum=8)
-    lo = _number(obj, "x_lo", path) if "x_lo" in obj else None
-    hi = _number(obj, "x_hi", path) if "x_hi" in obj else None
-    if lo is not None and hi is not None and hi <= lo:
-        _fail(path, "needs x_hi > x_lo")
+    if "x_lo" in obj:
+        lo, hi = _number(obj, "x_lo", path), _number(obj, "x_hi", path)
+        if hi <= lo:
+            _fail(path, "needs x_hi > x_lo")
+    elif isinstance(mode, GaussianMode):
+        lo, hi = mode.width * 1e-3, 8.0 * mode.width
+    else:
+        _fail(path, "only a Gaussian mode has a default; give 'x_lo' and 'x_hi'")
     return SearchSpec(lo, hi, scan)
 
 
@@ -346,16 +347,10 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
     if tag in _NEEDS_RUN and run is None:
         _fail("config.run", f"experiment {tag!r} needs a run block")
 
-    search = (_parse_search(data["search"], "config.search")
-              if "search" in data else None)
-    if search is not None and tag != "max-locus":
+    if "search" in data and tag != "max-locus":
         _fail("config.search", "only the max-locus experiment takes a search block")
-    if tag == "max-locus":
-        if search is None:
-            search = _parse_search({}, "config.search")
-        if search.window() is None and base.mode.length_scale() is None:
-            _fail("config.search", "a mode without a length scale needs an "
-                  "explicit window ('x_lo' and 'x_hi')")
+    search = (_parse_search(data.get("search", {}), "config.search", base.mode)
+              if tag == "max-locus" else None)
 
     # single-run traces default to the measured packet center; sweep matrices
     # need the shared kinematic axis

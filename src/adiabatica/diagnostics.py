@@ -42,9 +42,8 @@ def local_adiabaticity(params: ModelParams, x, p0,
     Delta^2 = split^2 + 4 n g^2, optionally with theta'' added inside the
     modulus; p0 may be an array that broadcasts with x.  Evaluations where
     the gap Delta is below SPLITTING_FLOOR return inf (the singular points
-    of the zero-detuning limit) instead of overflowing.  A detuning so large
-    that numerator and denominator both overflow raises ValueError: their
-    ratio would read nan, not its small true value.
+    of the zero-detuning limit) instead of overflowing.  Where numerator and
+    denominator overflow, the gap is factored out; a nan raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     split = params.level_splitting
@@ -60,9 +59,20 @@ def local_adiabaticity(params: ModelParams, x, p0,
         dg = np.asarray(params.mode.slope(x), dtype=float)
         return np.abs(rate * split * math.sqrt(n) * dg) / den_sq**1.5
 
+    def rescaled():
+        # theta' Delta = cos sqrt(n) g', theta'' Delta = cos sqrt(n) (g'' -
+        # 8 n g g'^2 / Delta^2), and cos(theta) = split/Delta cannot overflow
+        gap = np.hypot(split, 2.0 * math.sqrt(n) * g)
+        dg = np.asarray(params.mode.slope(x), dtype=float)
+        num = rate * dg
+        if include_curvature:
+            num = num + (params.mode.curvature(x) - 8.0 * n * (g / gap)
+                         * (dg / gap) * dg) / (2.0 * params.mass)
+        return np.abs(split / gap * math.sqrt(n) * num) / gap / gap
+
     with np.errstate(over="ignore", invalid="ignore"):
-        return _gap_ratio(split * split + 4.0 * n * g * g, ratio, "pointwise",
-                          params.detuning)
+        return _gap_ratio(split * split + 4.0 * n * g * g, ratio, rescaled,
+                          "pointwise", params.detuning)
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +244,14 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
 
 
 def adiabaticity_max_locus(params: ModelParams, deltas, p0: float,
-                           window: tuple[float, float] | None = None,
+                           window: tuple[float, float],
                            scan_points: int = SCAN_POINTS) -> np.ndarray:
-    """Positive-x location of the pointwise-parameter maximum per detuning.
+    """Location of the pointwise-parameter maximum per detuning.
 
-    A grid scan over the window brackets the maximum and a golden-section
+    A grid scan over window = (x_lo, x_hi), which a max-locus config
+    resolves at load time, brackets the maximum and a golden-section
     refinement polishes it; returns rows (detuning, x_max).
     """
-    if window is None:
-        scale = params.mode.length_scale()
-        if scale is None:
-            raise ValueError("provide an explicit search window for this mode shape")
-        window = (scale * 1e-3, 8.0 * scale)
     lo, hi = window
     if not hi > lo:
         raise ValueError("search window must satisfy x_hi > x_lo")

@@ -104,7 +104,7 @@ def _run_a0_map(config: ScenarioConfig, out_dir: Path):
 def _run_max_locus(config: ScenarioConfig, out_dir: Path):
     locus = adiabaticity_max_locus(
         config.base_params, config.detunings, config.state.p0,
-        window=config.search.window(), scan_points=config.search.scan_points)
+        (config.search.x_lo, config.search.x_hi), config.search.scan_points)
     peak = [local_adiabaticity(replace(config.base_params, detuning=float(d)),
                                x, config.state.p0)
             for d, x in locus]

@@ -74,9 +74,6 @@ class GaussianMode:
         a2 = self.width**2
         return ((x * x) / (a2 * a2) - 1.0 / a2) * self.value(x)
 
-    def length_scale(self):
-        return self.width
-
 
 @dataclass(frozen=True)
 class StandingWaveMode:
@@ -104,9 +101,6 @@ class StandingWaveMode:
         q = self.wavenumber
         return -self.amplitude * q * q * np.sin(q * x)
 
-    def length_scale(self):
-        return 1.0 / self.wavenumber
-
 
 @dataclass(frozen=True)
 class LinearMode:
@@ -127,9 +121,6 @@ class LinearMode:
     def curvature(self, x):
         x = np.asarray(x, dtype=float)
         return np.zeros_like(x, dtype=float)
-
-    def length_scale(self):
-        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,9 +169,6 @@ class TabulatedMode:
 
     def curvature(self, x):
         return self._interp(x, self._curvature_samples)
-
-    def length_scale(self):
-        return None
 
 
 ModeShape = Union[GaussianMode, StandingWaveMode, LinearMode, TabulatedMode]
@@ -306,16 +294,20 @@ def _phase_rate(params: ModelParams, x):
     return np.max(np.hypot(0.5 * params.level_splitting, params.coupling(x)))
 
 
-def _gap_ratio(den_sq, ratio, kind: str, detuning):
+def _gap_ratio(den_sq, ratio, rescaled, kind: str, detuning):
     """ratio(den_sq) of a squared surface gap, elementwise: inf where the gap
-    is below SPLITTING_FLOOR (ratio sees 1 there), and ValueError where it
-    reads nan, as when numerator and den_sq both overflow.  Callers evaluate
-    both under their overflow errstate."""
+    is below SPLITTING_FLOOR (ratio sees 1 there).  Entries that read nan, as
+    when numerator and den_sq both overflow, come from rescaled(), the same
+    ratio with the gap factored out, and raise ValueError if still nan.
+    Callers evaluate all of it under their overflow errstate."""
     singular = den_sq < SPLITTING_FLOOR**2
     out = np.where(singular, np.inf, ratio(np.where(singular, 1.0, den_sq)))
-    if np.isnan(out).any():
-        raise ValueError(f"{kind} adiabaticity parameter overflows at "
-                         f"detuning {detuning}")
+    lost = np.isnan(out)
+    if lost.any():
+        out = np.where(lost, rescaled(), out)
+        if np.isnan(out).any():
+            raise ValueError(f"{kind} adiabaticity parameter overflows at "
+                             f"detuning {detuning}")
     return out if out.ndim else float(out)
 
 

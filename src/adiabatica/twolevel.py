@@ -50,16 +50,22 @@ def time_adiabaticity(model: EffectiveModel, t):
     Evaluations where the gap sqrt(delta^2 + 4 G^2) is below
     model.SPLITTING_FLOOR return inf, with the same guard as the pointwise
     spatial parameter.  A value that reads nan (numerator and denominator
-    both overflow) raises ValueError.
+    both overflow) is evaluated again as |dG/dt| |delta / gap| / gap^2, and
+    raises ValueError if it still reads nan.
     """
     t = np.asarray(t, dtype=float)
     g = np.asarray(model.coupling(t), dtype=float)
     rate = np.asarray(model.coupling_rate(t), dtype=float)
     delta = model.detuning
+
+    def rescaled():
+        gap = np.hypot(delta, 2.0 * g)
+        return np.abs(rate) * np.abs(delta / gap) / gap / gap
+
     with np.errstate(over="ignore", invalid="ignore"):
         return _gap_ratio(delta * delta + 4.0 * g * g,
                           lambda den_sq: np.abs(delta * rate) / den_sq**1.5,
-                          "time-domain", delta)
+                          rescaled, "time-domain", delta)
 
 
 # ---------------------------------------------------------------------------

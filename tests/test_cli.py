@@ -263,8 +263,8 @@ def test_snapshot_starts_from_adiabatic_channel_populations(tmp_path, capsys):
 
 
 def test_max_locus_with_the_default_search_window(tmp_path, capsys):
-    # an empty search block searches the mode's default window,
-    # (1e-3, 8) times its length scale: (0.05, 400) for a width of 50
+    # an empty search block on a Gaussian mode searches (1e-3, 8) widths:
+    # (0.05, 400) for a width of 50, with every row bit for bit
     out = tmp_path / "out"
     assert main(["max-locus", "--config", str(CONFIGS / "fig2_max_locus.json"),
                  "--override", "search={}", "--out", str(out)]) == 0
@@ -272,29 +272,32 @@ def test_max_locus_with_the_default_search_window(tmp_path, capsys):
     assert header == ["detuning", "x_max", "value_at_max"]
     assert table.shape == (40, 3)
     assert np.all((table[:, 1] > 0.05) & (table[:, 1] < 400.0))
+    explicit = tmp_path / "explicit"
+    assert main(["max-locus", "--config", str(CONFIGS / "fig2_max_locus.json"),
+                 "--override", 'search={"x_lo": 0.05, "x_hi": 400}',
+                 "--out", str(explicit)]) == 0
+    # the comment line echoes each raw config; the rows below it must match
+    rows = [(path / "max_locus.csv").read_bytes().split(b"\n", 1)[1]
+            for path in (out, explicit)]
+    assert rows[0] == rows[1]
 
 
-def test_max_locus_with_the_default_window_of_a_standing_wave(tmp_path):
-    # a standing wave's length scale is 1/q, so an empty search block
-    # searches (1e-3, 8)/q; the parameter peaks on the nodes, and the one at
-    # x = 0 just below the window puts the maximum at its lower edge
-    q = 0.5
+def test_max_locus_on_a_standing_wave_needs_a_window(tmp_path, capsys):
+    # the pointwise parameter of a standing wave peaks equally on every node,
+    # so no default window exists: an empty search block fails at load time
     data = {"experiment": "max-locus",
             "model": {"detuning": {"values": [0.5, 2.0]},
                       "mode": {"kind": "standing_wave", "amplitude": 1.0,
-                               "wavenumber": q}},
+                               "wavenumber": 0.5}},
             "state": {"p0": 3.0},
             "search": {}}
     out = tmp_path / "out"
     assert main(["max-locus", "--config", str(write_config(tmp_path, data)),
-                 "--out", str(out)]) == 0
-    _, header, table = read_table(out / "max_locus.csv")
-    assert header == ["detuning", "x_max", "value_at_max"]
-    params = ad.ModelParams(mode=ad.StandingWaveMode(1.0, q), detuning=0.5)
-    expected = ad.adiabaticity_max_locus(params, [0.5, 2.0], 3.0,
-                                         window=(1e-3 / q, 8.0 / q))
-    assert np.array_equal(table[:, :2], expected)
-    np.testing.assert_allclose(table[:, 1], 1e-3 / q, rtol=1e-6)
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"adiabatica: error: config\.search: [^\n]*'x_lo' "
+                        r"and 'x_hi'\n", err)
+    assert not out.exists()
 
 
 def test_write_run_csv(tmp_path):
@@ -583,20 +586,29 @@ def test_cli_runs_apply_the_same_checks(tmp_path, capsys, experiment):
 def test_cli_rejects_an_overflowing_pointwise_parameter(tmp_path, capsys, name,
                                                          overrides):
     # at detuning 1e308 the numerator and the denominator of the pointwise
-    # parameter both overflow: a0-map wrote a table of nan behind two
-    # RuntimeWarnings, and max-locus reported a flat profile
+    # parameter both overflow; their ratio, evaluated again with the gap
+    # factored out, underflows to its true value 0 without a warning:
+    # a0-map writes a table of zeros, and max-locus rejects the flat profile
     cfg_path = CONFIGS / f"{name}.json"
     experiment = json.loads(cfg_path.read_text())["experiment"]
-    args = [experiment, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    out = tmp_path / "out"
+    args = [experiment, "--config", str(cfg_path), "--out", str(out)]
     for override in ["model.detuning=1e308"] + overrides:
         args += ["--override", override]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(args) == 1
+        status = main(args)
     err = capsys.readouterr().err
-    assert err == ("adiabatica: error: pointwise adiabaticity parameter "
-                   "overflows at detuning 1e+308\n")
-    assert not (tmp_path / "out").exists()
+    if experiment == "max-locus":
+        assert status == 1
+        assert err == ("adiabatica: error: flat adiabaticity profile: "
+                       "nothing to maximize\n")
+        assert not out.exists()
+    else:
+        assert (status, err) == (0, "")
+        _, header, table = read_table(out / "a0_map.csv")
+        assert header[1:] == ["1.0000000000000000e+308"]
+        assert table.shape[1] == 2 and np.all(table[:, 1] == 0.0)
 
 
 @pytest.mark.parametrize("name", ["fig2_max_locus", "fig3_a0_map"])

@@ -210,18 +210,18 @@ def test_search_block_only_for_max_locus():
     with pytest.raises(ConfigError, match="search"):
         validate_config(data)
     cfg = validate_config(max_locus_config())
-    assert cfg.search.window() == (0.5, 300.0)
+    assert (cfg.search.x_lo, cfg.search.x_hi) == (0.5, 300.0)
 
 
 @pytest.mark.parametrize("mode", [
     {"kind": "linear", "gradient": 0.1},
     {"kind": "tabulated", "positions": [0.0, 1.0, 2.0, 3.0],
      "samples": [0.0, 1.0, 0.0, -1.0]},
+    {"kind": "standing_wave", "amplitude": 1.0, "wavenumber": 0.5},
 ])
-def test_max_locus_without_length_scale_needs_a_window(mode):
-    # the default window scales with the mode's length; a mode without one
-    # must be rejected at load time, with the key path, not when the search
-    # starts
+def test_max_locus_without_a_default_window_needs_one(mode):
+    # only a Gaussian mode has a default window; any other mode must be
+    # rejected at load time, with the key path, not when the search starts
     locus = {
         "experiment": "max-locus",
         "model": {"detuning": {"values": [0.1, 1.0]}, "mode": mode},
@@ -233,7 +233,8 @@ def test_max_locus_without_length_scale_needs_a_window(mode):
         with pytest.raises(ConfigError, match=r"^config\.search: .*'x_lo'"):
             validate_config(locus)
     locus["search"] = {"x_lo": 0.5, "x_hi": 3.0}
-    assert validate_config(locus).search.window() == (0.5, 3.0)
+    search = validate_config(locus).search
+    assert (search.x_lo, search.x_hi) == (0.5, 3.0)
 
 
 def tabulated_config():

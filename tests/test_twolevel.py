@@ -85,16 +85,30 @@ def test_time_adiabaticity_reads_zero_where_the_denominator_overflows():
     assert np.array_equal(along_path, np.zeros_like(ts))
 
 
+def test_time_and_pointwise_parameters_agree_where_both_overflow():
+    # at detuning 1e308 delta dG/dt stays finite but p0 split/m overflows;
+    # evaluated again with the gap factored out, the pointwise parameter
+    # reads the same underflowed 0 as the time-domain one
+    params, model = gaussian_substitution(detuning=1e308)
+    ts = np.linspace(0.0, 80.0, 9)
+    along_path = ad.local_adiabaticity(params, -200.0 + 5.0 * ts, 5.0)
+    assert np.array_equal(along_path, ad.time_adiabaticity(model, ts))
+    assert np.array_equal(along_path, np.zeros_like(ts))
+
+
 def test_time_adiabaticity_overflow_to_nan_raises():
-    # delta dG/dt and the denominator both overflow at t = 0: their ratio
-    # would read nan, not its small true value
-    params = ad.ModelParams(mode=ad.StandingWaveMode(1.0, 1.0), detuning=1e308)
-    model = ad.substitution_model(params, 10.0, 0.0)
+    # g = 0.95e308 and dg/dx = inf: numerator and denominator overflow, and
+    # with the gap factored out the rate still meets a zero cos(theta), so
+    # the value reads nan either way
+    q = 10.0
+    x0 = math.asin(0.95) / q
+    params = ad.ModelParams(mode=ad.StandingWaveMode(1e308, q), detuning=1.0)
+    model = ad.substitution_model(params, 10.0, x0)
     with pytest.raises(ValueError, match="^time-domain adiabaticity parameter "
-                                         "overflows at detuning 1e\\+308$"):
-        ad.time_adiabaticity(model, np.array([0.0, 1.0]))
-    with pytest.raises(ValueError, match="overflows at detuning 1e\\+308$"):
-        ad.local_adiabaticity(params, 0.0, 10.0)
+                                         "overflows at detuning 1\\.0$"):
+        ad.time_adiabaticity(model, np.array([0.0, 0.0]))
+    with pytest.raises(ValueError, match="overflows at detuning 1\\.0$"):
+        ad.local_adiabaticity(params, x0, 10.0)
 
 
 # ---------------------------------------------------------------------------
