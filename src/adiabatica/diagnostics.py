@@ -21,7 +21,8 @@ from .grids import (ADIABATIC, BARE, SpinorField, _component_norms,
                     expect_slope_momentum, to_adiabatic)
 # SPLITTING_FLOOR is re-exported: averaged splittings below it collapse.
 from .model import (SPLITTING_FLOOR, AdiabaticFrame, LinearMode, ModelParams,
-                    StandingWaveMode, _angle_derivatives, _gap_ratio)
+                    StandingWaveMode, _adiabaticity_ratio,
+                    _angle_derivatives)
 
 #: Channels with smaller initial population are skipped: a run fills no
 #: per-channel column for them and checks none of their norms.
@@ -42,37 +43,44 @@ def local_adiabaticity(params: ModelParams, x, p0,
     Delta^2 = split^2 + 4 n g^2, optionally with theta'' added inside the
     modulus; p0 may be an array that broadcasts with x.  Evaluations where
     the gap Delta is below SPLITTING_FLOOR return inf (the singular points
-    of the zero-detuning limit) instead of overflowing.  Where numerator and
-    denominator overflow, the gap is factored out; a nan raises ValueError.
+    of the zero-detuning limit) instead of overflowing.  Where Delta^4
+    overflows (theta'' divides by it; from a detuning of about 1e77) or a
+    value is not finite, the entry is evaluated with the gap factored out,
+    as time_adiabaticity is, so it keeps its value wherever that is
+    representable; a nan there raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     split = params.level_splitting
     n = params.photon_index
     g = np.asarray(params.mode.value(x), dtype=float)
+    dg = np.asarray(params.mode.slope(x), dtype=float)
     rate = p0 / params.mass
-
-    def ratio(den_sq):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # an array even for scalar x: the CSVs keep the bits of the ufunc
+        # power, and a float64 scalar's ** rounds differently
+        den_sq = np.asarray(split * split + 4.0 * n * g * g)
         if include_curvature:
             slope, curv = _angle_derivatives(params, x)
-            return (np.abs(2.0 * rate * slope + curv / params.mass)
-                    / (2.0 * np.sqrt(den_sq)))
-        dg = np.asarray(params.mode.slope(x), dtype=float)
-        return np.abs(rate * split * math.sqrt(n) * dg) / den_sq**1.5
-
-    def rescaled():
-        # theta' Delta = cos sqrt(n) g', theta'' Delta = cos sqrt(n) (g'' -
-        # 8 n g g'^2 / Delta^2), and cos(theta) = split/Delta cannot overflow
-        gap = np.hypot(split, 2.0 * math.sqrt(n) * g)
-        dg = np.asarray(params.mode.slope(x), dtype=float)
-        num = rate * dg
-        if include_curvature:
-            num = num + (params.mode.curvature(x) - 8.0 * n * (g / gap)
-                         * (dg / gap) * dg) / (2.0 * params.mass)
-        return np.abs(split / gap * math.sqrt(n) * num) / gap / gap
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _gap_ratio(split * split + 4.0 * n * g * g, ratio, rescaled,
-                          "pointwise", params.detuning)
+            out = (np.abs(2.0 * rate * slope + curv / params.mass)
+                   / (2.0 * np.sqrt(den_sq)))
+        else:
+            out = np.abs(rate * split * math.sqrt(n) * dg) / den_sq**1.5
+        redo = (~(np.isfinite(out) & np.isfinite(den_sq * den_sq))
+                | (den_sq < SPLITTING_FLOOR**2))
+        if redo.any():
+            # with the gap factored out the rate is sqrt(n) (p0 g' / m +
+            # (g'' - 8 n g g'^2 / Delta^2) / 2m); the entries kept from the
+            # direct form get rate 0 here, so only redone entries can raise
+            num = rate * dg
+            if include_curvature:
+                gap = np.hypot(split, 2.0 * math.sqrt(n) * g)
+                num = num + (params.mode.curvature(x) - 8.0 * n * (g / gap)
+                             * (dg / gap) * dg) / (2.0 * params.mass)
+            redone = _adiabaticity_ratio(split, math.sqrt(n) * g,
+                                         np.where(redo, math.sqrt(n) * num, 0.0),
+                                         "pointwise")
+            out = np.where(redo, redone, out)
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +298,9 @@ def lorentzian_peak_integral(params: ModelParams, p0: float,
     if split == 0.0:
         raise ValueError("peak integral needs a nonzero level splitting")
     n = params.photon_index
-    mode = params.mode
-    if isinstance(mode, LinearMode):
-        slope0 = mode.gradient
-    elif isinstance(mode, StandingWaveMode):
-        slope0 = mode.amplitude * mode.wavenumber
-    else:
+    if not isinstance(params.mode, (LinearMode, StandingWaveMode)):
         raise ValueError("peak integral is defined for linear or standing-wave modes")
-    c = 2.0 * math.sqrt(n) * slope0 / split
+    c = 2.0 * math.sqrt(n) * float(params.mode.slope(0.0)) / split
     amp = abs(p0 * c / (2.0 * params.mass * split))
     analytic = abs(p0 / (params.mass * split))
     half_width = window_halfwidths / abs(c)

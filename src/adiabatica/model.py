@@ -294,20 +294,18 @@ def _phase_rate(params: ModelParams, x):
     return np.max(np.hypot(0.5 * params.level_splitting, params.coupling(x)))
 
 
-def _gap_ratio(den_sq, ratio, rescaled, kind: str, detuning):
-    """ratio(den_sq) of a squared surface gap, elementwise: inf where the gap
-    is below SPLITTING_FLOOR (ratio sees 1 there).  Entries that read nan, as
-    when numerator and den_sq both overflow, come from rescaled(), the same
-    ratio with the gap factored out, and raise ValueError if still nan.
-    Callers evaluate all of it under their overflow errstate."""
-    singular = den_sq < SPLITTING_FLOOR**2
-    out = np.where(singular, np.inf, ratio(np.where(singular, 1.0, den_sq)))
-    lost = np.isnan(out)
-    if lost.any():
-        out = np.where(lost, rescaled(), out)
-        if np.isnan(out).any():
-            raise ValueError(f"{kind} adiabaticity parameter overflows at "
-                             f"detuning {detuning}")
+def _adiabaticity_ratio(split, coupling, rate, kind: str):
+    """|split rate| / gap^3 with gap = hypot(split, 2 coupling), elementwise,
+    as |split/gap * rate| / gap / gap: no step overflows where the ratio is
+    representable.  inf where the gap is below SPLITTING_FLOOR; raises
+    ValueError where a value reads nan (an infinite rate meets split/gap = 0)."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gap = np.hypot(split, 2.0 * coupling)
+        out = np.where(gap < SPLITTING_FLOOR, np.inf,
+                       np.abs(split / gap * rate) / gap / gap)
+    if np.isnan(out).any():
+        raise ValueError(f"{kind} adiabaticity parameter overflows at "
+                         f"detuning {split}")
     return out if out.ndim else float(out)
 
 

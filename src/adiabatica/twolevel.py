@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import ModelParams, _gap_ratio
+from .model import ModelParams, _adiabaticity_ratio
 
 
 @dataclass
@@ -45,27 +45,17 @@ def substitution_model(params: ModelParams, p0: float, x0: float) -> EffectiveMo
 
 
 def time_adiabaticity(model: EffectiveModel, t):
-    """|delta dG/dt / (delta^2 + 4 G^2)^(3/2)|, the time-domain criterion.
+    """|delta dG/dt| / (delta^2 + 4 G^2)^(3/2), the time-domain criterion.
 
-    Evaluations where the gap sqrt(delta^2 + 4 G^2) is below
-    model.SPLITTING_FLOOR return inf, with the same guard as the pointwise
-    spatial parameter.  A value that reads nan (numerator and denominator
-    both overflow) is evaluated again as |dG/dt| |delta / gap| / gap^2, and
-    raises ValueError if it still reads nan.
+    Evaluated as |dG/dt delta / gap| / gap / gap with the gap
+    hypot(delta, 2 G), so it keeps its value wherever that is representable,
+    as the pointwise spatial parameter does.  Evaluations where the gap is
+    below model.SPLITTING_FLOOR return inf, with the same guard; a value that
+    reads nan raises ValueError.
     """
     t = np.asarray(t, dtype=float)
-    g = np.asarray(model.coupling(t), dtype=float)
-    rate = np.asarray(model.coupling_rate(t), dtype=float)
-    delta = model.detuning
-
-    def rescaled():
-        gap = np.hypot(delta, 2.0 * g)
-        return np.abs(rate) * np.abs(delta / gap) / gap / gap
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _gap_ratio(delta * delta + 4.0 * g * g,
-                          lambda den_sq: np.abs(delta * rate) / den_sq**1.5,
-                          rescaled, "time-domain", delta)
+    return _adiabaticity_ratio(model.detuning, model.coupling(t),
+                               model.coupling_rate(t), "time-domain")
 
 
 # ---------------------------------------------------------------------------

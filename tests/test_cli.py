@@ -611,6 +611,31 @@ def test_cli_rejects_an_overflowing_pointwise_parameter(tmp_path, capsys, name,
         assert table.shape[1] == 2 and np.all(table[:, 1] == 0.0)
 
 
+@pytest.mark.parametrize("name", ["fig1_a0_map", "fig2_max_locus"])
+def test_cli_pointwise_outputs_where_the_gap_cubed_overflows(tmp_path, name):
+    # at detuning 1e150 (split^2 + 4 G^2)^(3/2) overflows, yet the parameter
+    # p0 |g'| / split^2 (to rounding: G / split is 1e-152), at most 1.2e-303
+    # here, is a normal number near the mode: a0-map writes it, and
+    # max-locus finds its maximum at the mode width, x = 50
+    cfg_path = CONFIGS / f"{name}.json"
+    data = json.loads(cfg_path.read_text())
+    out = tmp_path / "out"
+    assert main([data["experiment"], "--config", str(cfg_path), "--out",
+                 str(out), "--override", "model.detuning=1e150"]) == 0
+    if data["experiment"] == "max-locus":
+        _, header, table = read_table(out / "max_locus.csv")
+        assert header == ["detuning", "x_max", "value_at_max"]
+        assert abs(table[0, 1] - 50.0) <= 1e-5
+        return
+    _, _, table = read_table(out / "a0_map.csv")
+    mode = ad.GaussianMode(**{k: v for k, v in data["model"]["mode"].items()
+                              if k != "kind"})
+    want = data["state"]["p0"] * np.abs(mode.slope(table[:, 0])) / 1e300
+    kept = want >= np.finfo(float).tiny
+    assert kept.sum() > 1500
+    np.testing.assert_allclose(table[kept, 1], want[kept], rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("name", ["fig2_max_locus", "fig3_a0_map"])
 def test_pointwise_outputs_do_not_depend_on_the_frame_case(tmp_path, name):
     # both frames have the detuning as level splitting; computing it as

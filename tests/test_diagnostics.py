@@ -128,6 +128,18 @@ def test_local_adiabaticity_takes_a_momentum_per_point():
         assert np.array_equal(got, want)
 
 
+def test_local_adiabaticity_at_a_scalar_reads_the_bits_of_the_array():
+    # max-locus evaluates scalars in its golden-section search and writes
+    # them; a float64 scalar's ** rounds differently from the array power
+    params = ad.ModelParams(mode=ad.GaussianMode(1.0, 50.0), detuning=0.3)
+    xs = np.linspace(0.5, 300.0, 401)
+    for curved in (False, True):
+        values = ad.local_adiabaticity(params, xs, 10.0,
+                                       include_curvature=curved)
+        assert np.array_equal(values, [ad.local_adiabaticity(
+            params, x, 10.0, include_curvature=curved) for x in xs])
+
+
 @pytest.mark.parametrize("curved, p0", [(False, 1e20), (True, 1e-2)])
 @pytest.mark.parametrize("amplitude, detuning", [(1.0, 1e5), (100.0, 1.0)])
 def test_local_adiabaticity_where_its_terms_overflow(curved, p0, amplitude,

@@ -7,7 +7,7 @@ import pytest
 import adiabatica as ad
 from adiabatica.model import DegeneratePointError, _angle_derivatives
 
-from conftest import constant_mode
+from conftest import constant_mode, generated_params
 
 
 def rotation(theta):
@@ -217,6 +217,31 @@ def test_rotation_diagonalizes_potential(case, detuning):
         assert abs(w[0, 1]) < 1e-12 and abs(w[1, 0]) < 1e-12
         assert w[0, 0] == pytest.approx(up[i], abs=1e-12)
         assert w[1, 1] == pytest.approx(dn[i], abs=1e-12)
+
+
+def test_frame_identity_over_generated_inputs():
+    # case1 and case2 differ only in the common offset of the surfaces: same
+    # splitting, and the mixing angle diagonalizes the potential in both
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    grid = ad.Grid(256, -40.0, 40.0)
+
+    @hypothesis.settings(max_examples=50, deadline=None)
+    @hypothesis.given(params=generated_params(st))
+    def check(params):
+        frames = [ad.adiabatic_frame(replace(params, frame_case=case), grid)
+                  for case in ad.FrameCase]
+        split = frames[0].splitting
+        assert np.all(np.abs(frames[1].splitting - split) <= 1e-12 * split)
+        g = params.coupling(grid.x)
+        for case, frame in zip(ad.FrameCase, frames):
+            up, dn = replace(params, frame_case=case).level_shifts
+            c, s = frame.cos_theta, frame.sin_theta
+            # off-diagonal entry of U V U^T
+            off = (c * c - s * s) * g + c * s * (dn - up)
+            assert np.all(np.abs(off) <= 1e-12 * split)
+
+    check()
 
 
 def test_trace_preserved_and_ordering():

@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import adiabatica as ad
+
+from conftest import generated_params
 
 
 def gaussian_substitution(amplitude=1.0, width=50.0, detuning=0.5, p0=5.0,
@@ -74,21 +77,74 @@ def test_time_adiabaticity_degenerate_flagged():
     assert ad.time_adiabaticity(model, 0.0) == np.inf
 
 
-def test_time_adiabaticity_reads_zero_where_the_denominator_overflows():
-    # (delta^2 + 4 G^2)^(3/2) overflows to inf at this detuning: the true
-    # value underflows to 0, as the pointwise parameter reads, without a
-    # RuntimeWarning
+def test_time_adiabaticity_keeps_its_value_where_the_gap_cubed_overflows():
+    # (delta^2 + 4 G^2)^(3/2) overflows at this detuning, yet the values are
+    # normal numbers, 1e-306 to 5e-304: scaling delta and G by s divides the
+    # parameter by s, so they are the detuning-1 values of the same path at
+    # amplitude 1e-150, divided by 1e150.  Both parameters read them, and 0
+    # only at the peak x = 0, where g' = 0
     params, model = gaussian_substitution(detuning=1e150)
+    _, unscaled = gaussian_substitution(amplitude=1e-150, detuning=1.0)
     ts = np.linspace(0.0, 80.0, 9)
-    assert np.array_equal(ad.time_adiabaticity(model, ts), np.zeros_like(ts))
+    want = ad.time_adiabaticity(unscaled, ts) / 1e150
+    assert np.count_nonzero(want) == 8 and want.max() < 1e-303
+    np.testing.assert_allclose(ad.time_adiabaticity(model, ts), want,
+                               rtol=1e-12, atol=0.0)
     along_path = ad.local_adiabaticity(params, -200.0 + 5.0 * ts, 5.0)
-    assert np.array_equal(along_path, np.zeros_like(ts))
+    np.testing.assert_allclose(along_path, want, rtol=1e-12, atol=0.0)
+
+
+def test_adiabaticity_scaling_law_over_generated_inputs():
+    # both parameters are homogeneous of degree -1 in (detuning, coupling):
+    # scaling the two by s divides them by s.  At s = 1e80 only the 4th
+    # power of the gap overflows (theta'' divides by it), at 1e110 its cube
+    # too and at 1e160 its square.  Entries compared: those whose expected
+    # value is a normal number (an unscaled gap below SPLITTING_FLOOR reads
+    # inf, and scaled by s it no longer is below it).  The curvature variant
+    # adds theta'' to the slope term, and where the two cancel its rounding
+    # is relative to the size of the terms, which bounds the tolerance
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ts = np.linspace(0.0, 30.0, 31)
+    tiny = np.finfo(float).tiny
+
+    def assert_close(got, want, size=None):
+        size = want if size is None else size
+        normal = np.isfinite(want) & (np.abs(want) >= tiny)
+        assert np.all(np.abs(got[normal] - want[normal])
+                      <= 1e-12 * size[normal])
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(params=generated_params(st), x0=st.floats(-60.0, 0.0),
+                      p0=st.floats(0.5, 4.0),
+                      scale=st.sampled_from([1e80, 1e110, 1e160]))
+    def check(params, x0, p0, scale):
+        big = replace(params, detuning=params.detuning * scale,
+                      mode=replace(params.mode,
+                                   amplitude=params.mode.amplitude * scale))
+        xs = x0 + p0 / params.mass * ts  # the substitution's path, bit for bit
+        plain = ad.local_adiabaticity(params, xs, p0)
+        assert_close(ad.local_adiabaticity(big, xs, p0), plain / scale)
+        # p0 = 0 leaves the curvature term alone
+        terms = plain + ad.local_adiabaticity(params, xs, 0.0,
+                                              include_curvature=True)
+        assert_close(
+            ad.local_adiabaticity(big, xs, p0, include_curvature=True),
+            ad.local_adiabaticity(params, xs, p0, include_curvature=True)
+            / scale, terms / scale)
+        timed = [ad.time_adiabaticity(ad.substitution_model(p, p0, x0), ts)
+                 for p in (params, big)]
+        assert_close(timed[0], plain)
+        assert_close(timed[1], ad.local_adiabaticity(big, xs, p0))
+        assert_close(timed[1], timed[0] / scale)
+
+    check()
 
 
 def test_time_and_pointwise_parameters_agree_where_both_overflow():
-    # at detuning 1e308 delta dG/dt stays finite but p0 split/m overflows;
-    # evaluated again with the gap factored out, the pointwise parameter
-    # reads the same underflowed 0 as the time-domain one
+    # at detuning 1e308 the pointwise parameter's p0 split / m overflows;
+    # evaluated again with the gap factored out, it reads the same
+    # underflowed 0 as the time-domain one
     params, model = gaussian_substitution(detuning=1e308)
     ts = np.linspace(0.0, 80.0, 9)
     along_path = ad.local_adiabaticity(params, -200.0 + 5.0 * ts, 5.0)
