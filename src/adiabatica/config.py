@@ -31,7 +31,7 @@ _SINGLE_DETUNING = {"atrace", "effective-model", "snapshot"}
 
 #: Largest step count t_final/dt of a run, with an explicit or a default dt.
 MAX_STEPS = 10_000_000
-#: Largest grid.points; a grid allocates several arrays of this length.
+#: Largest grid.points and search.scan_points; each allocates arrays of this length.
 MAX_GRID_POINTS = 2**22
 
 
@@ -287,6 +287,8 @@ def _parse_search(obj, path, mode):
     if ("x_lo" in obj) != ("x_hi" in obj):
         _fail(path, "'x_lo' and 'x_hi' must be given together")
     scan = _integer(obj, "scan_points", path, default=SCAN_POINTS, minimum=8)
+    if scan > MAX_GRID_POINTS:
+        _fail(f"{path}.scan_points", f"expected at most {MAX_GRID_POINTS} points")
     if "x_lo" in obj:
         lo, hi = _number(obj, "x_lo", path), _number(obj, "x_hi", path)
         if hi <= lo:

@@ -21,8 +21,7 @@ from .grids import (ADIABATIC, BARE, SpinorField, _component_norms,
                     expect_slope_momentum, to_adiabatic)
 # SPLITTING_FLOOR is re-exported: averaged splittings below it collapse.
 from .model import (SPLITTING_FLOOR, AdiabaticFrame, LinearMode, ModelParams,
-                    StandingWaveMode, _adiabaticity_ratio,
-                    _angle_derivatives)
+                    StandingWaveMode, _angle_derivatives)
 
 #: Channels with smaller initial population are skipped: a run fills no
 #: per-channel column for them and checks none of their norms.
@@ -43,43 +42,40 @@ def local_adiabaticity(params: ModelParams, x, p0,
     Delta^2 = split^2 + 4 n g^2, optionally with theta'' added inside the
     modulus; p0 may be an array that broadcasts with x.  Evaluations where
     the gap Delta is below SPLITTING_FLOOR return inf (the singular points
-    of the zero-detuning limit) instead of overflowing.  Where Delta^4
-    overflows (theta'' divides by it; from a detuning of about 1e77) or a
-    value is not finite, the entry is evaluated with the gap factored out,
-    as time_adiabaticity is, so it keeps its value wherever that is
-    representable; a nan there raises ValueError.
+    of the zero-detuning limit) instead of overflowing.  Where Delta^3
+    overflows (from a detuning of about 1.8e103) or a direct value is not
+    finite, the entry reads |(p0/m) theta' (+ theta''/2m)| / Delta, with
+    theta' and theta'' from model._angle_derivatives, so it keeps its value
+    wherever that is representable; a nan there raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     split = params.level_splitting
     n = params.photon_index
     g = np.asarray(params.mode.value(x), dtype=float)
-    dg = np.asarray(params.mode.slope(x), dtype=float)
     rate = p0 / params.mass
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # an array even for scalar x: the CSVs keep the bits of the ufunc
         # power, and a float64 scalar's ** rounds differently
         den_sq = np.asarray(split * split + 4.0 * n * g * g)
+        cube = den_sq**1.5
         if include_curvature:
             slope, curv = _angle_derivatives(params, x)
             out = (np.abs(2.0 * rate * slope + curv / params.mass)
                    / (2.0 * np.sqrt(den_sq)))
         else:
-            out = np.abs(rate * split * math.sqrt(n) * dg) / den_sq**1.5
-        redo = (~(np.isfinite(out) & np.isfinite(den_sq * den_sq))
+            dg = np.asarray(params.mode.slope(x), dtype=float)
+            out = np.abs(rate * split * math.sqrt(n) * dg) / cube
+        redo = (~(np.isfinite(out) & np.isfinite(cube))
                 | (den_sq < SPLITTING_FLOOR**2))
         if redo.any():
-            # with the gap factored out the rate is sqrt(n) (p0 g' / m +
-            # (g'' - 8 n g g'^2 / Delta^2) / 2m); the entries kept from the
-            # direct form get rate 0 here, so only redone entries can raise
-            num = rate * dg
-            if include_curvature:
-                gap = np.hypot(split, 2.0 * math.sqrt(n) * g)
-                num = num + (params.mode.curvature(x) - 8.0 * n * (g / gap)
-                             * (dg / gap) * dg) / (2.0 * params.mass)
-            redone = _adiabaticity_ratio(split, math.sqrt(n) * g,
-                                         np.where(redo, math.sqrt(n) * num, 0.0),
-                                         "pointwise")
-            out = np.where(redo, redone, out)
+            if not include_curvature:
+                slope, curv = _angle_derivatives(params, x)[0], 0.0
+            gap = np.hypot(split, 2.0 * math.sqrt(n) * g)
+            num = np.abs(rate * slope + curv / (2.0 * params.mass))
+            out = np.where(redo, np.where(gap < SPLITTING_FLOOR, np.inf, num / gap), out)
+            if np.isnan(out).any():
+                raise ValueError("pointwise adiabaticity parameter overflows "
+                                 f"at detuning {split}")
     return out if out.ndim else float(out)
 
 
@@ -359,15 +355,15 @@ def node_limit_probe(params: ModelParams, p0: float,
     if deltas is None:
         deltas = np.logspace(-2, -5, 13)
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
+    if np.unique(deltas).size < 2 or not np.all((deltas > 0.0) & (deltas < np.inf)):
+        raise ValueError("the limit-ordering probe needs at least two distinct "
+                         "positive finite detunings")
     node = 0.0
     off_x = 0.3 / mode.wavenumber
 
-    off_vals = np.empty_like(deltas)
-    node_vals = np.empty_like(deltas)
-    for i, delta in enumerate(deltas):
-        local = replace(params, detuning=float(delta))
-        off_vals[i] = local_adiabaticity(local, off_x, p0)
-        node_vals[i] = local_adiabaticity(local, node, p0)
+    off_vals, node_vals = np.transpose([
+        local_adiabaticity(replace(params, detuning=float(d)), [off_x, node], p0)
+        for d in deltas])
 
     off_fit = np.polyfit(np.log(deltas), np.log(off_vals), 1)
     node_fit = np.polyfit(np.log(deltas), np.log(node_vals), 1)

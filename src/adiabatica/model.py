@@ -32,6 +32,7 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 #: Surface gap below which an adiabaticity ratio is singular: pointwise gaps
 #: return inf, averaged ones raise.
 SPLITTING_FLOOR = 1e-12
+_SMALLEST_NORMAL = np.finfo(float).smallest_normal
 
 
 class DegeneratePointError(ValueError):
@@ -294,42 +295,36 @@ def _phase_rate(params: ModelParams, x):
     return np.max(np.hypot(0.5 * params.level_splitting, params.coupling(x)))
 
 
-def _adiabaticity_ratio(split, coupling, rate, kind: str):
-    """|split rate| / gap^3 with gap = hypot(split, 2 coupling), elementwise,
-    as |split/gap * rate| / gap / gap: no step overflows where the ratio is
-    representable.  inf where the gap is below SPLITTING_FLOOR; raises
-    ValueError where a value reads nan (an infinite rate meets split/gap = 0)."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        gap = np.hypot(split, 2.0 * coupling)
-        out = np.where(gap < SPLITTING_FLOOR, np.inf,
-                       np.abs(split / gap * rate) / gap / gap)
-    if np.isnan(out).any():
-        raise ValueError(f"{kind} adiabaticity parameter overflows at "
-                         f"detuning {split}")
-    return out if out.ndim else float(out)
-
-
 def _angle_derivatives(params: ModelParams, x):
-    """(theta', theta'') at x; both read 0 where the angle is degenerate.
+    """(theta', theta'') at x; both read 0 where the gap is 0.
 
     With D = split^2 + 4 n g^2, theta' = split sqrt(n) g' / D and
-    theta'' = split sqrt(n) [g'' D - 8 n g g'^2] / D^2.
+    theta'' = split sqrt(n) [g'' D - 8 n g g'^2] / D^2 where D^2 is a normal
+    number.  Elsewhere the gap Delta = sqrt(D) is factored out of every
+    term, with cos = cos(2 theta) = split / Delta: theta' = cos sqrt(n) g' /
+    Delta and theta'' = cos sqrt(n) (g''/Delta - 8 n (g/Delta) (g'/Delta)^2),
+    so both keep their value wherever it is representable.
     """
     split = params.level_splitting
     g = params.mode.value(x)
     dg = params.mode.slope(x)
+    ddg = params.mode.curvature(x)
     n = params.photon_index
-    den = split * split + 4.0 * n * g * g
-    degenerate = den == 0.0
-    num = split * math.sqrt(n) * dg
-    slope = np.divide(num, den, out=np.zeros_like(np.asarray(num, dtype=float)),
-                      where=~degenerate)
-    num = split * math.sqrt(n) * (params.mode.curvature(x) * den - 8.0 * n * g * dg * dg)
-    # a tiny splitting and coupling underflow den * den to 0, not den: divide twice
-    tiny = (den * den == 0.0) & ~degenerate
-    out = np.divide(num, den * den, out=np.zeros_like(np.asarray(num, dtype=float)),
-                    where=~degenerate & ~tiny)
-    curvature = np.divide(num / np.where(tiny, den, 1.0), den, out=out, where=tiny)
+    root_n = math.sqrt(n)
+    with np.errstate(all="ignore"):
+        den = split * split + 4.0 * n * g * g
+        den_sq = den * den
+        slope = split * root_n * dg / den
+        curvature = split * root_n * (ddg * den - 8.0 * n * g * dg * dg) / den_sq
+        normal = np.isfinite(den_sq) & (den_sq >= _SMALLEST_NORMAL)
+        if not np.all(normal):
+            gap = np.hypot(split, 2.0 * root_n * g)
+            # split and g both vanish where the gap does: a unit gap reads 0
+            gap = np.where(gap > 0.0, gap, 1.0)
+            cos = split / gap
+            slope = np.where(normal, slope, cos * root_n * dg / gap)
+            curvature = np.where(normal, curvature, cos * root_n * (
+                ddg / gap - 8.0 * n * (g / gap) * (dg / gap) * (dg / gap)))
     return slope, curvature
 
 

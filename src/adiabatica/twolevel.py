@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import ModelParams, _adiabaticity_ratio
+from .model import SPLITTING_FLOOR, ModelParams
 
 
 @dataclass
@@ -47,15 +47,21 @@ def substitution_model(params: ModelParams, p0: float, x0: float) -> EffectiveMo
 def time_adiabaticity(model: EffectiveModel, t):
     """|delta dG/dt| / (delta^2 + 4 G^2)^(3/2), the time-domain criterion.
 
-    Evaluated as |dG/dt delta / gap| / gap / gap with the gap
-    hypot(delta, 2 G), so it keeps its value wherever that is representable,
-    as the pointwise spatial parameter does.  Evaluations where the gap is
-    below model.SPLITTING_FLOOR return inf, with the same guard; a value that
-    reads nan raises ValueError.
+    Evaluated as |delta / gap * dG/dt| / gap / gap with the gap
+    hypot(delta, 2 G), so no step overflows where the value is
+    representable; inf where the gap is below model.SPLITTING_FLOOR, and a
+    value that reads nan raises ValueError.
     """
     t = np.asarray(t, dtype=float)
-    return _adiabaticity_ratio(model.detuning, model.coupling(t),
-                               model.coupling_rate(t), "time-domain")
+    split = model.detuning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gap = np.hypot(split, 2.0 * model.coupling(t))
+        out = np.where(gap < SPLITTING_FLOOR, np.inf,
+                       np.abs(split / gap * model.coupling_rate(t)) / gap / gap)
+    if np.isnan(out).any():
+        raise ValueError("time-domain adiabaticity parameter overflows at "
+                         f"detuning {split}")
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------

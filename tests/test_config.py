@@ -213,6 +213,20 @@ def test_search_block_only_for_max_locus():
     assert (cfg.search.x_lo, cfg.search.x_hi) == (0.5, 300.0)
 
 
+def test_scan_points_capped_at_load_time():
+    # fig2 with 10**9 scan points passed validation, and its search would
+    # then have asked np.linspace for 8 GB; the cap is the grid's
+    path = Path(__file__).resolve().parents[1] / "configs" / "fig2_max_locus.json"
+    data = json.loads(path.read_text())
+    data["search"]["scan_points"] = 10**9
+    with pytest.raises(ConfigError) as excinfo:
+        validate_config(data)
+    assert str(excinfo.value) == ("config.search.scan_points: expected at "
+                                  "most 4194304 points")
+    data["search"]["scan_points"] = 2**22
+    assert validate_config(data).search.scan_points == 2**22
+
+
 @pytest.mark.parametrize("mode", [
     {"kind": "linear", "gradient": 0.1},
     {"kind": "tabulated", "positions": [0.0, 1.0, 2.0, 3.0],

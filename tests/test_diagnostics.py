@@ -194,6 +194,25 @@ def test_packet_adiabaticity_flags_collapsed_splitting():
         ad.packet_adiabaticity(reference, frame, params, (1.0, 0.0))
 
 
+@pytest.mark.parametrize("scale", [1e80, 1e160])
+def test_packet_adiabaticity_scales_inversely_where_the_frame_overflows(scale):
+    # theta' and theta'' are homogeneous of degree 0 in (detuning, coupling)
+    # and the surface splitting of degree 1, so scaling both by s divides
+    # the averaged parameter by s, curvature term included.  At these scales
+    # (split^2 + 4 n g^2)^2 overflows, and the curvature term read nan
+    grid = ad.Grid(256, -40.0, 40.0)
+
+    def scaled(s):
+        params = ad.ModelParams(mode=ad.GaussianMode(s, 10.0), detuning=0.5 * s)
+        frame = ad.adiabatic_frame(params, grid)
+        reference = ad.to_adiabatic(
+            ad.gaussian_bare_state(grid, -10.0, 2.0, 3.0), frame)
+        weights = ad.initial_channel_weights(reference)
+        return ad.packet_adiabaticity(reference, frame, params, weights) * s
+
+    assert scaled(scale) == pytest.approx(scaled(1.0), rel=1e-12)
+
+
 def _channel_terms_loop(parts, include_curvature):
     """Per-channel scalar form of AdiabaticityParts.channel_terms for one
     sample, kept as the reference for the batched method."""
@@ -420,6 +439,20 @@ def test_node_limit_probe_requires_standing_wave():
     params = ad.ModelParams(mode=ad.GaussianMode(1.0, 5.0), detuning=1.0)
     with pytest.raises(ValueError):
         ad.node_limit_probe(params, p0=1.0)
+
+
+@pytest.mark.parametrize("deltas", [[1e-2, 1e-3, -1e-4], [1e-2, 0.0, 1e-4],
+                                    [1e-2], [1e-3, 1e-3], [1e-2, np.inf],
+                                    [1e-2, np.nan], []])
+def test_node_limit_probe_needs_two_distinct_positive_detunings(deltas):
+    # the exponents are fits of log value against log detuning: a detuning
+    # <= 0 made the SVD fail after OpenBLAS errors, a single one gave a
+    # rank-deficient fit
+    params = ad.ModelParams(mode=ad.StandingWaveMode(1.0, 0.1), detuning=1.0)
+    with pytest.raises(ValueError) as excinfo:
+        ad.node_limit_probe(params, p0=5.0, deltas=deltas)
+    assert str(excinfo.value) == ("the limit-ordering probe needs at least two "
+                                  "distinct positive finite detunings")
 
 
 # ---------------------------------------------------------------------------

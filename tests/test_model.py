@@ -333,3 +333,49 @@ def test_angle_curvature_at_zero_detuning_where_the_coupling_underflows():
                               np.zeros_like(x))
     frame = ad.adiabatic_frame(params, ad.Grid(256, -40.0, 40.0))
     assert np.array_equal(frame.theta_curvature, np.zeros(256))
+
+
+@pytest.mark.parametrize("detuning", [1e100, 1e300])
+def test_angle_curvature_where_the_squared_denominator_overflows(detuning):
+    # (split^2 + 4 n g^2)^2 overflows from a detuning of about 1.2e77, yet
+    # theta'' ~ g''/split is a normal number up to 1e300: theta'' * split
+    # keeps the values it has at a detuning of 1e60.  It read -0 (with
+    # overflow warnings) from 1e78 and nan at 1e200
+    params = ad.ModelParams(mode=ad.GaussianMode(1.0, 50.0), detuning=detuning)
+    curvature = _angle_derivatives(params, np.array([-30.0, 0.0]))[1]
+    np.testing.assert_allclose(curvature * detuning,
+                               [-1.70610997e-06, -3.19153824e-06], rtol=1e-8)
+
+
+def test_angle_derivatives_are_scale_free_over_generated_inputs():
+    # theta' and theta'' are homogeneous of degree 0 in (detuning,
+    # coupling): scaling both by s leaves them unchanged.  At s = 1e80 the
+    # square of D = split^2 + 4 n g^2 overflows, from 1e160 D itself.
+    # theta'' is a difference of two terms, and where they cancel its
+    # rounding is relative to their size, hence an absolute floor.  The
+    # unscaled values are the reference, so a detuning or an amplitude below
+    # 1e-6 (0 aside) is left out: on this grid's tails the direct form's
+    # numerators then underflow where D^2 is still normal
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    grid = ad.Grid(64, -20.0, 20.0)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(params=generated_params(st),
+                      scale=st.sampled_from([1e80, 1e160, 1e300]))
+    def check(params, scale):
+        hypothesis.assume(all(v == 0.0 or abs(v) >= 1e-6 for v in
+                              (params.detuning, params.mode.amplitude)))
+        big = replace(params, detuning=params.detuning * scale,
+                      mode=replace(params.mode,
+                                   amplitude=params.mode.amplitude * scale))
+        frames = [ad.adiabatic_frame(p, grid) for p in (params, big)]
+        for want, got in [(_angle_derivatives(params, grid.x),
+                           _angle_derivatives(big, grid.x)),
+                          ((frames[0].theta_slope, frames[0].theta_curvature),
+                           (frames[1].theta_slope, frames[1].theta_curvature))]:
+            np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0.0)
+            floor = 1e-12 * np.abs(want[1]).max()
+            np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=floor)
+
+    check()

@@ -97,12 +97,14 @@ def test_time_adiabaticity_keeps_its_value_where_the_gap_cubed_overflows():
 def test_adiabaticity_scaling_law_over_generated_inputs():
     # both parameters are homogeneous of degree -1 in (detuning, coupling):
     # scaling the two by s divides them by s.  At s = 1e80 only the 4th
-    # power of the gap overflows (theta'' divides by it), at 1e110 its cube
-    # too and at 1e160 its square.  Entries compared: those whose expected
-    # value is a normal number (an unscaled gap below SPLITTING_FLOOR reads
-    # inf, and scaled by s it no longer is below it).  The curvature variant
-    # adds theta'' to the slope term, and where the two cancel its rounding
-    # is relative to the size of the terms, which bounds the tolerance
+    # power of the gap overflows, and _angle_derivatives factors the gap out
+    # of theta' and theta''; at 1e110 its cube overflows too, and
+    # local_adiabaticity divides theta' (+ theta''/2m) by the gap instead;
+    # at 1e160 its square.  Entries compared: those whose expected value is
+    # a normal number (an unscaled gap below SPLITTING_FLOOR reads inf, and
+    # scaled by s it no longer is below it).  The curvature variant adds
+    # theta'' to the slope term, and where the two cancel its rounding is
+    # relative to the size of the terms, which bounds the tolerance
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     ts = np.linspace(0.0, 30.0, 31)
