@@ -19,8 +19,7 @@ from .grids import (ADIABATIC, BARE, Grid, SpinorField, expect_momentum,
                     gaussian_bare_state, mean_momentum, mean_position,
                     packet_width, to_adiabatic, to_bare)
 from .propagation import (AdiabaticPropagator, DomainGuardError,
-                          FullPropagator, RunRecord, Scenario,
-                          default_time_step, run_scenario)
+                          FullPropagator, RunRecord, Scenario, run_scenario)
 from .diagnostics import (AdiabaticityParts, NodeLimitReport,
                           adiabaticity_max_locus, adiabaticity_parts, fidelity,
                           initial_channel_weights, local_adiabaticity,

@@ -2,9 +2,10 @@
 
 Configs are strict: unknown keys are rejected and every guard of the
 downstream modules is checked at load time, with the offending key path in
-the error message.  A run's time grid (final time, `dt` checked against the
-phase bound and step cap, stride) and a max-locus search window are resolved
-here into a `RunSpec` and a `SearchSpec`, which the runners only read.
+the error message.  A run's time grid (final time, a default `dt` or one
+checked against the phase bound, the step limits, stride) and a max-locus
+search window are resolved here into a `RunSpec` and a `SearchSpec`, which
+the runners only read.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ from .diagnostics import SCAN_POINTS
 from .grids import EDGE_MARGIN, Grid, _near_edge, momentum_cover
 from .model import (FrameCase, GaussianMode, LinearMode, ModelParams,
                     StandingWaveMode, TabulatedMode, _phase_rate)
-from .propagation import default_time_step
 
 EXPERIMENTS = ("a0-map", "max-locus", "fidelity-map", "atrace",
                "effective-model", "snapshot")
 
-_NEEDS_GRID = {"a0-map", "fidelity-map", "atrace", "snapshot"}
-_NEEDS_RUN = {"fidelity-map", "atrace", "effective-model", "snapshot"}
+#: The experiments that propagate a wave packet on the grid.
+_PROPAGATING = {"fidelity-map", "atrace", "snapshot"}
+_NEEDS_GRID = _PROPAGATING | {"a0-map"}
+_NEEDS_RUN = _PROPAGATING | {"effective-model"}
 _SINGLE_DETUNING = {"atrace", "effective-model", "snapshot"}
 
 #: Largest step count t_final/dt of a run, with an explicit or a default dt.
@@ -246,30 +248,41 @@ def _parse_run(obj, path, state, mass):
 
 @np.errstate(over="ignore", divide="ignore")
 def _resolve_run(tag, t_final, dt, stride, base, detunings, grid, state):
-    """The one dt of the runs at these detunings, checked against the phase
-    bound and the step cap (an overflow reads as inf), and the stride."""
-    runs = [replace(base, detuning=float(d)) for d in detunings]
-    delta, which = runs[0].detuning, "t_final/dt"
-    if dt is None:
-        if tag == "effective-model":
-            _fail("config.run.dt", "effective-model needs an explicit dt")
-        # the smallest default, so every cell of a map samples the same instants
-        p_needed = momentum_cover(state.p0, state.width)
-        dt, delta = min((default_time_step(p, grid, p_needed), p.detuning)
-                        for p in runs)
-        which = f"t_final/dt with the default dt {dt:.3g}"
-    elif tag != "effective-model":
-        phase, worst = max((dt * _phase_rate(p, grid.x), p.detuning)
-                           for p in runs)
-        if not phase <= 1.0:
-            _fail("config.run.dt", f"dt*max|Delta_+- - mean_shift| = "
-                  f"{phase:.3g} exceeds 1 at detuning {worst!r}")
+    """The one dt of the runs at these detunings, and their stride; an
+    overflow reads as inf.  Without dt a propagating run takes 0.1 min(1/max
+    |Delta_+- - mean_shift|, m dx / p_max), which resolves the phases and the
+    transport of the momentum cover p_max, the smallest over a map's cells so
+    that every cell samples the same instants; mean_shift is an exact global
+    phase, so both frame cases get the same step.  An explicit dt must keep
+    dt max|Delta_+- - mean_shift| <= 1; an effective model needs one."""
+    delta, which = float(detunings[0]), "t_final/dt"
+    if tag in _PROPAGATING:
+        rates = [(_phase_rate(replace(base, detuning=d), grid.x), d)
+                 for d in map(float, detunings)]
+        if dt is None:
+            transport = base.mass * grid.dx / momentum_cover(state.p0, state.width)
+            dt, delta = min((0.1 * min(1.0 / rate if rate > 0 else math.inf,
+                                       transport), d) for rate, d in rates)
+            if not math.isfinite(dt):
+                _fail("config.run.dt", "cannot pick a default time step: the phase "
+                      "and transport bounds are both infinite; give an explicit dt")
+            which = f"t_final/dt with the default dt {dt:.3g}"
+        else:
+            phase, worst = max((dt * rate, d) for rate, d in rates)
+            if not phase <= 1.0:
+                _fail("config.run.dt", f"dt*max|Delta_+- - mean_shift| = "
+                      f"{phase:.3g} exceeds 1 at detuning {worst!r}")
+    elif dt is None:
+        _fail("config.run.dt", f"{tag} needs an explicit dt")
     steps = t_final / dt
     if not math.isfinite(steps) or steps > MAX_STEPS:
         _fail("config.run.dt", f"{which} = {steps:.3g} steps exceeds the "
               f"limit of {MAX_STEPS} at detuning {delta!r}")
+    if round(steps) < 1:
+        _fail("config.run.dt", f"{which} = {steps:.3g} rounds to no step "
+              f"at detuning {delta!r}")
     if stride is None:
-        stride = 1 if tag == "effective-model" else max(1, round(steps) // 800)
+        stride = max(1, round(steps) // 800) if tag in _PROPAGATING else 1
     return RunSpec(t_final, dt, stride)
 
 
@@ -367,7 +380,7 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
               "'kinematic' abscissa")
 
     # guards that couple state and grid
-    if grid is not None and tag in ("fidelity-map", "atrace", "snapshot"):
+    if tag in _PROPAGATING:
         p_needed = momentum_cover(state.p0, state.width)
         if not grid.supports_momentum(p_needed):
             _fail("config.grid", f"momentum cutoff {grid.k_max:.4g} does not cover "

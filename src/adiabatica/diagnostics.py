@@ -297,6 +297,8 @@ def lorentzian_peak_integral(params: ModelParams, p0: float,
     if not isinstance(params.mode, (LinearMode, StandingWaveMode)):
         raise ValueError("peak integral is defined for linear or standing-wave modes")
     c = 2.0 * math.sqrt(n) * float(params.mode.slope(0.0)) / split
+    if c == 0.0:
+        raise ValueError("peak integral needs a nonzero coupling slope at the node")
     amp = abs(p0 * c / (2.0 * params.mass * split))
     analytic = abs(p0 / (params.mass * split))
     half_width = window_halfwidths / abs(c)

@@ -295,15 +295,21 @@ def _phase_rate(params: ModelParams, x):
     return np.max(np.hypot(0.5 * params.level_splitting, params.coupling(x)))
 
 
+def _normal(value):
+    """Elementwise: a finite number of at least the smallest normal magnitude."""
+    return np.isfinite(value) & (np.abs(value) >= _SMALLEST_NORMAL)
+
+
 def _angle_derivatives(params: ModelParams, x):
     """(theta', theta'') at x; both read 0 where the gap is 0.
 
     With D = split^2 + 4 n g^2, theta' = split sqrt(n) g' / D and
-    theta'' = split sqrt(n) [g'' D - 8 n g g'^2] / D^2 where D^2 is a normal
-    number.  Elsewhere the gap Delta = sqrt(D) is factored out of every
-    term, with cos = cos(2 theta) = split / Delta: theta' = cos sqrt(n) g' /
-    Delta and theta'' = cos sqrt(n) (g''/Delta - 8 n (g/Delta) (g'/Delta)^2),
-    so both keep their value wherever it is representable.
+    theta'' = split sqrt(n) [g'' D - 8 n g g'^2] / D^2 where D^2 and the
+    numerator are finite normal numbers.  Elsewhere the gap Delta = sqrt(D)
+    is factored out of every term, with cos = cos(2 theta) = split / Delta:
+    theta' = cos sqrt(n) (g'/Delta) and theta'' = cos sqrt(n) (g''/Delta -
+    8 n (g/Delta) (g'/Delta)^2), so both keep their value wherever it is
+    representable, and an exact 0 keeps its signed bits.
     """
     split = params.level_splitting
     g = params.mode.value(x)
@@ -314,17 +320,23 @@ def _angle_derivatives(params: ModelParams, x):
     with np.errstate(all="ignore"):
         den = split * split + 4.0 * n * g * g
         den_sq = den * den
-        slope = split * root_n * dg / den
-        curvature = split * root_n * (ddg * den - 8.0 * n * g * dg * dg) / den_sq
-        normal = np.isfinite(den_sq) & (den_sq >= _SMALLEST_NORMAL)
-        if not np.all(normal):
+        slope_num = split * root_n * dg
+        curvature_num = split * root_n * (ddg * den - 8.0 * n * g * dg * dg)
+        slope = slope_num / den
+        curvature = curvature_num / den_sq
+        direct_slope = _normal(den_sq) & _normal(slope_num)
+        direct_curvature = _normal(den_sq) & _normal(curvature_num)
+        if not np.all(direct_slope & direct_curvature):
             gap = np.hypot(split, 2.0 * root_n * g)
             # split and g both vanish where the gap does: a unit gap reads 0
             gap = np.where(gap > 0.0, gap, 1.0)
             cos = split / gap
-            slope = np.where(normal, slope, cos * root_n * dg / gap)
-            curvature = np.where(normal, curvature, cos * root_n * (
-                ddg / gap - 8.0 * n * (g / gap) * (dg / gap) * (dg / gap)))
+            slope = np.where(direct_slope, slope, cos * root_n * (dg / gap))
+            # g's signed 0 where g is 0, even where g'/Delta overflows
+            cross = np.where(g == 0.0, g,
+                             8.0 * n * (g / gap) * (dg / gap) * (dg / gap))
+            curvature = np.where(direct_curvature, curvature,
+                                 cos * root_n * (ddg / gap - cross))
     return slope, curvature
 
 

@@ -95,8 +95,7 @@ from .grids import (ADIABATIC, BARE, EDGE_MARGIN, Grid, SpinorField, _centre,
                     _spectrum_average, _unpopulated, _width, expect_momentum,
                     expect_position, mean_momentum, mean_position,
                     packet_width, to_adiabatic)
-from .model import (AdiabaticFrame, ModelParams, _phase_rate, _su2_step,
-                    adiabatic_frame)
+from .model import AdiabaticFrame, ModelParams, _su2_step, adiabatic_frame
 
 
 class DomainGuardError(RuntimeError):
@@ -197,19 +196,6 @@ class AdiabaticPropagator(_Stepper):
                              "AdiabaticPropagator expects an adiabatic-frame field")
 
 
-def default_time_step(params: ModelParams, grid: Grid, p_max: float) -> float:
-    """dt = 0.1 min(1/max|Delta_+- - mean_shift|, m dx / p_max): resolve
-    phases and transport.  The frame offset mean_shift is an exact global
-    phase, so both frame cases get the same step."""
-    scale = _phase_rate(params, grid.x)
-    phase_limit = 1.0 / scale if scale > 0 else np.inf
-    transport_limit = params.mass * grid.dx / p_max if p_max > 0 else np.inf
-    dt = 0.1 * min(phase_limit, transport_limit)
-    if not np.isfinite(dt):
-        raise ValueError("cannot pick a default time step for a free, zero-momentum run")
-    return dt
-
-
 # ---------------------------------------------------------------------------
 # Side-by-side exact / adiabatic-reference runs
 # ---------------------------------------------------------------------------
@@ -235,9 +221,11 @@ class Scenario:
     def __post_init__(self):
         if self.initial.frame != BARE:
             raise ValueError("Scenario.initial must be a bare-frame field")
+        # t_final/dt <= 1/2 rounds to no step
         if not (math.isfinite(self.t_final) and math.isfinite(self.dt)
-                and self.t_final > 0 and self.dt > 0):
-            raise ValueError("Scenario requires finite t_final > 0 and dt > 0")
+                and self.dt > 0 and self.t_final / self.dt > 0.5):
+            raise ValueError("Scenario requires finite t_final > 0 and dt > 0 "
+                             "with t_final/dt > 1/2")
         if self.stride < 1:
             raise ValueError("Scenario.stride must be >= 1")
 
@@ -376,7 +364,7 @@ def run_scenario(scenario: Scenario) -> RunRecord:
     """
     params, grid = scenario.params, scenario.grid
     frame = adiabatic_frame(params, grid)
-    n_steps = max(1, int(round(scenario.t_final / scenario.dt)))
+    n_steps = int(round(scenario.t_final / scenario.dt))
 
     exact_prop = FullPropagator(params, grid, scenario.dt)
     ref_prop = AdiabaticPropagator(frame, params, scenario.dt)

@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import json
 import os
 import re
@@ -15,8 +14,7 @@ import adiabatica as ad
 import adiabatica.cli
 from adiabatica import experiments
 from adiabatica.cli import main
-from adiabatica.config import ConfigError, load_config
-from adiabatica.grids import momentum_cover
+from adiabatica.config import ConfigError, load_config, validate_config
 from adiabatica.experiments import run_experiment, write_csv, write_run_csv
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -177,11 +175,12 @@ def test_swept_map_without_dt_runs_every_cell_at_one_dt(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
     cfg = load_config(cfg_path)
-    p_max = momentum_cover(cfg.state.p0, cfg.state.width)
-    own = [ad.default_time_step(dataclasses.replace(cfg.base_params,
-                                                    detuning=float(d)),
-                                cfg.grid, p_max) for d in cfg.detunings]
-    assert own[1] < own[0]
+    # each cell's own default dt, as a config of that detuning alone picks
+    # it; the values are those of the rule before it moved into config
+    own = [validate_config({**data, "experiment": "atrace",
+                            "model": {**data["model"], "detuning": d}}).run.dt
+           for d in (0.5, 50.0)]
+    assert own == [0.005231584821428572, 0.003999999796281689]
     assert cfg.run.dt == min(own)
     _, _, table = read_table(tmp_path / "out" / "fidelity_map.csv")
     n_steps = round(4.0 / own[1])
@@ -725,9 +724,9 @@ def test_public_api_names():
         "RunRecord", "Scenario", "SpinorField", "StandingWaveMode",
         "TabulatedMode", "adiabatic_eigenvalues", "adiabatic_frame",
         "adiabaticity_max_locus", "adiabaticity_parts",
-        "coupling_from_adiabaticity", "default_time_step",
-        "expect_grid_values", "expect_momentum", "expect_position",
-        "expect_slope_momentum", "fidelity", "gaussian_bare_state",
+        "coupling_from_adiabaticity", "expect_grid_values",
+        "expect_momentum", "expect_position", "expect_slope_momentum",
+        "fidelity", "gaussian_bare_state",
         "initial_channel_weights", "local_adiabaticity",
         "lorentzian_peak_integral", "mean_momentum", "mean_position",
         "mixing_angle", "node_limit_probe", "packet_adiabaticity",

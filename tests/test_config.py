@@ -349,6 +349,44 @@ def test_step_cap_on_explicit_dt():
         validate_config(data)
 
 
+def test_a_free_run_without_a_finite_default_dt_is_rejected():
+    # no coupling and no detuning leave no phase bound, and the transport
+    # bound m dx / p_max overflows: the default dt is inf.  It raised a
+    # ValueError without a key path
+    data = {"experiment": "atrace",
+            "model": {"detuning": 0.0, "mass": 1e300,
+                      "mode": {"kind": "gaussian", "amplitude": 0.0,
+                               "width": 1.0}},
+            "grid": {"points": 32, "x_min": -5e10, "x_max": 5e10},
+            "state": {"p0": 0.0, "width": 1e10},
+            "run": {"t_final": 1.0}}
+    with pytest.raises(ConfigError) as excinfo:
+        validate_config(data)
+    assert str(excinfo.value) == (
+        "config.run.dt: cannot pick a default time step: the phase and "
+        "transport bounds are both infinite; give an explicit dt")
+    data["run"]["dt"] = 0.5
+    assert validate_config(data).run.dt == 0.5
+
+
+@pytest.mark.parametrize("experiment", ["atrace", "effective-model"])
+def test_a_run_shorter_than_half_a_step_is_rejected(experiment):
+    # t_final/dt = 0.4 ran one step, to t = 0.01, without a warning; 0.5
+    # rounds to 0 steps as well
+    data = fig_map_config(t_final=0.004, dt=0.01)
+    data["experiment"] = experiment
+    data["model"]["detuning"] = 0.5
+    with pytest.raises(ConfigError) as excinfo:
+        validate_config(data)
+    assert str(excinfo.value) == ("config.run.dt: t_final/dt = 0.4 rounds to "
+                                  "no step at detuning 0.5")
+    data["run"]["t_final"] = 0.005
+    with pytest.raises(ConfigError, match="rounds to no step"):
+        validate_config(data)
+    data["run"]["t_final"] = 0.006
+    assert validate_config(data).run.t_final == 0.006
+
+
 @pytest.mark.parametrize("model, run", [
     ({}, {"t_final": 80.0, "dt": 1e300}),
     ({"frame_case": "case2", "photon_index": 4}, {"t_final": 80.0, "dt": 0.05}),

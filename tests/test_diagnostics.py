@@ -418,6 +418,10 @@ def test_lorentzian_peak_integral_guards():
     params = ad.ModelParams(mode=ad.LinearMode(1.0), detuning=1.0)
     with pytest.raises(ValueError):
         ad.lorentzian_peak_integral(params, p0=1.0, window_halfwidths=5.0)
+    # a zero slope at the node raised ZeroDivisionError
+    params = ad.ModelParams(mode=ad.StandingWaveMode(0.0, 1.0), detuning=0.5)
+    with pytest.raises(ValueError, match="nonzero coupling slope"):
+        ad.lorentzian_peak_integral(params, p0=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +466,6 @@ def test_node_limit_probe_needs_two_distinct_positive_detunings(deltas):
 _GRID = ad.Grid(64, -10.0, 10.0)
 _OTHER_GRID = ad.Grid(32, -10.0, 10.0)
 _PARAMS = ad.ModelParams(mode=ad.GaussianMode(1.0, 3.0), detuning=1.0)
-_FREE = ad.ModelParams(mode=ad.GaussianMode(0.0, 3.0), detuning=0.0)
 _EMPTY = np.zeros((2, _GRID.npoints))
 
 
@@ -496,8 +499,9 @@ def _packet(grid=_GRID):
      "need matching 1-d arrays with at least 3 samples"),
     (lambda: ad.FullPropagator(_PARAMS, _GRID, 0.01).advance(_packet(_OTHER_GRID), 1),
      "field grid does not match propagator grid"),
-    (lambda: ad.default_time_step(_FREE, _GRID, 0.0),
-     "cannot pick a default time step for a free, zero-momentum run"),
+    (lambda: ad.lorentzian_peak_integral(
+        ad.ModelParams(mode=ad.LinearMode(0.0), detuning=0.5), p0=1.0),
+     "peak integral needs a nonzero coupling slope at the node"),
 ])
 def test_library_guards_raise_their_messages(call, message):
     with pytest.raises(ValueError) as excinfo:

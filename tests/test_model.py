@@ -9,6 +9,8 @@ from adiabatica.model import DegeneratePointError, _angle_derivatives
 
 from conftest import constant_mode, generated_params
 
+_SMALLEST_NORMAL = np.finfo(float).smallest_normal
+
 
 def rotation(theta):
     c, s = np.cos(theta), np.sin(theta)
@@ -347,35 +349,67 @@ def test_angle_curvature_where_the_squared_denominator_overflows(detuning):
                                [-1.70610997e-06, -3.19153824e-06], rtol=1e-8)
 
 
+def test_angle_derivatives_where_their_numerators_underflow():
+    # at a detuning of 3.09e-262, on the tail of a width-1 Gaussian, the
+    # numerators split g' and split [g'' D - 8 g g'^2] underflow while D^2
+    # is still a normal number: theta' read 0 and theta'' -0.  Both are
+    # scale-free, so detuning and amplitude scaled by 1e80 give their values
+    params = ad.ModelParams(mode=ad.GaussianMode(1.0, 1.0), detuning=3.09e-262)
+    big = replace(params, detuning=params.detuning * 1e80,
+                  mode=ad.GaussianMode(1e80, 1.0))
+    grid = ad.Grid(64, -20.0, 20.0)
+    assert grid.x[2] == -18.75
+    frame = ad.adiabatic_frame(params, grid)
+    got = (frame.theta_slope[2], frame.theta_curvature[2])
+    np.testing.assert_allclose(got, [7.95823192e-185, -1.49641288e-183],
+                               rtol=1e-8)
+    np.testing.assert_allclose(got, _angle_derivatives(big, grid.x[2]),
+                               rtol=1e-12)
+
+
 def test_angle_derivatives_are_scale_free_over_generated_inputs():
     # theta' and theta'' are homogeneous of degree 0 in (detuning,
     # coupling): scaling both by s leaves them unchanged.  At s = 1e80 the
     # square of D = split^2 + 4 n g^2 overflows, from 1e160 D itself.
     # theta'' is a difference of two terms, and where they cancel its
     # rounding is relative to their size, hence an absolute floor.  The
-    # unscaled values are the reference, so a detuning or an amplitude below
-    # 1e-6 (0 aside) is left out: on this grid's tails the direct form's
-    # numerators then underflow where D^2 is still normal
+    # unscaled values are the reference, and detunings and amplitudes are
+    # shrunk by up to 1e-300 apiece: on this grid's tails their numerators
+    # then underflow or overflow where D^2 is still normal.  A value below
+    # the smallest normal number holds fewer than 53 bits, and so do the
+    # mode values of a tiny amplitude where they underflow: the first are
+    # compared to within the smallest normal number, the second are no
+    # reference and are left out
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     grid = ad.Grid(64, -20.0, 20.0)
+    tiny = st.sampled_from([1.0, 1e-10, 1e-100, 1e-200, 1e-300])
 
     @hypothesis.settings(max_examples=100, deadline=None)
-    @hypothesis.given(params=generated_params(st),
+    @hypothesis.given(params=generated_params(st), shrink=st.tuples(tiny, tiny),
                       scale=st.sampled_from([1e80, 1e160, 1e300]))
-    def check(params, scale):
-        hypothesis.assume(all(v == 0.0 or abs(v) >= 1e-6 for v in
-                              (params.detuning, params.mode.amplitude)))
+    def check(params, shrink, scale):
+        params = replace(params, detuning=params.detuning * shrink[0],
+                         mode=replace(params.mode,
+                                      amplitude=params.mode.amplitude * shrink[1]))
         big = replace(params, detuning=params.detuning * scale,
                       mode=replace(params.mode,
                                    amplitude=params.mode.amplitude * scale))
+        # a reference entry needs every mode value normal, or 0 at any scale
+        kept = np.ones(grid.npoints, dtype=bool)
+        for name in ("value", "slope", "curvature"):
+            small, large = (getattr(p.mode, name)(grid.x) for p in (params, big))
+            kept &= (np.abs(small) >= _SMALLEST_NORMAL) | (large == 0.0)
         frames = [ad.adiabatic_frame(p, grid) for p in (params, big)]
         for want, got in [(_angle_derivatives(params, grid.x),
                            _angle_derivatives(big, grid.x)),
                           ((frames[0].theta_slope, frames[0].theta_curvature),
                            (frames[1].theta_slope, frames[1].theta_curvature))]:
-            np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0.0)
-            floor = 1e-12 * np.abs(want[1]).max()
-            np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=floor)
+            np.testing.assert_allclose(got[0][kept], want[0][kept], rtol=1e-12,
+                                       atol=_SMALLEST_NORMAL)
+            floor = max(1e-12 * np.abs(want[1][kept]).max(initial=0.0),
+                        _SMALLEST_NORMAL)
+            np.testing.assert_allclose(got[1][kept], want[1][kept], rtol=1e-12,
+                                       atol=floor)
 
     check()

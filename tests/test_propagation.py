@@ -15,6 +15,7 @@ import adiabatica as ad
 
 from conftest import (constant_mode, generated_packet, generated_params,
                       l2_distance)
+from adiabatica.config import validate_config
 from adiabatica.experiments import write_run_csv
 
 
@@ -240,13 +241,36 @@ def test_advance_leaves_input_unchanged(small_grid):
             assert not np.shares_memory(out.components, field.components)
 
 
+def default_dt_config(detuning, amplitude, width, grid, state, **model):
+    """An atrace with a Gaussian mode and no run.dt, for the default dt
+    validate_config picks."""
+    return {"experiment": "atrace",
+            "model": {"detuning": detuning, **model,
+                      "mode": {"kind": "gaussian", "amplitude": amplitude,
+                               "width": width}},
+            "grid": grid, "state": state, "run": {"t_final": 20.0}}
+
+
 def test_default_time_step_rule():
-    grid = ad.Grid(1024, -300.0, 300.0)
-    params = ad.ModelParams(mode=ad.GaussianMode(1.0, 50.0), detuning=10.0)
-    dt = ad.default_time_step(params, grid, p_max=5.6)
-    up, _ = ad.adiabatic_eigenvalues(params, grid.x)
-    assert dt <= 0.1 / np.max(np.abs(up))
-    assert dt <= 0.1 * grid.dx / 5.6
+    # without run.dt a run takes dt = 0.1 min(1/max|Delta_+- - mean_shift|,
+    # m dx / p_max) with p_max = p0 + 6/width = 5.6: the transport bound at
+    # detuning 10, the phase bound at 50.  The values are those of the rule
+    # before it moved into config, bit for bit
+    for detuning, bound, recorded in ((10.0, "transport", 0.005231584821428572),
+                                      (50.0, "phase", 0.003999999796281689)):
+        cfg = validate_config(default_dt_config(
+            detuning, 1.0, 50.0, {"points": 2048, "x_min": -300.0, "x_max": 300.0},
+            {"x0": -100.0, "p0": 5.0, "width": 10.0}))
+        up, _ = ad.adiabatic_eigenvalues(cfg.base_params, cfg.grid.x)
+        limits = {"phase": 1.0 / np.max(np.abs(up)),
+                  "transport": cfg.grid.dx / 5.6}
+        assert cfg.run.dt == 0.1 * limits[bound] == recorded
+        assert cfg.run.dt <= 0.1 * min(limits.values())
+
+
+#: The phase-bound default dt of each photon index, from the rule before it
+#: moved into config.
+_FRAME_OFFSET_DT = {1: 0.003999968169391331, 3: 0.003999904510453599}
 
 
 @pytest.mark.parametrize("photon_index", [1, 3])
@@ -254,19 +278,19 @@ def test_default_time_step_ignores_the_frame_offset(photon_index):
     # mean_shift is an exact global phase of both propagators, so a
     # phase-limited default dt is the same in both frames, and both frames
     # run at it give the same |F|
-    grid = ad.Grid(1024, -150.0, 150.0)
-    case1 = ad.ModelParams(mode=ad.GaussianMode(5.0, 20.0), detuning=50.0,
-                           photon_index=photon_index)
-    case2 = dataclasses.replace(case1, frame_case=ad.FrameCase.CASE2)
-    p_max = ad.grids.momentum_cover(5.0, 5.0)
-    dt = ad.default_time_step(case1, grid, p_max)
-    assert dt < 0.1 * grid.dx / p_max  # the phase bound sets it
-    assert ad.default_time_step(case2, grid, p_max) == dt
+    configs = [validate_config(default_dt_config(
+                   50.0, 5.0, 20.0, {"points": 1024, "x_min": -150.0, "x_max": 150.0},
+                   {"x0": -60.0, "p0": 5.0, "width": 5.0},
+                   photon_index=photon_index, frame_case=case))
+               for case in ("case1", "case2")]
+    grid, dt = configs[0].grid, configs[0].run.dt
+    assert dt < 0.1 * grid.dx / ad.grids.momentum_cover(5.0, 5.0)  # phase-bound
+    assert configs[1].run.dt == dt == _FRAME_OFFSET_DT[photon_index]
     psi = ad.gaussian_bare_state(grid, -60.0, 5.0, 5.0)
     magnitudes = []
-    for params in (case1, case2):
-        sc = ad.Scenario(params=params, grid=grid, initial=psi, t_final=20.0,
-                         dt=dt, stride=1000, x0=-60.0, p0=5.0)
+    for cfg in configs:
+        sc = ad.Scenario(params=cfg.base_params, grid=grid, initial=psi,
+                         t_final=20.0, dt=dt, stride=1000, x0=-60.0, p0=5.0)
         magnitudes.append(ad.run_scenario(sc).fidelity_magnitude)
     np.testing.assert_allclose(magnitudes[1], magnitudes[0], rtol=0, atol=1e-12)
 
@@ -338,6 +362,14 @@ def test_scenario_validation():
         with pytest.raises(ValueError, match="requires finite t_final > 0"):
             ad.Scenario(params=params, grid=grid, initial=psi,
                         t_final=t_final, dt=dt)
+    # a run shorter than half a step ran one step all the same
+    for t_final in (0.004, 0.005):
+        with pytest.raises(ValueError, match="t_final/dt > 1/2"):
+            ad.Scenario(params=params, grid=grid, initial=psi,
+                        t_final=t_final, dt=0.01)
+    record = ad.run_scenario(ad.Scenario(params=params, grid=grid, initial=psi,
+                                         t_final=0.006, dt=0.01))
+    assert record.times.tolist() == [0.0, 0.01]
 
 
 def test_trajectory_rows_shape(tmp_path):
