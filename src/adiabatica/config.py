@@ -21,6 +21,8 @@ from .diagnostics import SCAN_POINTS
 from .grids import EDGE_MARGIN, Grid, _near_edge, momentum_cover
 from .model import (FrameCase, GaussianMode, LinearMode, ModelParams,
                     StandingWaveMode, TabulatedMode, _phase_rate)
+# the step limit of a Scenario, checked here with an explicit or a default dt
+from .propagation import MAX_STEPS
 
 EXPERIMENTS = ("a0-map", "max-locus", "fidelity-map", "atrace",
                "effective-model", "snapshot")
@@ -31,8 +33,6 @@ _NEEDS_GRID = _PROPAGATING | {"a0-map"}
 _NEEDS_RUN = _PROPAGATING | {"effective-model"}
 _SINGLE_DETUNING = {"atrace", "effective-model", "snapshot"}
 
-#: Largest step count t_final/dt of a run, with an explicit or a default dt.
-MAX_STEPS = 10_000_000
 #: Largest grid.points and search.scan_points; each allocates arrays of this length.
 MAX_GRID_POINTS = 2**22
 

@@ -21,7 +21,7 @@ from .grids import (ADIABATIC, BARE, SpinorField, _component_norms,
                     expect_slope_momentum, to_adiabatic)
 # SPLITTING_FLOOR is re-exported: averaged splittings below it collapse.
 from .model import (SPLITTING_FLOOR, AdiabaticFrame, LinearMode, ModelParams,
-                    StandingWaveMode, _angle_derivatives)
+                    StandingWaveMode, _angle_derivatives, _normal)
 
 #: Channels with smaller initial population are skipped: a run fills no
 #: per-channel column for them and checks none of their norms.
@@ -43,10 +43,11 @@ def local_adiabaticity(params: ModelParams, x, p0,
     modulus; p0 may be an array that broadcasts with x.  Evaluations where
     the gap Delta is below SPLITTING_FLOOR return inf (the singular points
     of the zero-detuning limit) instead of overflowing.  Where Delta^3
-    overflows (from a detuning of about 1.8e103) or a direct value is not
-    finite, the entry reads |(p0/m) theta' (+ theta''/2m)| / Delta, with
-    theta' and theta'' from model._angle_derivatives, so it keeps its value
-    wherever that is representable; a nan there raises ValueError.
+    overflows (from a detuning of about 1.8e103), a direct value is not
+    finite or the plain numerator is nonzero but subnormal, the entry reads
+    |(p0/m) theta' (+ theta''/2m)| / Delta, with theta' and theta'' from
+    model._angle_derivatives, so it keeps its value wherever that is
+    representable; a nan there raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     split = params.level_splitting
@@ -64,9 +65,13 @@ def local_adiabaticity(params: ModelParams, x, p0,
                    / (2.0 * np.sqrt(den_sq)))
         else:
             dg = np.asarray(params.mode.slope(x), dtype=float)
-            out = np.abs(rate * split * math.sqrt(n) * dg) / cube
+            num = rate * split * math.sqrt(n) * dg
+            out = np.abs(num) / cube
         redo = (~(np.isfinite(out) & np.isfinite(cube))
                 | (den_sq < SPLITTING_FLOOR**2))
+        if not include_curvature:
+            # a subnormal numerator has lost digits; an exact 0 has not
+            redo |= (num != 0.0) & ~_normal(num)
         if redo.any():
             if not include_curvature:
                 slope, curv = _angle_derivatives(params, x)[0], 0.0

@@ -45,7 +45,14 @@ class Grid:
             raise ValueError("Grid.npoints must be a power of two >= 2")
         if not self.x_max > self.x_min:
             raise ValueError("Grid requires x_max > x_min")
-        dx = (self.x_max - self.x_min) / n
+        with np.errstate(over="ignore"):  # numpy scalar bounds
+            dx = (self.x_max - self.x_min) / n
+            k_max = np.pi / dx
+        if not np.isfinite(dx):
+            raise ValueError("Grid spacing (x_max - x_min)/npoints overflows")
+        if not np.isfinite(k_max):
+            raise ValueError(f"Grid momentum cutoff pi/dx overflows at "
+                             f"dx={float(dx)!r}")
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "x", self.x_min + dx * np.arange(n))
         object.__setattr__(self, "k", 2.0 * np.pi * np.fft.fftfreq(n, d=dx))

@@ -200,6 +200,10 @@ class AdiabaticPropagator(_Stepper):
 # Side-by-side exact / adiabatic-reference runs
 # ---------------------------------------------------------------------------
 
+#: Largest step count t_final/dt of a run; config applies it at load time.
+MAX_STEPS = 10_000_000
+
+
 @dataclass
 class Scenario:
     """One run configuration: exact state and adiabatic reference evolve together.
@@ -216,7 +220,6 @@ class Scenario:
     stride: int = 1
     x0: float = 0.0
     p0: float = 0.0
-    keep_states: bool = False
 
     def __post_init__(self):
         if self.initial.frame != BARE:
@@ -226,6 +229,10 @@ class Scenario:
                 and self.dt > 0 and self.t_final / self.dt > 0.5):
             raise ValueError("Scenario requires finite t_final > 0 and dt > 0 "
                              "with t_final/dt > 1/2")
+        steps = self.t_final / self.dt
+        if not steps <= MAX_STEPS:
+            raise ValueError(f"Scenario.t_final/dt = {steps:.3g} steps exceeds "
+                             f"the limit of {MAX_STEPS}")
         if self.stride < 1:
             raise ValueError("Scenario.stride must be >= 1")
 
@@ -254,7 +261,6 @@ class RunRecord:
     weights: np.ndarray
     final_exact: SpinorField = dataclass_field(repr=False, default=None)
     final_reference: SpinorField = dataclass_field(repr=False, default=None)
-    snapshots: list = dataclass_field(repr=False, default=None)
 
     @property
     def fidelity_magnitude(self) -> np.ndarray:
@@ -359,8 +365,7 @@ def run_scenario(scenario: Scenario) -> RunRecord:
     diagnostics.SPLITTING_FLOOR.  Samples are evaluated in blocks of
     consecutive instants in the calling process; a densely sampled run
     propagates in a second process, up to three blocks ahead (see the
-    module docstring).  With `keep_states` the full spinor pair is retained
-    at every sample as (t, exact, reference) tuples.
+    module docstring).
     """
     params, grid = scenario.params, scenario.grid
     frame = adiabatic_frame(params, grid)
@@ -404,7 +409,6 @@ def run_scenario(scenario: Scenario) -> RunRecord:
         x_kinematic=scenario.x0 + scenario.p0 * times / params.mass,
         **columns,
         weights=weights,
-        snapshots=[] if scenario.keep_states else None,
     )
 
     # the per-channel columns and the norm checks skip the channels below
@@ -459,12 +463,6 @@ def run_scenario(scenario: Scenario) -> RunRecord:
                     active, out=product_buf[:count]),
                 weights, params.mass, active)
             splittings = parts.splittings[:, active]
-        if scenario.keep_states:
-            for i in range(count):
-                rec.snapshots.append((
-                    sample_steps[first + i] * scenario.dt,
-                    SpinorField(grid, rows[i, :2].copy(), BARE),
-                    SpinorField(grid, rows[i, 2:].copy(), ADIABATIC)))
         # the checks test the whole block at once; only a failing block
         # runs them sample by sample, so that its first failing sample raises
         ref_norms = norms[:, active]

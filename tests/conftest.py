@@ -70,3 +70,24 @@ def generated_packet(st, grid):
                          grid, x0, p0, width),
                      st.floats(-15.0, 15.0), st.floats(-3.0, 3.0),
                      st.floats(1.0, 4.0))
+
+
+def sampled_states(scenario, exact=True):
+    """(t, exact, reference) at every sample of run_scenario(scenario), from
+    chunked FullPropagator and AdiabaticPropagator advance calls: the states
+    a run's record describes, which the record does not keep.  With
+    exact=False only the reference is propagated, and exact reads None."""
+    params, grid, dt = scenario.params, scenario.grid, scenario.dt
+    frame = ad.adiabatic_frame(params, grid)
+    full = ad.FullPropagator(params, grid, dt) if exact else None
+    adiabatic = ad.AdiabaticPropagator(frame, params, dt)
+    n_steps = round(scenario.t_final / dt)
+    state = scenario.initial if exact else None
+    reference = ad.to_adiabatic(scenario.initial, frame)
+    previous = 0
+    for step in [*range(0, n_steps, scenario.stride), n_steps]:
+        if exact:
+            state = full.advance(state, step - previous)
+        reference = adiabatic.advance(reference, step - previous)
+        previous = step
+        yield step * dt, state, reference

@@ -15,7 +15,7 @@ import pytest
 
 import adiabatica as ad
 
-from conftest import l2_distance
+from conftest import l2_distance, sampled_states
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):
@@ -58,17 +58,20 @@ def fwhm(x, y, x_peak):
     return xr - xl
 
 
-def gaussian_transit(amplitude, detuning, x_stop=200.0, x0=-200.0, p0=5.0,
-                     width=10.0, dt=0.02, stride=25, domain=(-300.0, 300.0),
-                     points=2048, keep_states=False):
+def gaussian_scenario(amplitude, detuning, x_stop=200.0, x0=-200.0, p0=5.0,
+                      width=10.0, dt=0.02, stride=25, domain=(-300.0, 300.0),
+                      points=2048):
     params = ad.ModelParams(mode=ad.GaussianMode(amplitude, 50.0),
                             detuning=detuning)
     grid = ad.Grid(points, *domain)
     psi = ad.gaussian_bare_state(grid, x0, p0, width)
-    scenario = ad.Scenario(params=params, grid=grid, initial=psi,
-                           t_final=(x_stop - x0) / p0, dt=dt, stride=stride,
-                           x0=x0, p0=p0, keep_states=keep_states)
-    return ad.run_scenario(scenario)
+    return ad.Scenario(params=params, grid=grid, initial=psi,
+                       t_final=(x_stop - x0) / p0, dt=dt, stride=stride,
+                       x0=x0, p0=p0)
+
+
+def gaussian_transit(*args, **kwargs):
+    return ad.run_scenario(gaussian_scenario(*args, **kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +317,18 @@ def test_criterion_11_averaged_vs_pointwise_peaks():
              domain=(-400.0, 350.0)),
     )
     for cfg in runs:
-        rec = gaussian_transit(1.0, cfg["detuning"], x_stop=cfg["x_stop"],
+        sc = gaussian_scenario(1.0, cfg["detuning"], x_stop=cfg["x_stop"],
                                x0=cfg["x0"], p0=1.5, dt=cfg["dt"], stride=100,
-                               domain=cfg["domain"], keep_states=True)
-        params = ad.ModelParams(mode=ad.GaussianMode(1.0, 50.0),
-                                detuning=cfg["detuning"])
-        frame = ad.adiabatic_frame(params, rec.final_reference.grid)
+                               domain=cfg["domain"])
+        rec = ad.run_scenario(sc)
+        params = sc.params
+        frame = ad.adiabatic_frame(params, sc.grid)
+        # the run's reference states, from the public adiabatic propagator
+        references = sampled_states(sc, exact=False)
         plain = np.array([ad.packet_adiabaticity(reference, frame, params,
                                                  rec.weights,
                                                  include_curvature=False)
-                          for _, _, reference in rec.snapshots])
+                          for _, _, reference in references])
         approx = ad.local_adiabaticity(params, rec.x_kinematic, 1.5)
         peaks_avg = local_peak_positions(rec.x_kinematic, rec.adiabaticity)
         peaks_approx = local_peak_positions(rec.x_kinematic, approx)

@@ -440,6 +440,30 @@ def test_cli_rejects_an_outsized_grid_before_allocating_it(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("experiment, x_min, x_max, cause", [
+    ("a0-map", -1e308, 1e308, "spacing (x_max - x_min)/npoints overflows"),
+    ("atrace", 0.0, 1e-320, "momentum cutoff pi/dx overflows at dx=4e-323"),
+], ids=["span", "cutoff"])
+def test_cli_rejects_a_grid_whose_spacing_overflows(tmp_path, capsys,
+                                                   experiment, x_min, x_max,
+                                                   cause):
+    # the a0-map exited naming an overflowing pointwise parameter, the atrace
+    # a momentum cutoff of 0, each after an "invalid value" RuntimeWarning
+    data = tiny_map_config(experiment)
+    if experiment == "atrace":
+        data["model"]["detuning"] = 0.5
+    data["grid"].update(x_min=x_min, x_max=x_max)
+    cfg_path = write_config(tmp_path, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = main([experiment, "--config", str(cfg_path),
+                       "--out", str(tmp_path / "out")])
+    assert status == 1
+    assert capsys.readouterr().err == (
+        f"adiabatica: error: config.grid: Grid {cause}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_reports_a_memory_error_in_one_line(tmp_path, capsys,
                                                 monkeypatch):
     # an allocation that fails (a huge detuning count or scan_points) printed
@@ -762,3 +786,20 @@ def test_every_public_name_has_a_user_outside_its_unit_tests():
         if references == defined and not word.search(outside):
             unused.append(name)
     assert unused == []
+
+
+def test_readme_library_quick_start_runs_as_written():
+    # the README's library example, executed as written, and the identity it
+    # states: the time-domain parameter of the substitution model along the
+    # run's instants equals the pointwise parameter along its kinematic path
+    readme = (CONFIGS.parent / "README.md").read_text()
+    section = readme.split("## Library quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    params, model, record = (namespace[name]
+                             for name in ("params", "model", "record"))
+    pointwise = ad.local_adiabaticity(params, record.x_kinematic, 5.0)
+    assert pointwise.max() > 0.0
+    np.testing.assert_allclose(ad.time_adiabaticity(model, record.times),
+                               pointwise, rtol=1e-12, atol=0.0)

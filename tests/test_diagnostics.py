@@ -158,6 +158,21 @@ def test_local_adiabaticity_where_its_terms_overflow(curved, p0, amplitude,
     np.testing.assert_allclose(got, want / 1e150, rtol=1e-13, atol=0.0)
 
 
+def test_local_adiabaticity_where_its_numerator_is_subnormal():
+    # at detuning 1e-310 the plain numerator p0/m split sqrt(n) g' on the
+    # tails is subnormal while the gap cubed is a normal number; the value
+    # is linear in the detuning there, so it must equal the value at 1e-290
+    # scaled by 1e-20 (the direct form lost digits: 1.7e-4 at x = 7).  At
+    # the centre g' is 0 and the value an exact 0
+    xs = np.array([0.0, 6.5, 7.0])
+    tiny, small = (ad.ModelParams(mode=ad.GaussianMode(1.0, 1.0), detuning=d)
+                   for d in (1e-310, 1e-290))
+    got = ad.local_adiabaticity(tiny, xs, 1.0)
+    want = ad.local_adiabaticity(small, xs, 1.0) * 1e-20
+    assert got[0] == 0.0 and got[1:].min() > 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Packet-averaged parameter
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -36,6 +38,21 @@ def test_grid_rejects_bad_sizes():
         ad.Grid(1000, -1.0, 1.0)  # not a power of two
     with pytest.raises(ValueError):
         ad.Grid(256, 2.0, -2.0)
+
+
+@pytest.mark.parametrize("x_min, x_max, cause", [
+    (-1e308, 1e308, r"spacing \(x_max - x_min\)/npoints overflows"),
+    (0.0, 1e-320, r"momentum cutoff pi/dx overflows at dx=1\.25e-321"),
+], ids=["span", "cutoff"])
+def test_grid_rejects_a_spacing_or_cutoff_that_overflows(x_min, x_max, cause):
+    # both spans built x or k from a non-finite spacing, with an "invalid
+    # value" RuntimeWarning, and failed later under another name; numpy
+    # scalar bounds must raise the same error without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bounds in ((x_min, x_max), np.array([x_min, x_max])):
+            with pytest.raises(ValueError, match=cause):
+                ad.Grid(8, *bounds)
 
 
 def test_fourier_round_trip_identity(small_grid):

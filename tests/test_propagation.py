@@ -14,7 +14,7 @@ import scipy.linalg as sla
 import adiabatica as ad
 
 from conftest import (constant_mode, generated_packet, generated_params,
-                      l2_distance)
+                      l2_distance, sampled_states)
 from adiabatica.config import validate_config
 from adiabatica.experiments import write_run_csv
 
@@ -372,6 +372,24 @@ def test_scenario_validation():
     assert record.times.tolist() == [0.0, 0.01]
 
 
+def test_scenario_caps_its_step_count():
+    # the step limit of a config also holds for a Scenario built in code: a
+    # step count that overflowed failed in run_scenario after building the
+    # frame, and a large finite one started a run that long
+    grid = ad.Grid(256, -40.0, 40.0)
+    psi = ad.gaussian_bare_state(grid, -10.0, 2.0, 3.0)
+    cap = ad.config.MAX_STEPS
+
+    def scenario(t_final, dt):
+        return ad.Scenario(params=free_params(), grid=grid, initial=psi,
+                           t_final=t_final, dt=dt)
+
+    assert scenario(0.5 * cap, 0.5).t_final / 0.5 == cap
+    for t_final, dt in ((1e300, 1e-10), (0.5 * cap, 0.4999)):
+        with pytest.raises(ValueError, match=f"exceeds the limit of {cap}"):
+            scenario(t_final, dt)
+
+
 def test_trajectory_rows_shape(tmp_path):
     grid = ad.Grid(256, -40.0, 40.0)
     params = free_params()
@@ -387,53 +405,6 @@ def test_trajectory_rows_shape(tmp_path):
     assert all(len(row.split(",")) == len(header) for row in rows)
 
 
-def test_run_scenario_keeps_states_on_request():
-    grid = ad.Grid(256, -40.0, 40.0)
-    params = ad.ModelParams(mode=ad.GaussianMode(1.0, 5.0), detuning=1.0)
-    psi = ad.gaussian_bare_state(grid, -10.0, 2.0, 3.0)
-    sc = ad.Scenario(params=params, grid=grid, initial=psi, t_final=1.0,
-                     dt=0.01, stride=25, x0=-10.0, p0=2.0, keep_states=True)
-    rec = ad.run_scenario(sc)
-    assert len(rec.snapshots) == rec.times.size
-    t0, exact0, ref0 = rec.snapshots[0]
-    assert t0 == 0.0
-    assert l2_distance(exact0, psi) == 0.0
-    assert ref0.frame == ad.ADIABATIC
-    # default: no snapshots retained
-    sc_plain = ad.Scenario(params=params, grid=grid, initial=psi, t_final=1.0,
-                           dt=0.01, stride=25, x0=-10.0, p0=2.0)
-    assert ad.run_scenario(sc_plain).snapshots is None
-
-
-def test_run_scenario_stacked_pair_matches_separate_propagators():
-    # exact state and reference advance as one stacked array; every snapshot
-    # must equal chunked advance calls of the two propagators bit for bit,
-    # with a stride (7) that does not divide the step count (30)
-    grid = ad.Grid(256, -40.0, 40.0)
-    params = ad.ModelParams(mode=ad.GaussianMode(2.0, 5.0), detuning=0.5)
-    psi = ad.gaussian_bare_state(grid, -10.0, 3.0, 2.5)
-    dt = 0.01
-    sc = ad.Scenario(params=params, grid=grid, initial=psi, t_final=30 * dt,
-                     dt=dt, stride=7, x0=-10.0, p0=3.0, keep_states=True)
-    rec = ad.run_scenario(sc)
-    frame = ad.adiabatic_frame(params, grid)
-    full = ad.FullPropagator(params, grid, dt)
-    adiabatic = ad.AdiabaticPropagator(frame, params, dt)
-    exact, reference = psi, ad.to_adiabatic(psi, frame)
-    steps = [0, 7, 14, 21, 28, 30]
-    assert len(rec.snapshots) == len(steps)
-    for i, (t, got_exact, got_reference) in enumerate(rec.snapshots):
-        if i:
-            exact = full.advance(exact, steps[i] - steps[i - 1])
-            reference = adiabatic.advance(reference, steps[i] - steps[i - 1])
-        assert t == steps[i] * dt
-        assert got_exact.frame == ad.BARE and got_reference.frame == ad.ADIABATIC
-        assert np.array_equal(got_exact.components, exact.components)
-        assert np.array_equal(got_reference.components, reference.components)
-    assert np.array_equal(rec.final_exact.components, exact.components)
-    assert np.array_equal(rec.final_reference.components, reference.components)
-
-
 def _scenario_from_adiabatic(lower_amplitude):
     """Scenario whose initial state is a packet in the upper adiabatic channel
     plus lower_amplitude times the same packet in the lower one."""
@@ -444,15 +415,14 @@ def _scenario_from_adiabatic(lower_amplitude):
     initial = ad.to_bare(ad.SpinorField(grid, comps, ad.ADIABATIC),
                          ad.adiabatic_frame(params, grid))
     return ad.Scenario(params=params, grid=grid, initial=initial, t_final=1.0,
-                       dt=0.01, stride=7, x0=-8.0, p0=3.0, keep_states=True)
+                       dt=0.01, stride=7, x0=-8.0, p0=3.0)
 
 
 def _count_transforms(monkeypatch):
     """Run 30 steps sampled every 7 (6 samples, one block) inline, with the
     transforms counted at the bound pocketfft names and at np.fft; return
     the record, the (4, N) pair shape and the shapes each name saw."""
-    sc = dataclasses.replace(_scenario_from_adiabatic(0.6), t_final=0.3,
-                             keep_states=False)
+    sc = dataclasses.replace(_scenario_from_adiabatic(0.6), t_final=0.3)
     shapes = {"_fft": [], "_ifft": [], "np.fft": []}
 
     def counter(transform, seen):
@@ -517,12 +487,24 @@ def test_bound_transforms_match_numpy_fft():
     (0.6, "ref_and_a"),              # both channels active
     (0.0, "none"),                   # lower weight below WEIGHT_FLOOR
     (np.sqrt(3e-10), "ref_and_a"),   # lower weight just above WEIGHT_FLOOR
+    # the upper bare packet over 30 steps, a stride (7) that does not divide
+    # them
+    pytest.param(None, "ref_and_a", id="bare-ref_and_a"),
 ])
 def test_run_scenario_columns_match_public_observables(lower_amplitude,
                                                        lower_filled):
-    # every column the sampler fills, rebuilt from the kept states with the
-    # public observables, must agree bit for bit (nan counting as equal)
-    sc = _scenario_from_adiabatic(lower_amplitude)
+    # the stacked exact/reference pair must hold the states of chunked
+    # advance calls of the two propagators: every column the sampler fills,
+    # rebuilt from those states with the public observables, and both final
+    # states must agree bit for bit (nan counting as equal)
+    if lower_amplitude is None:
+        grid = ad.Grid(256, -40.0, 40.0)
+        sc = ad.Scenario(
+            params=ad.ModelParams(mode=ad.GaussianMode(2.0, 5.0), detuning=0.5),
+            grid=grid, initial=ad.gaussian_bare_state(grid, -10.0, 3.0, 2.5),
+            t_final=30 * 0.01, dt=0.01, stride=7, x0=-10.0, p0=3.0)
+    else:
+        sc = _scenario_from_adiabatic(lower_amplitude)
     rec = ad.run_scenario(sc)
     frame = ad.adiabatic_frame(sc.params, sc.grid)
     active = rec.weights >= ad.diagnostics.WEIGHT_FLOOR
@@ -530,9 +512,9 @@ def test_run_scenario_columns_match_public_observables(lower_amplitude,
                "fidelity", "ref_x", "ref_p", "adiabaticity",
                "adiabaticity_terms")
     want = {name: np.full_like(getattr(rec, name), np.nan) for name in columns}
-    assert len(rec.snapshots) == rec.times.size
-    for i, (t, exact, reference) in enumerate(rec.snapshots):
-        assert t == rec.times[i]
+    states = list(sampled_states(sc))
+    assert [t for t, _, _ in states] == rec.times.tolist()
+    for i, (_, exact, reference) in enumerate(states):
         want["x_mean"][i] = ad.mean_position(exact)
         want["p_mean"][i] = ad.mean_momentum(exact)
         want["norm"][i] = exact.norm()
@@ -548,6 +530,11 @@ def test_run_scenario_columns_match_public_observables(lower_amplitude,
         want["adiabaticity"][i] = parts.total(True)
     for name, values in want.items():
         assert np.array_equal(getattr(rec, name), values, equal_nan=True), name
+    _, exact, reference = states[-1]
+    assert rec.final_exact.frame == ad.BARE
+    assert rec.final_reference.frame == ad.ADIABATIC
+    assert np.array_equal(rec.final_exact.components, exact.components)
+    assert np.array_equal(rec.final_reference.components, reference.components)
 
     # one weight floor, WEIGHT_FLOOR, decides every per-channel column
     for name in ("ref_x", "ref_p", "adiabaticity_terms"):
@@ -637,19 +624,14 @@ def test_block_size_never_changes_a_run():
 
 
 def _assert_same_run(rec, want, context):
-    """Every record array (nan counting as equal), the final states and the
-    snapshots of `rec` equal those of `want` bit for bit."""
+    """Every record array (nan counting as equal) and both final states of
+    `rec` equal those of `want` bit for bit."""
     for name in _RECORD_ARRAYS:
         assert np.array_equal(getattr(rec, name), getattr(want, name),
                               equal_nan=True), (context, name)
     for field in ("final_exact", "final_reference"):
         assert np.array_equal(getattr(rec, field).components,
-                              getattr(want, field).components)
-    assert len(rec.snapshots) == len(want.snapshots)
-    for got, expected in zip(rec.snapshots, want.snapshots):
-        assert got[0] == expected[0]
-        assert np.array_equal(got[1].components, expected[1].components)
-        assert np.array_equal(got[2].components, expected[2].components)
+                              getattr(want, field).components), (context, field)
 
 
 def _guarded_scenario():
@@ -657,7 +639,7 @@ def _guarded_scenario():
     sample (index, packet label, time), found with the public observables on
     chunked propagator runs."""
     sc = dataclasses.replace(_scenario_from_adiabatic(0.6), t_final=40.0,
-                             stride=5, keep_states=False)
+                             stride=5)
     grid, frame = sc.grid, ad.adiabatic_frame(sc.params, sc.grid)
     full = ad.FullPropagator(sc.params, grid, sc.dt)
     adiabatic = ad.AdiabaticPropagator(frame, sc.params, sc.dt)
@@ -905,7 +887,7 @@ def test_pipelined_run_reaps_the_helper_on_interrupt(monkeypatch):
     # Ctrl-C lands in the caller, which samples every block (and rotates
     # its exact states once per block); the helper that propagates ahead
     # must still be reaped
-    sc = dataclasses.replace(_scenario_from_adiabatic(0.6), keep_states=False)
+    sc = _scenario_from_adiabatic(0.6)
     real_rotate = ad.propagation._rotate_to_adiabatic
     calls = []
 
@@ -929,7 +911,7 @@ def test_pipelined_run_reaps_the_helper_on_interrupt(monkeypatch):
 def test_pipelined_run_reports_a_lost_helper(monkeypatch):
     # a helper process that dies (say, killed for memory) must not leave the
     # run waiting or raise a bare pipe error
-    sc = dataclasses.replace(_scenario_from_adiabatic(0.6), keep_states=False)
+    sc = _scenario_from_adiabatic(0.6)
 
     def run():
         monkeypatch.setattr(ad.propagation, "_BLOCK_BYTES", 2 * 4 * 256 * 16)
@@ -946,7 +928,7 @@ def test_pipelined_run_reports_a_helper_lost_after_its_first_block(monkeypatch):
     # a helper that dies after handing over one block makes the caller's
     # acknowledgement or its next receive fail; either must fail the run
     # the same way, and the helper must be reaped
-    sc = dataclasses.replace(_scenario_from_adiabatic(0.6), keep_states=False)
+    sc = _scenario_from_adiabatic(0.6)
 
     def hand_over_one_block_then_exit(conn, caller_end, propagate,
                                       reuses_slots):
@@ -972,7 +954,7 @@ def test_pipelined_run_reports_a_helper_lost_after_its_first_block(monkeypatch):
 def test_runs_in_a_threaded_caller_sample_inline(monkeypatch):
     # forking a process with other threads running can leave the helper
     # waiting on a lock one of them held; such a caller's runs stay inline
-    sc = dataclasses.replace(_scenario_from_adiabatic(0.6), keep_states=False)
+    sc = _scenario_from_adiabatic(0.6)
     inline, _ = _on_cpus(monkeypatch, {0}, lambda: ad.run_scenario(sc))
 
     def run():
