@@ -14,9 +14,7 @@ from .model import (AdiabaticFrame, DegeneratePointError, FrameCase,
                     GaussianMode, LinearMode, ModelParams, StandingWaveMode,
                     TabulatedMode, adiabatic_eigenvalues, adiabatic_frame,
                     mixing_angle)
-from .grids import (ADIABATIC, BARE, Grid, SpinorField, expect_momentum,
-                    expect_position, expect_grid_values, expect_slope_momentum,
-                    gaussian_bare_state, mean_momentum, mean_position,
+from .grids import (ADIABATIC, BARE, Grid, SpinorField, gaussian_bare_state,
                     packet_width, to_adiabatic, to_bare)
 from .propagation import (AdiabaticPropagator, DomainGuardError,
                           FullPropagator, RunRecord, Scenario, run_scenario)

@@ -313,6 +313,26 @@ def _parse_search(obj, path, mode):
     return SearchSpec(lo, hi, scan)
 
 
+def _check_profile(base, detunings, state):
+    """A max-locus search needs a parameter that is nonzero somewhere; its
+    numerator p0 * detuning * g' is zero everywhere for these configs."""
+    if state.p0 == 0:
+        _fail("config.state.p0", "max-locus needs a nonzero p0: the pointwise "
+              "parameter is zero everywhere")
+    if np.any(detunings == 0):
+        _fail("config.model.detuning", "max-locus needs nonzero detunings: at "
+              "detuning 0 the pointwise parameter is zero everywhere")
+    mode = base.mode
+    if isinstance(mode, TabulatedMode):
+        flat = not np.any(mode.samples)
+    else:
+        flat = (mode.gradient if isinstance(mode, LinearMode)
+                else mode.amplitude) == 0
+    if flat:
+        _fail("config.model.mode", "max-locus needs a nonzero coupling: the "
+              "pointwise parameter is zero everywhere")
+
+
 # ---------------------------------------------------------------------------
 # Whole config
 # ---------------------------------------------------------------------------
@@ -364,8 +384,10 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
 
     if "search" in data and tag != "max-locus":
         _fail("config.search", "only the max-locus experiment takes a search block")
-    search = (_parse_search(data.get("search", {}), "config.search", base.mode)
-              if tag == "max-locus" else None)
+    search = None
+    if tag == "max-locus":
+        search = _parse_search(data.get("search", {}), "config.search", base.mode)
+        _check_profile(base, detunings, state)
 
     # single-run traces default to the measured packet center; sweep matrices
     # need the shared kinematic axis

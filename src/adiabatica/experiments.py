@@ -48,7 +48,7 @@ def write_csv(path: Path, comment: str, header: list, columns) -> Path:
     return path
 
 
-def write_run_csv(record, path, comment: str = "# adiabatica run record") -> Path:
+def write_run_csv(record, path, comment: str) -> Path:
     """Trajectory export of a run record (docs/formats/trajectory.md)."""
     header = ["t", "x_mean", "p_mean", "ref_x_upper", "ref_p_upper",
               "ref_x_lower", "ref_p_lower", "pop_upper", "pop_lower", "norm"]

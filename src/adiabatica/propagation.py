@@ -11,14 +11,17 @@ exactly unitary and the scheme is second order in dt.  Consecutive steps
 fuse the adjacent kinetic half-steps, which halves the FFT count without
 changing the result.
 
-One kernel, `_strang`, runs the steps in place on the rows of a complex
-array: each kinetic factor is one in-place forward FFT, phase multiply and
-inverse FFT over all rows, and each potential factor is applied by the
-propagator that owns the rows.  The transforms call the pocketfft gufuncs
-behind np.fft directly (grids._fft, grids._ifft: the same bits without
-np.fft's argument handling), the loop runs its last step, which ends on a
-half kinetic factor, after the loop instead of testing for it on every
-step, and each potential factor is a closure over its arrays.  FullPropagator (a 2x2 unitary per point) and
+One kernel, `_strang`, runs the steps on the rows of a complex array, and
+it has one entry: it starts from the spectrum of the starting state.
+advance transforms its field once before the call; run_scenario hands it
+the spectrum it sampled (below).  Each later kinetic factor is one in-place
+forward FFT, phase multiply and inverse FFT over all rows, and each
+potential factor is applied by the propagator that owns the rows.  The
+transforms call the pocketfft gufuncs behind np.fft directly (grids._fft,
+grids._ifft: the same bits without np.fft's argument handling), the loop
+runs its last step, which ends on a half kinetic factor, after the loop
+instead of testing for it on every step, and each potential factor is a
+closure over its arrays.  FullPropagator (a 2x2 unitary per point) and
 AdiabaticPropagator (diagonal phases) differ only in that potential factor.
 run_scenario keeps the exact state (bare rows 0-1) and the adiabatic
 reference (rows 2-3) in one (4, N) array, so every kinetic factor is one
@@ -41,8 +44,7 @@ block's (B, 2, N) channels for <theta' p>.  The checks then test the
 block's arrays at once; only a block that fails them is checked sample by
 sample, so a failing run raises the error of its first failing sample.
 The forward FFT each sample needs is also the first transform of the next
-chunk: _strang starts from that spectrum instead of transforming the state
-again.
+chunk, so _strang starts from that spectrum.
 
 Propagation is one loop, propagate(hand_off), that fills the ring and calls
 hand_off(first, count) on each finished block; the calling process always
@@ -113,22 +115,17 @@ def _kinetic(rows: np.ndarray, phase: np.ndarray) -> None:
     _ifft(rows, out=rows)
 
 
-def _strang(rows: np.ndarray, n_steps: int, half_kin: np.ndarray,
-            full_kin: np.ndarray, kick, spectrum: np.ndarray | None = None) -> None:
-    """Apply n_steps Strang steps in place to the (m, N) array `rows`.
+def _strang(rows: np.ndarray, spectrum: np.ndarray, n_steps: int,
+            half_kin: np.ndarray, full_kin: np.ndarray, kick) -> None:
+    """Apply n_steps >= 1 Strang steps to the state whose FFT is `spectrum`,
+    writing the result into the (m, N) array `rows` (which may be
+    `spectrum`).
 
     Interior kinetic half-steps are fused; kick(rows) multiplies the rows by
-    their pointwise potential factor in place.  With `spectrum`, the FFT of
-    the starting state, the steps start from it and the contents of `rows`
-    are overwritten unread.
+    their pointwise potential factor in place.
     """
-    if n_steps <= 0:
-        return
-    if spectrum is None:
-        _kinetic(rows, half_kin)
-    else:
-        np.multiply(spectrum, half_kin, out=rows)
-        _ifft(rows, out=rows)
+    np.multiply(spectrum, half_kin, out=rows)
+    _ifft(rows, out=rows)
     for _ in range(n_steps - 1):
         kick(rows)
         _kinetic(rows, full_kin)
@@ -136,17 +133,30 @@ def _strang(rows: np.ndarray, n_steps: int, half_kin: np.ndarray,
     _kinetic(rows, half_kin)
 
 
+def _count(value, name: str, minimum: int) -> int:
+    """`value` as an integer >= minimum; numpy integers pass, bools do not."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, "
+                         f"got {value!r}")
+    return int(value)
+
+
 class _Stepper:
     """The body of advance, shared by both propagators."""
 
     def _advance(self, field: SpinorField, n_steps: int, frame: str,
                  wrong_frame: str) -> SpinorField:
+        n_steps = _count(n_steps, "n_steps", 0)
         if field.frame != frame:
             raise ValueError(wrong_frame)
         if field.grid != self.grid:
             raise ValueError("field grid does not match propagator grid")
-        comps = field.components.copy()
-        _strang(comps, n_steps, self._half_kin, self._full_kin, self._apply_potential)
+        if n_steps == 0:
+            return SpinorField(self.grid, field.components.copy(), frame)
+        comps = _fft(field.components, out=np.empty_like(field.components))
+        _strang(comps, comps, n_steps, self._half_kin, self._full_kin,
+                self._apply_potential)
         return SpinorField(self.grid, comps, frame)
 
 
@@ -233,8 +243,7 @@ class Scenario:
         if not steps <= MAX_STEPS:
             raise ValueError(f"Scenario.t_final/dt = {steps:.3g} steps exceeds "
                              f"the limit of {MAX_STEPS}")
-        if self.stride < 1:
-            raise ValueError("Scenario.stride must be >= 1")
+        _count(self.stride, "Scenario.stride", 1)
 
 
 @dataclass
@@ -495,8 +504,8 @@ def run_scenario(scenario: Scenario) -> RunRecord:
         for idx, step in enumerate(sample_steps):
             pos = idx % ring_size
             if idx:
-                _strang(ring[pos], step - sample_steps[idx - 1], half_kin,
-                        full_kin, kick, spectrum=ring_spectra[pos - 1])
+                _strang(ring[pos], ring_spectra[pos - 1],
+                        step - sample_steps[idx - 1], half_kin, full_kin, kick)
             _fft(ring[pos], out=ring_spectra[pos])
             slot = pos % block
             if slot == block - 1 or idx == n_samples - 1:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -307,7 +308,7 @@ def test_write_run_csv(tmp_path):
     sc = ad.Scenario(params=params, grid=grid, initial=psi, t_final=2.0,
                      dt=0.01, stride=50, x0=-40.0, p0=3.0)
     rec = ad.run_scenario(sc)
-    path = write_run_csv(rec, tmp_path / "run.csv")
+    path = write_run_csv(rec, tmp_path / "run.csv", "# run record")
     _, header, table = read_table(path)
     assert header == ["t", "x_mean", "p_mean", "ref_x_upper", "ref_p_upper",
                       "ref_x_lower", "ref_p_lower", "pop_upper", "pop_lower",
@@ -634,6 +635,18 @@ def test_cli_rejects_an_overflowing_pointwise_parameter(tmp_path, capsys, name,
         assert table.shape[1] == 2 and np.all(table[:, 1] == 0.0)
 
 
+def test_cli_rejects_a_flat_max_locus_profile_at_load_time(tmp_path, capsys):
+    # p0 = 0 zeroes the pointwise parameter at every point: the config is
+    # rejected under its key path before the search, and no output is made
+    out = tmp_path / "out"
+    assert main(["max-locus", "--config", str(CONFIGS / "fig2_max_locus.json"),
+                 "--out", str(out), "--override", "state.p0=0"]) == 1
+    assert capsys.readouterr().err == (
+        "adiabatica: error: config.state.p0: max-locus needs a nonzero p0: "
+        "the pointwise parameter is zero everywhere\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["fig1_a0_map", "fig2_max_locus"])
 def test_cli_pointwise_outputs_where_the_gap_cubed_overflows(tmp_path, name):
     # at detuning 1e150 (split^2 + 4 G^2)^(3/2) overflows, yet the parameter
@@ -748,12 +761,9 @@ def test_public_api_names():
         "RunRecord", "Scenario", "SpinorField", "StandingWaveMode",
         "TabulatedMode", "adiabatic_eigenvalues", "adiabatic_frame",
         "adiabaticity_max_locus", "adiabaticity_parts",
-        "coupling_from_adiabaticity", "expect_grid_values",
-        "expect_momentum", "expect_position", "expect_slope_momentum",
-        "fidelity", "gaussian_bare_state",
+        "coupling_from_adiabaticity", "fidelity", "gaussian_bare_state",
         "initial_channel_weights", "local_adiabaticity",
-        "lorentzian_peak_integral", "mean_momentum", "mean_position",
-        "mixing_angle", "node_limit_probe", "packet_adiabaticity",
+        "lorentzian_peak_integral", "mixing_angle", "node_limit_probe", "packet_adiabaticity",
         "packet_width", "run_scenario", "substitution_model",
         "time_adiabaticity", "to_adiabatic", "to_bare",
     ]
@@ -764,7 +774,8 @@ def test_every_public_name_has_a_user_outside_its_unit_tests():
     # definition and the package's import list (a call, a return type, an
     # exception that is raised), in the acceptance criteria, in the
     # benchmark tracer, or in the README and the format docs.  A name that
-    # only its own unit tests call belongs in a test or nowhere.
+    # only its own unit tests call belongs in a test or nowhere.  The same
+    # holds for the public methods and properties of the API's classes.
     root = CONFIGS.parent
     package = Path(ad.__file__).resolve().parent
     sources = [path.read_text() for path in sorted(package.glob("*.py"))
@@ -772,19 +783,34 @@ def test_every_public_name_has_a_user_outside_its_unit_tests():
     outside = "\n".join(path.read_text() for path in [
         root / "tests" / "test_acceptance.py", root / "perfbench" / "tracer.py",
         root / "README.md", *sorted((root / "docs").rglob("*.md"))])
-    unused = []
-    for name in sorted(ad.__all__):
-        if isinstance(getattr(ad, name), type(ad)):
-            unused.append(name)  # a submodule is an attribute, not an API name
-            continue
+
+    def has_user(name, definition):
         word = re.compile(rf"\b{name}\b")
-        definition = re.compile(rf"^(def|class) {name}\b|^{name}\b *[:=]",
-                                re.MULTILINE)
         references = sum(len(word.findall(text)) for text in sources)
         defined = sum(len(definition.findall(text)) for text in sources)
-        assert defined == 1, name
-        if references == defined and not word.search(outside):
+        return references > defined or word.search(outside) is not None
+
+    unused = []
+    for name in sorted(ad.__all__):
+        value = getattr(ad, name)
+        if isinstance(value, type(ad)):
+            unused.append(name)  # a submodule is an attribute, not an API name
+            continue
+        definition = re.compile(rf"^(def|class) {name}\b|^{name}\b *[:=]",
+                                re.MULTILINE)
+        assert sum(len(definition.findall(text)) for text in sources) == 1, name
+        if not has_user(name, definition):
             unused.append(name)
+        if not isinstance(value, type):
+            continue
+        for member, attr in vars(value).items():
+            if member.startswith("_") or not isinstance(
+                    attr, (property, types.FunctionType)):
+                continue
+            # several classes (and nested functions) may share a method name
+            definition = re.compile(rf"^ +def {member}\b", re.MULTILINE)
+            if not has_user(member, definition):
+                unused.append(f"{name}.{member}")
     assert unused == []
 
 

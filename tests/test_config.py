@@ -251,6 +251,31 @@ def test_max_locus_without_a_default_window_needs_one(mode):
     assert (search.x_lo, search.x_hi) == (0.5, 3.0)
 
 
+@pytest.mark.parametrize("overrides, path", [
+    (["state.p0=0"], "config.state.p0"),
+    (["model.detuning=0"], "config.model.detuning"),
+    (['model.detuning={"values": [0.1, -0.0]}'], "config.model.detuning"),
+    (["model.mode.amplitude=0"], "config.model.mode"),
+    (['model.mode={"kind": "standing_wave", "amplitude": 0.0, '
+      '"wavenumber": 0.5}'], "config.model.mode"),
+    (['model.mode={"kind": "linear", "gradient": 0.0}'], "config.model.mode"),
+    (['model.mode={"kind": "tabulated", "positions": [0, 1, 2, 3], '
+      '"samples": [0, 0, 0, 0]}'], "config.model.mode"),
+])
+def test_max_locus_rejects_a_flat_profile_at_load_time(overrides, path):
+    # each of these zeroes the pointwise parameter at every point; such a
+    # config loaded and its search then failed on the flat profile
+    data = apply_overrides(max_locus_config(), overrides)
+    with pytest.raises(ConfigError,
+                       match=rf"^{re.escape(path)}: .*zero everywhere$"):
+        validate_config(data)
+    # the other experiments still take the same blocks
+    data["experiment"] = "a0-map"
+    data["grid"] = {"points": 256, "x_min": -100.0, "x_max": 100.0}
+    del data["search"]
+    assert validate_config(data).experiment == "a0-map"
+
+
 def tabulated_config():
     xs = np.linspace(-50.0, 50.0, 64, endpoint=False)
     return {

@@ -430,9 +430,6 @@ def test_lorentzian_peak_integral_guards():
     params = ad.ModelParams(mode=ad.GaussianMode(1.0, 5.0), detuning=1.0)
     with pytest.raises(ValueError):
         ad.lorentzian_peak_integral(params, p0=1.0)
-    params = ad.ModelParams(mode=ad.LinearMode(1.0), detuning=1.0)
-    with pytest.raises(ValueError):
-        ad.lorentzian_peak_integral(params, p0=1.0, window_halfwidths=5.0)
     # a zero slope at the node raised ZeroDivisionError
     params = ad.ModelParams(mode=ad.StandingWaveMode(0.0, 1.0), detuning=0.5)
     with pytest.raises(ValueError, match="nonzero coupling slope"):
@@ -448,7 +445,7 @@ def test_node_limit_probe_exponents_and_divergence():
     report = ad.node_limit_probe(params, p0=5.0)
     assert abs(report.off_node_exponent - 1.0) < 0.1
     assert abs(report.node_exponent + 2.0) < 0.02
-    assert report.iterated_limit_ratio > 1e3
+    assert report.node_values[-1] / report.off_node_values[-1] > 1e3
     # approaching the node at fixed detuning the values keep growing
     assert np.all(np.diff(report.approach_values) > 0)
     assert report.node_values[-1] > report.node_values[0]
@@ -502,9 +499,9 @@ def _packet(grid=_GRID):
      "SpinorField.components must have shape (2, npoints)"),
     (lambda: ad.SpinorField(_GRID, _EMPTY, "rotated"),
      "unknown frame tag 'rotated'"),
-    (lambda: ad.expect_position(_packet(), 2),
+    (lambda: ad.grids.expect_position(_packet(), 2),
      "component must be 0 (upper), 1 (lower) or None (both)"),
-    (lambda: ad.mean_position(ad.SpinorField(_GRID, _EMPTY, ad.BARE)),
+    (lambda: ad.grids.mean_position(ad.SpinorField(_GRID, _EMPTY, ad.BARE)),
      "mean_position of an empty field"),
     (lambda: ad.TabulatedMode(np.arange(3.0), np.zeros(3)),
      "TabulatedMode needs at least 4 sample positions"),

@@ -84,16 +84,16 @@ def test_gaussian_state_moments():
     grid = ad.Grid(2048, -300.0, 300.0)
     x0, p0, width = -200.0, 5.0, 10.0
     psi = ad.gaussian_bare_state(grid, x0, p0, width)
-    x_mean = ad.expect_position(psi, component=0)
-    p_mean = ad.expect_momentum(psi, component=0)
+    x_mean = ad.grids.expect_position(psi, component=0)
+    p_mean = ad.grids.expect_momentum(psi, component=0)
     assert abs(x_mean - x0) < 1e-8
     assert abs(p_mean - p0) < 1e-8
     # <p^2> = p0^2 + 1 / (2 width^2) for this envelope convention
     p2 = ad.grids._expect_spectrum(psi, grid.k**2, 0)
     assert p2 == pytest.approx(p0**2 + 1.0 / (2.0 * width**2), abs=1e-8)
     assert ad.packet_width(psi) == pytest.approx(width, abs=1e-8)
-    assert ad.mean_position(psi) == pytest.approx(x0, abs=1e-8)
-    assert ad.mean_momentum(psi) == pytest.approx(p0, abs=1e-8)
+    assert ad.grids.mean_position(psi) == pytest.approx(x0, abs=1e-8)
+    assert ad.grids.mean_momentum(psi) == pytest.approx(p0, abs=1e-8)
 
 
 def test_gaussian_state_guards():
@@ -189,8 +189,8 @@ def test_expectations_constant_splitting():
     psi = ad.gaussian_bare_state(grid, 0.0, 2.0, 4.0)
     psi.components[1] = psi.components[0]  # populate both components
     psi.components /= psi.norm()
-    up = ad.expect_grid_values(psi, frame.upper)
-    dn = ad.expect_grid_values(psi, frame.lower)
+    up = ad.grids.expect_grid_values(psi, frame.upper)
+    dn = ad.grids.expect_grid_values(psi, frame.lower)
     np.testing.assert_allclose(up - dn, abs(params.detuning), atol=1e-12)
 
 
@@ -198,9 +198,9 @@ def test_expectations_per_component(small_grid):
     params = ad.ModelParams(mode=ad.StandingWaveMode(0.4, 0.5), detuning=1.0)
     psi = ad.gaussian_bare_state(small_grid, 0.0, 2.0, 3.0)
     psi.components[1] = psi.components[0] / 2.0
-    assert ad.expect_position(psi)[0] == pytest.approx(0.0, abs=1e-8)
-    assert ad.expect_momentum(psi)[1] == pytest.approx(2.0, abs=1e-8)
-    coup = ad.expect_grid_values(psi, params.coupling(small_grid.x))
+    assert ad.grids.expect_position(psi)[0] == pytest.approx(0.0, abs=1e-8)
+    assert ad.grids.expect_momentum(psi)[1] == pytest.approx(2.0, abs=1e-8)
+    coup = ad.grids.expect_grid_values(psi, params.coupling(small_grid.x))
     assert coup.shape == (2,) and np.all(np.isfinite(coup))
 
 
@@ -211,7 +211,7 @@ def test_slope_momentum_product_is_complex_and_order_sensitive(small_grid):
     psi = ad.gaussian_bare_state(small_grid, 2.0, 2.0, 3.0)
     psi.components[1] = psi.components[0]
     psi.components /= psi.norm()
-    val = ad.expect_slope_momentum(psi, frame.theta_slope)
+    val = ad.grids.expect_slope_momentum(psi, frame.theta_slope)
     assert val.dtype == np.complex128
     # the symmetrized combination (val + <p f>) would be real; as written the
     # product keeps an imaginary part of order <f'>/2
@@ -221,15 +221,15 @@ def test_slope_momentum_product_is_complex_and_order_sensitive(small_grid):
 def test_expectation_zero_population_errors(small_grid):
     psi = ad.gaussian_bare_state(small_grid, 0.0, 1.0, 3.0)  # lower empty
     with pytest.raises(ValueError):
-        ad.expect_position(psi)
+        ad.grids.expect_position(psi)
     with pytest.raises(ValueError):
-        ad.expect_momentum(psi)
+        ad.grids.expect_momentum(psi)
 
 
 def test_hermitian_expectations_real(small_grid):
     field = random_field(small_grid)
-    assert np.all(np.isreal(ad.expect_position(field)))
-    assert np.all(np.isreal(ad.expect_momentum(field)))
+    assert np.all(np.isreal(ad.grids.expect_position(field)))
+    assert np.all(np.isreal(ad.grids.expect_momentum(field)))
     assert np.all(np.isreal(ad.grids._expect_spectrum(field, small_grid.k**2,
                                                       None)))
 

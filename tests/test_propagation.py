@@ -37,7 +37,7 @@ def test_free_packet_spreading_law():
     out = prop.advance(psi, 3000)
     expected = 5.0 * np.sqrt(1.0 + (t / 25.0) ** 2)
     assert abs(ad.packet_width(out) - expected) < 1e-6
-    assert abs(ad.mean_position(out) - (-50.0 + 2.0 * t)) < 1e-6
+    assert abs(ad.grids.mean_position(out) - (-50.0 + 2.0 * t)) < 1e-6
 
 
 def test_rabi_oscillations_uniform_coupling():
@@ -349,9 +349,17 @@ def test_scenario_validation():
     psi = ad.gaussian_bare_state(grid, -10.0, 2.0, 3.0)
     with pytest.raises(ValueError):
         ad.Scenario(params=params, grid=grid, initial=psi, t_final=-1.0, dt=0.1)
-    with pytest.raises(ValueError):
-        ad.Scenario(params=params, grid=grid, initial=psi, t_final=1.0, dt=0.1,
-                    stride=0)
+    # a float stride passed and failed in run_scenario after the frame was
+    # built
+    for stride in (0, 2.5, np.float64(2.0), True):
+        with pytest.raises(ValueError,
+                           match="Scenario.stride must be an integer >= 1"):
+            ad.Scenario(params=params, grid=grid, initial=psi, t_final=1.0,
+                        dt=0.1, stride=stride)
+    record = ad.run_scenario(ad.Scenario(params=params, grid=grid, initial=psi,
+                                         t_final=0.1, dt=0.01,
+                                         stride=np.int64(4)))
+    assert record.times.tolist() == [0.0, 0.04, 0.08, 0.1]
     frame = ad.adiabatic_frame(params, grid)
     with pytest.raises(ValueError):
         ad.Scenario(params=params, grid=grid,
@@ -390,6 +398,53 @@ def test_scenario_caps_its_step_count():
             scenario(t_final, dt)
 
 
+def test_advance_takes_an_integer_step_count():
+    # advance(psi, -3) returned psi unchanged, and a float step count raised
+    # a bare TypeError inside the Strang loop
+    grid = ad.Grid(256, -40.0, 40.0)
+    params = free_params()
+    frame = ad.adiabatic_frame(params, grid)
+    psi = ad.gaussian_bare_state(grid, -10.0, 2.0, 3.0)
+    for prop, field in ((ad.FullPropagator(params, grid, 0.01), psi),
+                        (ad.AdiabaticPropagator(frame, params, 0.01),
+                         ad.to_adiabatic(psi, frame))):
+        for bad in (-3, 2.5, np.float64(2.0), True):
+            with pytest.raises(ValueError,
+                               match="n_steps must be an integer >= 0"):
+                prop.advance(field, bad)
+        assert np.array_equal(prop.advance(field, np.int64(3)).components,
+                              prop.advance(field, 3).components)
+        same = prop.advance(field, 0)
+        assert same.components is not field.components
+        assert np.array_equal(same.components, field.components)
+
+
+def test_advance_transform_count(monkeypatch):
+    # n steps of advance are n+1 forward and n+1 inverse transforms of the
+    # (2, N) state: one forward transform to start from its spectrum, then
+    # the fused kinetic factors; perfbench/tracer.py counts FFT pairs so
+    grid = ad.Grid(256, -40.0, 40.0)
+    params = free_params()
+    frame = ad.adiabatic_frame(params, grid)
+    psi = ad.gaussian_bare_state(grid, -10.0, 2.0, 3.0)
+    shapes = {"_fft": [], "_ifft": []}
+    for name, seen in shapes.items():
+        def counted(a, *args, transform=getattr(ad.propagation, name),
+                    seen=seen, **kwargs):
+            seen.append(np.shape(a))
+            return transform(a, *args, **kwargs)
+        monkeypatch.setattr(ad.propagation, name, counted)
+    for prop, field in ((ad.FullPropagator(params, grid, 0.01), psi),
+                        (ad.AdiabaticPropagator(frame, params, 0.01),
+                         ad.to_adiabatic(psi, frame))):
+        for n_steps in (0, 1, 7):
+            for seen in shapes.values():
+                seen.clear()
+            prop.advance(field, n_steps)
+            transforms = [(2, 256)] * (n_steps + 1 if n_steps else 0)
+            assert shapes == {"_fft": transforms, "_ifft": transforms}
+
+
 def test_trajectory_rows_shape(tmp_path):
     grid = ad.Grid(256, -40.0, 40.0)
     params = free_params()
@@ -397,7 +452,7 @@ def test_trajectory_rows_shape(tmp_path):
     sc = ad.Scenario(params=params, grid=grid, initial=psi, t_final=1.0,
                      dt=0.01, stride=20, x0=-10.0, p0=2.0)
     rec = ad.run_scenario(sc)
-    path = write_run_csv(rec, tmp_path / "run.csv")
+    path = write_run_csv(rec, tmp_path / "run.csv", "# run record")
     lines = path.read_text().splitlines()
     header, rows = lines[1].split(","), lines[2:]
     # one row per sample, one field per header column
@@ -515,16 +570,16 @@ def test_run_scenario_columns_match_public_observables(lower_amplitude,
     states = list(sampled_states(sc))
     assert [t for t, _, _ in states] == rec.times.tolist()
     for i, (_, exact, reference) in enumerate(states):
-        want["x_mean"][i] = ad.mean_position(exact)
-        want["p_mean"][i] = ad.mean_momentum(exact)
+        want["x_mean"][i] = ad.grids.mean_position(exact)
+        want["p_mean"][i] = ad.grids.mean_momentum(exact)
         want["norm"][i] = exact.norm()
         pops = ad.to_adiabatic(exact, frame).component_norms_sq()
         want["pop_upper"][i], want["pop_lower"][i] = pops
         want["fidelity"][i] = ad.fidelity(exact, reference, frame)
         for ch in range(2):
             if active[ch]:
-                want["ref_x"][ch, i] = ad.expect_position(reference, ch)
-                want["ref_p"][ch, i] = ad.expect_momentum(reference, ch)
+                want["ref_x"][ch, i] = ad.grids.expect_position(reference, ch)
+                want["ref_p"][ch, i] = ad.grids.expect_momentum(reference, ch)
         parts = ad.adiabaticity_parts(reference, frame, sc.params, rec.weights)
         want["adiabaticity_terms"][:, i] = parts.channel_terms(True)
         want["adiabaticity"][i] = parts.total(True)
@@ -650,7 +705,7 @@ def _guarded_scenario():
             fields["exact"] = full.advance(fields["exact"], sc.stride)
             fields["reference"] = adiabatic.advance(fields["reference"], sc.stride)
         for label, field in fields.items():
-            x, w = ad.mean_position(field), ad.packet_width(field)
+            x, w = ad.grids.mean_position(field), ad.packet_width(field)
             if x - 5.0 * w < grid.x_min or x + 5.0 * w > grid.x_max:
                 failing = (idx, label, step * sc.dt)
                 break
