@@ -33,7 +33,8 @@ _NEEDS_GRID = _PROPAGATING | {"a0-map"}
 _NEEDS_RUN = _PROPAGATING | {"effective-model"}
 _SINGLE_DETUNING = {"atrace", "effective-model", "snapshot"}
 
-#: Largest grid.points and search.scan_points; each allocates arrays of this length.
+#: Largest grid.points, search.scan_points and model.detuning.count; each
+#: allocates arrays of this length.
 MAX_GRID_POINTS = 2**22
 
 
@@ -142,6 +143,8 @@ def _parse_detunings(value, path):
         start = _number(value, "start", path)
         stop = _number(value, "stop", path)
         count = _integer(value, "count", path)
+        if count > MAX_GRID_POINTS:
+            _fail(f"{path}.count", f"expected at most {MAX_GRID_POINTS} detunings")
         spacing = value.get("spacing", "linear")
         if spacing == "linear":
             return np.linspace(start, stop, count)

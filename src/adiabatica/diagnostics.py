@@ -330,22 +330,16 @@ class NodeLimitReport:
     therefore disagree.
     """
 
-    deltas: np.ndarray
-    off_node_values: np.ndarray
-    node_values: np.ndarray
     off_node_exponent: float
     node_exponent: float
-    approach_offsets: np.ndarray
-    approach_values: np.ndarray
-    probe_delta: float
     off_node_position: float
     node_position: float
 
 
 def node_limit_probe(params: ModelParams, p0: float,
                      deltas=None) -> NodeLimitReport:
-    """Evaluate the pointwise parameter along the two limit orderings, at
-    the node x = 0 and at x = 0.3/q, whose offset the approach halves."""
+    """Fit the pointwise parameter's power law in the detuning at the node
+    x = 0 and at x = 0.3/q, each point held fixed as the detuning shrinks."""
     mode = params.mode
     if not isinstance(mode, StandingWaveMode):
         raise ValueError("the limit-ordering probe needs a standing-wave mode")
@@ -365,14 +359,6 @@ def node_limit_probe(params: ModelParams, p0: float,
     off_fit = np.polyfit(np.log(deltas), np.log(off_vals), 1)
     node_fit = np.polyfit(np.log(deltas), np.log(node_vals), 1)
 
-    probe_delta = float(deltas[-1])
-    local = replace(params, detuning=probe_delta)
-    offsets = off_x * 0.5 ** np.arange(12)
-    approach = np.asarray(
-        [local_adiabaticity(local, node + off, p0) for off in offsets])
-
     return NodeLimitReport(
-        deltas=deltas, off_node_values=off_vals, node_values=node_vals,
         off_node_exponent=float(off_fit[0]), node_exponent=float(node_fit[0]),
-        approach_offsets=offsets, approach_values=approach,
-        probe_delta=probe_delta, off_node_position=off_x, node_position=node)
+        off_node_position=off_x, node_position=node)

@@ -94,9 +94,6 @@ class SpinorField:
         """Total integral of |psi_upper|^2 + |psi_lower|^2."""
         return float(_norm_sq(np.abs(self.components) ** 2, self.grid.dx))
 
-    def norm(self) -> float:
-        return np.sqrt(self.norm_sq())
-
     def component_norms_sq(self) -> np.ndarray:
         """Per-component populations, shape (2,)."""
         return _populations(np.abs(self.components) ** 2, self.grid.dx)

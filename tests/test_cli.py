@@ -1,9 +1,11 @@
 import concurrent.futures
+import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 import types
 import warnings
 from pathlib import Path
@@ -441,6 +443,22 @@ def test_cli_rejects_an_outsized_grid_before_allocating_it(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_rejects_an_outsized_detuning_range_at_load_time(tmp_path, capsys):
+    # the sweep geometry's runs are resolved per detuning before any starts,
+    # so 10**9 detunings would have validated for days
+    fig4 = CONFIGS / "fig4_fidelity_map.json"
+    start = time.perf_counter()
+    code = main(["fidelity-map", "--config", str(fig4), "--override",
+                 "model.detuning.count=1000000000",
+                 "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "adiabatica: error: config.model.detuning.count: expected at most "
+        f"{ad.config.MAX_GRID_POINTS} detunings\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("experiment, x_min, x_max, cause", [
     ("a0-map", -1e308, 1e308, "spacing (x_max - x_min)/npoints overflows"),
     ("atrace", 0.0, 1e-320, "momentum cutoff pi/dx overflows at dx=4e-323"),
@@ -775,7 +793,10 @@ def test_every_public_name_has_a_user_outside_its_unit_tests():
     # exception that is raised), in the acceptance criteria, in the
     # benchmark tracer, or in the README and the format docs.  A name that
     # only its own unit tests call belongs in a test or nowhere.  The same
-    # holds for the public methods and properties of the API's classes.
+    # holds for the members of the API's classes, matched by how each is
+    # accessed: a public method only through a call `.name(`, a property or
+    # a dataclass field only through an attribute read `.name` (so a method
+    # does not pass on a same-named column, nor a field on a keyword).
     root = CONFIGS.parent
     package = Path(ad.__file__).resolve().parent
     sources = [path.read_text() for path in sorted(package.glob("*.py"))
@@ -783,6 +804,7 @@ def test_every_public_name_has_a_user_outside_its_unit_tests():
     outside = "\n".join(path.read_text() for path in [
         root / "tests" / "test_acceptance.py", root / "perfbench" / "tracer.py",
         root / "README.md", *sorted((root / "docs").rglob("*.md"))])
+    searched = "\n".join([*sources, outside])
 
     def has_user(name, definition):
         word = re.compile(rf"\b{name}\b")
@@ -803,13 +825,16 @@ def test_every_public_name_has_a_user_outside_its_unit_tests():
             unused.append(name)
         if not isinstance(value, type):
             continue
+        fields = ([field.name for field in dataclasses.fields(value)]
+                  if dataclasses.is_dataclass(value) else [])
+        members = {member: rf"\.{member}\b" for member in fields}
         for member, attr in vars(value).items():
-            if member.startswith("_") or not isinstance(
-                    attr, (property, types.FunctionType)):
-                continue
-            # several classes (and nested functions) may share a method name
-            definition = re.compile(rf"^ +def {member}\b", re.MULTILINE)
-            if not has_user(member, definition):
+            if isinstance(attr, types.FunctionType):
+                members[member] = rf"\.{member}\("
+            elif isinstance(attr, property):
+                members[member] = rf"\.{member}\b"
+        for member, access in sorted(members.items()):
+            if not member.startswith("_") and re.search(access, searched) is None:
                 unused.append(f"{name}.{member}")
     assert unused == []
 

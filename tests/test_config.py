@@ -227,6 +227,24 @@ def test_scan_points_capped_at_load_time():
     assert validate_config(data).search.scan_points == 2**22
 
 
+@pytest.mark.parametrize("spacing", ["linear", "log"])
+def test_detuning_count_capped_at_load_time(spacing):
+    # a fidelity-map resolves each detuning's run before anything starts, so
+    # 10**8 detunings validated for hours and 10**12 failed on allocation
+    # without naming the key; the cap is the grid's
+    data = fig_map_config()
+    data["model"]["detuning"].update(count=10**9, spacing=spacing)
+    with pytest.raises(ConfigError) as excinfo:
+        validate_config(data)
+    assert str(excinfo.value) == ("config.model.detuning.count: expected at "
+                                  "most 4194304 detunings")
+    data = fig_map_config()
+    data["experiment"] = "a0-map"
+    del data["run"]
+    data["model"]["detuning"].update(count=2**22, spacing=spacing)
+    assert validate_config(data).detunings.size == 2**22
+
+
 @pytest.mark.parametrize("mode", [
     {"kind": "linear", "gradient": 0.1},
     {"kind": "tabulated", "positions": [0.0, 1.0, 2.0, 3.0],
