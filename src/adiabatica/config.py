@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .diagnostics import SCAN_POINTS
 from .grids import EDGE_MARGIN, Grid, _near_edge, momentum_cover
 from .model import (FrameCase, GaussianMode, LinearMode, ModelParams,
-                    StandingWaveMode, TabulatedMode, _phase_rate)
+                    StandingWaveMode, TabulatedMode)
 # the step limit of a Scenario, checked here with an explicit or a default dt
 from .propagation import MAX_STEPS
 
@@ -64,14 +64,20 @@ def _number(obj: dict, key: str, path: str, default=None):
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(f"{path}.{key}", "expected a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         _fail(f"{path}.{key}", "expected a finite number")
-    return float(value)
+    return value
 
 
 def _finite_array(value, path: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        _fail(path, "expected finite numbers")
     except (ValueError, TypeError):
         _fail(path, "expected a list of numbers")
     if not np.all(np.isfinite(arr)):
@@ -142,6 +148,8 @@ def _parse_detunings(value, path):
                     {"start", "stop", "count"})
         start = _number(value, "start", path)
         stop = _number(value, "stop", path)
+        if not math.isfinite(stop - start):
+            _fail(path, "stop - start overflows")
         count = _integer(value, "count", path)
         if count > MAX_GRID_POINTS:
             _fail(f"{path}.count", f"expected at most {MAX_GRID_POINTS} detunings")
@@ -168,8 +176,12 @@ def _parse_model(obj, path):
         _fail(f"{path}.frame_case", "expected 'case1' or 'case2'")
     mode = _parse_mode(obj["mode"], f"{path}.mode")
     detunings = _parse_detunings(obj["detuning"], f"{path}.detuning")
-    base = ModelParams(mode=mode, detuning=float(detunings[0]),
-                       photon_index=photon_index, mass=mass, frame_case=case)
+    try:
+        base = ModelParams(mode=mode, detuning=float(detunings[0]),
+                           photon_index=photon_index, mass=mass,
+                           frame_case=case)
+    except ValueError as exc:  # mass and detuning are checked above
+        _fail(f"{path}.photon_index", str(exc))
     return base, detunings
 
 
@@ -181,8 +193,9 @@ def _parse_grid(obj, path):
         _fail(f"{path}.points", "expected an integer power of two")
     if points > MAX_GRID_POINTS:
         _fail(f"{path}.points", f"expected at most {MAX_GRID_POINTS} points")
+    x_min, x_max = _number(obj, "x_min", path), _number(obj, "x_max", path)
     try:
-        return Grid(points, _number(obj, "x_min", path), _number(obj, "x_max", path))
+        return Grid(points, x_min, x_max)
     except ValueError as exc:
         _fail(path, str(exc))
 
@@ -255,12 +268,14 @@ def _resolve_run(tag, t_final, dt, stride, base, detunings, grid, state):
     overflow reads as inf.  Without dt a propagating run takes 0.1 min(1/max
     |Delta_+- - mean_shift|, m dx / p_max), which resolves the phases and the
     transport of the momentum cover p_max, the smallest over a map's cells so
-    that every cell samples the same instants; mean_shift is an exact global
+    that every cell samples the same instants; max |Delta_+- - mean_shift| =
+    max hypot(detuning/2, G) over the grid, as mean_shift is an exact global
     phase, so both frame cases get the same step.  An explicit dt must keep
     dt max|Delta_+- - mean_shift| <= 1; an effective model needs one."""
     delta, which = float(detunings[0]), "t_final/dt"
     if tag in _PROPAGATING:
-        rates = [(_phase_rate(replace(base, detuning=d), grid.x), d)
+        coupling = base.coupling(grid.x)  # G does not depend on the detuning
+        rates = [(np.max(np.hypot(0.5 * d, coupling)), d)
                  for d in map(float, detunings)]
         if dt is None:
             transport = base.mass * grid.dx / momentum_cover(state.p0, state.width)
@@ -309,6 +324,8 @@ def _parse_search(obj, path, mode):
         lo, hi = _number(obj, "x_lo", path), _number(obj, "x_hi", path)
         if hi <= lo:
             _fail(path, "needs x_hi > x_lo")
+        if not math.isfinite(hi - lo):
+            _fail(path, "x_hi - x_lo overflows")
     elif isinstance(mode, GaussianMode):
         lo, hi = mode.width * 1e-3, 8.0 * mode.width
     else:

@@ -262,8 +262,9 @@ def adiabaticity_max_locus(params: ModelParams, deltas, p0: float,
     refinement polishes it; returns rows (detuning, x_max).
     """
     lo, hi = window
-    if not hi > lo:
-        raise ValueError("search window must satisfy x_hi > x_lo")
+    if not (hi > lo and math.isfinite(hi - lo)):
+        raise ValueError("search window must satisfy x_hi > x_lo with a "
+                         "finite x_hi - x_lo")
     xs = np.linspace(lo, hi, scan_points)
     deltas = list(deltas)  # a one-shot iterable is read once, here
     out = np.empty((len(deltas), 2))
@@ -278,6 +279,11 @@ def adiabaticity_max_locus(params: ModelParams, deltas, p0: float,
         b = xs[min(j + 1, scan_points - 1)]
         tol = max(1e-10 * (hi - lo), 1e-12)
         x_best = _golden_max(lambda x: local_adiabaticity(local, x, p0), a, b, tol)
+        if not local_adiabaticity(local, x_best, p0) > 0.0:
+            raise ValueError(f"pointwise adiabaticity parameter is not > 0 "
+                             f"at its refined maximum x = {float(x_best)!r} "
+                             f"at detuning {float(delta)!r}; narrow the "
+                             "search window")
         out[i] = (delta, x_best)
     return out
 

@@ -78,11 +78,16 @@ def _initial_state(config: ScenarioConfig, params) -> SpinorField:
 def _build_scenario(config: ScenarioConfig, delta: float) -> Scenario:
     """The run at one detuning, on the config's resolved time grid."""
     params = replace(config.base_params, detuning=float(delta))
-    run, state = config.run, config.state
+    run = config.run
     return Scenario(params=params, grid=config.grid,
                     initial=_initial_state(config, params),
-                    t_final=run.t_final, dt=run.dt, stride=run.stride,
-                    x0=state.x0, p0=state.p0)
+                    t_final=run.t_final, dt=run.dt, stride=run.stride)
+
+
+def _kinematic_path(config: ScenarioConfig, times):
+    """The semiclassical packet center x0 + p0 t / m at the run's instants."""
+    state = config.state
+    return state.x0 + state.p0 * times / config.base_params.mass
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +140,8 @@ def _run_fidelity_map(config: ScenarioConfig, out_dir: Path):
             records = list(pool.map(_sweep_cell, scenarios))
 
     base = records[0]
-    axis = base.x_mean if config.abscissa == "measured" else base.x_kinematic
+    axis = (base.x_mean if config.abscissa == "measured"
+            else _kinematic_path(config, base.times))
     header = ["x", "t"] + [_fmt(d) for d in config.detunings]
     columns = [axis, base.times] + [rec.fidelity_magnitude for rec in records]
     return [write_csv(out_dir / "fidelity_map.csv", _comment(config), header,
@@ -145,10 +151,10 @@ def _run_fidelity_map(config: ScenarioConfig, out_dir: Path):
 def _run_atrace(config: ScenarioConfig, out_dir: Path):
     scenario = _build_scenario(config, config.detunings[0])
     record = run_scenario(scenario)
-    params = scenario.params
-    x_kin = record.x_kinematic
-    a0 = np.asarray(local_adiabaticity(params, x_kin, scenario.p0))
-    a0_curved = np.asarray(local_adiabaticity(params, x_kin, scenario.p0,
+    params, p0 = scenario.params, config.state.p0
+    x_kin = _kinematic_path(config, record.times)
+    a0 = np.asarray(local_adiabaticity(params, x_kin, p0))
+    a0_curved = np.asarray(local_adiabaticity(params, x_kin, p0,
                                               include_curvature=True))
     x_col = record.x_mean if config.abscissa == "measured" else x_kin
     header = ["t", "x", "a_t", "a0", "a0_with_curvature"]

@@ -64,7 +64,10 @@ class GaussianMode:
     def value(self, x):
         x = np.asarray(x, dtype=float)
         a = self.width
-        return self.amplitude / (_SQRT2PI * a) * np.exp(-(x * x) / (2.0 * a * a))
+        # x*x overflows only where the exponential is 0 anyway
+        with np.errstate(over="ignore"):
+            decay = np.exp(-(x * x) / (2.0 * a * a))
+        return self.amplitude / (_SQRT2PI * a) * decay
 
     def slope(self, x):
         x = np.asarray(x, dtype=float)
@@ -212,6 +215,11 @@ class ModelParams:
             raise ValueError("ModelParams.mass must be > 0")
         if int(self.photon_index) != self.photon_index or self.photon_index < 1:
             raise ValueError("ModelParams.photon_index must be an integer >= 1")
+        try:
+            float(self.photon_index)
+        except OverflowError:
+            raise ValueError("ModelParams.photon_index exceeds the float "
+                             "range") from None
 
     @property
     def level_shifts(self) -> tuple[float, float]:
@@ -286,13 +294,6 @@ def adiabatic_eigenvalues(params: ModelParams, x):
     root = np.hypot(half, g)
     mean = params.mean_shift
     return mean + root, mean - root
-
-
-def _phase_rate(params: ModelParams, x):
-    """max |Delta_+- - mean_shift| = max hypot(split/2, G) over x, the fastest
-    phase a step must resolve: both propagators apply the frame offset
-    mean_shift as an exact global phase."""
-    return np.max(np.hypot(0.5 * params.level_splitting, params.coupling(x)))
 
 
 def _normal(value):

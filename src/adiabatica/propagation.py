@@ -218,8 +218,8 @@ MAX_STEPS = 10_000_000
 class Scenario:
     """One run configuration: exact state and adiabatic reference evolve together.
 
-    x0/p0 record the nominal initial packet center and momentum; they feed the
-    kinematic abscissa x = x0 + p0 t / m used by the sweep outputs.
+    The run knows only its initial field; the kinematic path x0 + p0 t / m
+    of the semiclassical model is built by its caller from record.times.
     """
 
     params: ModelParams
@@ -228,8 +228,6 @@ class Scenario:
     t_final: float
     dt: float
     stride: int = 1
-    x0: float = 0.0
-    p0: float = 0.0
 
     def __post_init__(self):
         if self.initial.frame != BARE:
@@ -257,7 +255,6 @@ class RunRecord:
     """
 
     times: np.ndarray
-    x_kinematic: np.ndarray
     x_mean: np.ndarray
     p_mean: np.ndarray
     norm: np.ndarray
@@ -412,13 +409,8 @@ def run_scenario(scenario: Scenario) -> RunRecord:
     columns.update({name: np.full((2, n_samples), np.nan) for name in
                     ("ref_x", "ref_p", "adiabaticity_terms")})
 
-    times = np.asarray(sample_steps, dtype=float) * scenario.dt
-    rec = RunRecord(
-        times=times,
-        x_kinematic=scenario.x0 + scenario.p0 * times / params.mass,
-        **columns,
-        weights=weights,
-    )
+    rec = RunRecord(times=np.asarray(sample_steps, dtype=float) * scenario.dt,
+                    **columns, weights=weights)
 
     # the per-channel columns and the norm checks skip the channels below
     # WEIGHT_FLOOR

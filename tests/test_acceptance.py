@@ -66,8 +66,7 @@ def gaussian_scenario(amplitude, detuning, x_stop=200.0, x0=-200.0, p0=5.0,
     grid = ad.Grid(points, *domain)
     psi = ad.gaussian_bare_state(grid, x0, p0, width)
     return ad.Scenario(params=params, grid=grid, initial=psi,
-                       t_final=(x_stop - x0) / p0, dt=dt, stride=stride,
-                       x0=x0, p0=p0)
+                       t_final=(x_stop - x0) / p0, dt=dt, stride=stride)
 
 
 def gaussian_transit(*args, **kwargs):
@@ -108,7 +107,7 @@ def test_criterion_02_free_packet_oracle():
     params = ad.ModelParams(mode=ad.GaussianMode(0.0, 50.0), detuning=1.0)
     psi = ad.gaussian_bare_state(grid, -100.0, 2.0, 5.0)
     scenario = ad.Scenario(params=params, grid=grid, initial=psi, t_final=30.0,
-                           dt=0.01, stride=300, x0=-100.0, p0=2.0)
+                           dt=0.01, stride=300)
     rec = ad.run_scenario(scenario)
     widths = []
     state = psi
@@ -292,7 +291,7 @@ def test_criterion_10_node_localization():
     grid = ad.Grid(1024, -120.0, 120.0)
     psi = ad.gaussian_bare_state(grid, -50.0, 5.0, 4.0)
     scenario = ad.Scenario(params=params, grid=grid, initial=psi, t_final=20.0,
-                           dt=0.01, stride=10, x0=-50.0, p0=5.0)
+                           dt=0.01, stride=10)
     rec = ad.run_scenario(scenario)
     tops = steepest_descent_positions(rec.x_mean, np.abs(rec.fidelity), top=3)
     node_spacing = math.pi / 0.1
@@ -329,9 +328,10 @@ def test_criterion_11_averaged_vs_pointwise_peaks():
                                                  rec.weights,
                                                  include_curvature=False)
                           for _, _, reference in references])
-        approx = ad.local_adiabaticity(params, rec.x_kinematic, 1.5)
-        peaks_avg = local_peak_positions(rec.x_kinematic, rec.adiabaticity)
-        peaks_approx = local_peak_positions(rec.x_kinematic, approx)
+        x_kin = cfg["x0"] + 1.5 * rec.times  # the kinematic path, mass 1
+        approx = ad.local_adiabaticity(params, x_kin, 1.5)
+        peaks_avg = local_peak_positions(x_kin, rec.adiabaticity)
+        peaks_approx = local_peak_positions(x_kin, approx)
         worst = max(min(abs(pa - pb) for pb in peaks_approx)
                     for pa in peaks_avg)
         curvature_shift = float(np.max(np.abs(rec.adiabaticity - plain)))
@@ -351,11 +351,12 @@ def test_criterion_12_averaging_broadens_peaks():
     grid = ad.Grid(1024, -150.0, 150.0)
     psi = ad.gaussian_bare_state(grid, -50.0, 5.0, 4.0)
     scenario = ad.Scenario(params=params, grid=grid, initial=psi, t_final=20.0,
-                           dt=0.01, stride=20, x0=-50.0, p0=5.0)
+                           dt=0.01, stride=20)
     rec = ad.run_scenario(scenario)
-    approx = ad.local_adiabaticity(params, rec.x_kinematic, 5.0)
-    width_avg = fwhm(rec.x_kinematic, rec.adiabaticity, 0.0)
-    width_approx = fwhm(rec.x_kinematic, approx, 0.0)
+    x_kin = -50.0 + 5.0 * rec.times  # the kinematic path, mass 1
+    approx = ad.local_adiabaticity(params, x_kin, 5.0)
+    width_avg = fwhm(x_kin, rec.adiabaticity, 0.0)
+    width_approx = fwhm(x_kin, approx, 0.0)
     ok = width_avg > width_approx
     _report("12 (averaging broadens peaks)", ok,
             f"FWHM averaged {width_avg:.2f} vs pointwise {width_approx:.2f}")
@@ -431,7 +432,8 @@ def test_paper_trend_strong_coupling_wins_inside_small_detuning_transit():
     weak = gaussian_transit(1.0, 1e-4, stride=25)
     strong = gaussian_transit(10.0, 1e-4, stride=25)
     for x_probe in (0.0, 100.0):
-        idx = np.argmin(np.abs(weak.x_kinematic - x_probe))
+        # the kinematic path of gaussian_scenario's packet, mass 1
+        idx = np.argmin(np.abs(-200.0 + 5.0 * weak.times - x_probe))
         f_weak = abs(weak.fidelity[idx])
         f_strong = abs(strong.fidelity[idx])
         print(f"[trend] detuning 1e-4 at <x>={x_probe:g}: "

@@ -308,7 +308,7 @@ def test_write_run_csv(tmp_path):
     # far from the mode, so the lower adiabatic channel starts empty
     psi = ad.gaussian_bare_state(grid, -40.0, 3.0, 3.0)
     sc = ad.Scenario(params=params, grid=grid, initial=psi, t_final=2.0,
-                     dt=0.01, stride=50, x0=-40.0, p0=3.0)
+                     dt=0.01, stride=50)
     rec = ad.run_scenario(sc)
     path = write_run_csv(rec, tmp_path / "run.csv", "# run record")
     _, header, table = read_table(path)
@@ -665,6 +665,59 @@ def test_cli_rejects_a_flat_max_locus_profile_at_load_time(tmp_path, capsys):
     assert not out.exists()
 
 
+_BIG = 10**400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize("name, override, message", [
+    ("fig4_fidelity_map", f"model.detuning={_BIG}",
+     "config.model.detuning: expected finite numbers"),
+    ("fig4_fidelity_map", f'model.detuning={{"values": [0.5, {_BIG}]}}',
+     "config.model.detuning.values: expected finite numbers"),
+    ("fig4_fidelity_map",
+     f'model.detuning={{"start": 0.5, "stop": {_BIG}, "count": 3}}',
+     "config.model.detuning.stop: expected a finite number"),
+    ("fig4_fidelity_map", f"model.mode.amplitude={_BIG}",
+     "config.model.mode.amplitude: expected a finite number"),
+    ("fig4_fidelity_map", f"model.mass={_BIG}",
+     "config.model.mass: expected a finite number"),
+    ("fig4_fidelity_map", f"state.p0={_BIG}",
+     "config.state.p0: expected a finite number"),
+    ("fig4_fidelity_map", f"state.population_lower={_BIG}",
+     "config.state.population_lower: expected a finite number"),
+    ("fig4_fidelity_map", f"grid.x_max={_BIG}",
+     "config.grid.x_max: expected a finite number"),
+    ("fig4_fidelity_map", f"run.dt={_BIG}",
+     "config.run.dt: expected a finite number"),
+    ("fig4_fidelity_map", f"model.photon_index={_BIG}",
+     "config.model.photon_index: ModelParams.photon_index exceeds the float "
+     "range"),
+    ("fig1_a0_map", f"model.photon_index={_BIG}",
+     "config.model.photon_index: ModelParams.photon_index exceeds the float "
+     "range"),
+    ("fig2_max_locus", 'search={"x_lo": -1e308, "x_hi": 1e308}',
+     "config.search: x_hi - x_lo overflows"),
+    # the scan brackets the peak between 0.5 and 2.5e305, and the refined
+    # locus lands where the parameter is 0
+    ("fig2_max_locus", 'search={"x_lo": 0.5, "x_hi": 1e308}',
+     "pointwise adiabaticity parameter is not > 0 at its refined maximum "
+     "x = 2.506265626624914e+305 at detuning 0.01; narrow the search window"),
+])
+def test_cli_rejects_out_of_range_numbers_in_one_line(tmp_path, capsys, name,
+                                                      override, message):
+    # each of these ended in an OverflowError traceback, printed numpy
+    # overflow warnings, or wrote a max-locus row with value_at_max 0
+    cfg_path = CONFIGS / f"{name}.json"
+    experiment = json.loads(cfg_path.read_text())["experiment"]
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = main([experiment, "--config", str(cfg_path), "--out", str(out),
+                       "--override", override])
+    assert (status, capsys.readouterr().err) == (
+        1, f"adiabatica: error: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["fig1_a0_map", "fig2_max_locus"])
 def test_cli_pointwise_outputs_where_the_gap_cubed_overflows(tmp_path, name):
     # at detuning 1e150 (split^2 + 4 G^2)^(3/2) overflows, yet the parameter
@@ -848,9 +901,9 @@ def test_readme_library_quick_start_runs_as_written():
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     namespace = {}
     exec(compile(code, "README.md", "exec"), namespace)
-    params, model, record = (namespace[name]
-                             for name in ("params", "model", "record"))
-    pointwise = ad.local_adiabaticity(params, record.x_kinematic, 5.0)
+    params, model, record, x_kin = (namespace[name] for name in
+                                    ("params", "model", "record", "x_kin"))
+    pointwise = ad.local_adiabaticity(params, x_kin, 5.0)
     assert pointwise.max() > 0.0
     np.testing.assert_allclose(ad.time_adiabaticity(model, record.times),
                                pointwise, rtol=1e-12, atol=0.0)

@@ -10,6 +10,9 @@ import adiabatica as ad
 from adiabatica.config import (ConfigError, apply_overrides, load_config,
                                validate_config)
 
+#: A JSON integer beyond the float range.
+BIG = 10**400
+
 
 def fig_map_config(**run_extra):
     return {
@@ -327,13 +330,92 @@ def test_tabulated_mode_config():
      "config.model.mode.positions"),
     (tabulated_config, "model.mode.samples=[0, 1, Infinity, 1]",
      "config.model.mode.samples"),
+    # integers beyond the float range raised OverflowError, not ConfigError
+    (fig_map_config, f"model.detuning={BIG}", "config.model.detuning"),
+    (fig_map_config, f'model.detuning={{"values": [0.5, {BIG}]}}',
+     "config.model.detuning.values"),
+    (fig_map_config, f'model.detuning={{"start": 0.5, "stop": {BIG}, '
+     '"count": 3}', "config.model.detuning.stop"),
+    (fig_map_config, f"model.mode.amplitude={BIG}",
+     "config.model.mode.amplitude"),
+    (fig_map_config, f"model.mass={BIG}", "config.model.mass"),
+    (fig_map_config, f"model.photon_index={BIG}", "config.model.photon_index"),
+    (fig_map_config, f"state.p0={BIG}", "config.state.p0"),
+    (fig_map_config, f"state.population_lower={BIG}",
+     "config.state.population_lower"),
+    (fig_map_config, f"grid.x_max={BIG}", "config.grid.x_max"),
+    (fig_map_config, f"run.dt={BIG}", "config.run.dt"),
+    # finite ends whose difference overflows
+    (fig_map_config, 'model.detuning={"start": -1e308, "stop": 1e308, '
+     '"count": 3}', "config.model.detuning"),
+    (max_locus_config, 'search={"x_lo": -1e308, "x_hi": 1e308}',
+     "config.search"),
 ])
 def test_non_finite_numbers_and_boolean_count_rejected(tmp_path, make,
                                                        override, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(make()))
-    with pytest.raises(ConfigError, match=re.escape(f"{key}: ")):
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
         load_config(path, overrides=[override])
+
+
+#: Every numeric key of the two configs below, as dotted paths; a
+#: "values" entry stands for the second element of the detuning list.
+_NUMERIC_KEYS = {
+    "fidelity-map": [
+        "model.detuning", "model.detuning.values", "model.detuning.start",
+        "model.detuning.stop", "model.detuning.count", "model.mass",
+        "model.photon_index", "model.mode.amplitude", "model.mode.width",
+        "grid.points", "grid.x_min", "grid.x_max", "state.x0", "state.p0",
+        "state.width", "state.population_upper", "state.population_lower",
+        "run.t_final", "run.x_stop", "run.dt", "run.stride"],
+    "max-locus": ["state.p0", "search.x_lo", "search.x_hi",
+                  "search.scan_points"],
+}
+
+
+def _with_value(experiment, key, value):
+    """A valid config of `experiment` with `key` set to `value`."""
+    data = fig_map_config() if experiment == "fidelity-map" else max_locus_config()
+    if key.startswith("model.detuning."):
+        name = key.rpartition(".")[2]
+        data["model"]["detuning"] = (
+            {"values": [0.5, value]} if name == "values"
+            else {"start": 0.05, "stop": 10.0, "count": 3, name: value})
+        return data
+    if key == "run.x_stop":
+        del data["run"]["t_final"]
+    *blocks, name = key.split(".")
+    target = data
+    for block in blocks:
+        target = target.setdefault(block, {})
+    target[name] = value
+    return data
+
+
+def test_numeric_keys_raise_only_config_errors_over_generated_values():
+    # any value of a numeric key is accepted or rejected with a ConfigError
+    # that names its key path; integers beyond the float range raised
+    # OverflowError, and the test run turns a RuntimeWarning into an error
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    keys = [(experiment, key) for experiment, names in _NUMERIC_KEYS.items()
+            for key in names]
+    values = st.one_of(
+        st.sampled_from([BIG, -BIG, 2**1024 - 1, float("nan"), float("inf"),
+                         float("-inf"), True, False]),
+        st.floats(), st.integers(-1000, 1000))
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(where=st.sampled_from(keys), value=values)
+    def check(where, value):
+        data = _with_value(*where, value)
+        try:
+            validate_config(data)
+        except ConfigError as exc:
+            assert str(exc).startswith("config."), exc
+
+    check()
 
 
 def test_state_population_validation():
@@ -445,6 +527,75 @@ def test_an_overflowing_time_grid_is_rejected_without_a_warning(model, run):
     data["run"] = run
     with pytest.raises(ConfigError, match=r"config\.run\.dt: "):
         validate_config(data)
+
+
+def _reference_run(data):
+    """The dt, or the error, of a fidelity-map config's run, from one
+    ModelParams per detuning: the rule _resolve_run applies to a coupling
+    evaluated once."""
+    model, run, grid = data["model"], data["run"], data["grid"]
+    grid = ad.Grid(grid["points"], grid["x_min"], grid["x_max"])
+    mode = ad.GaussianMode(model["mode"]["amplitude"], model["mode"]["width"])
+    detunings = model["detuning"]["values"]
+    rates = []
+    for d in detunings:
+        params = ad.ModelParams(mode, d, model["photon_index"],
+                                frame_case=ad.FrameCase(model["frame_case"]))
+        rates.append((np.max(np.hypot(0.5 * params.level_splitting,
+                                      params.coupling(grid.x))), d))
+    t_final, dt = run["t_final"], run.get("dt")
+    delta, which = detunings[0], "t_final/dt"
+    with np.errstate(over="ignore", divide="ignore"):
+        if dt is None:
+            transport = grid.dx / ad.grids.momentum_cover(
+                data["state"]["p0"], data["state"]["width"])
+            dt, delta = min((0.1 * min(1.0 / rate if rate > 0 else np.inf,
+                                       transport), d) for rate, d in rates)
+            which = f"t_final/dt with the default dt {dt:.3g}"
+        else:
+            phase, worst = max((dt * rate, d) for rate, d in rates)
+            if not phase <= 1.0:
+                return (f"config.run.dt: dt*max|Delta_+- - mean_shift| = "
+                        f"{phase:.3g} exceeds 1 at detuning {worst!r}")
+        steps = t_final / dt
+    if not steps <= ad.config.MAX_STEPS:
+        return (f"config.run.dt: {which} = {steps:.3g} steps exceeds the "
+                f"limit of {ad.config.MAX_STEPS} at detuning {delta!r}")
+    return dt
+
+
+def test_resolved_run_matches_a_per_detuning_reference():
+    # _resolve_run evaluates the coupling once for all detunings; the
+    # default dt it picks, or the error naming the detuning that fails,
+    # must be those of a ModelParams per detuning, bit for bit
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    detuning = st.one_of(st.floats(-20.0, 20.0),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        detunings=st.lists(detuning, min_size=1, max_size=6),
+        amplitude=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+        photon_index=st.integers(1, 4),
+        frame_case=st.sampled_from(["case1", "case2"]),
+        dt=st.one_of(st.none(), st.floats(1e-4, 1.0)))
+    def check(detunings, amplitude, photon_index, frame_case, dt):
+        data = fig_map_config()
+        data["model"].update(detuning={"values": detunings},
+                             photon_index=photon_index, frame_case=frame_case)
+        data["model"]["mode"]["amplitude"] = amplitude
+        if dt is None:
+            del data["run"]["dt"]
+        else:
+            data["run"]["dt"] = dt
+        try:
+            outcome = validate_config(data).run.dt
+        except ConfigError as exc:
+            outcome = str(exc)
+        assert outcome == _reference_run(data)
+
+    check()
 
 
 def test_experiment_tag_consistency():

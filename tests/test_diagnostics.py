@@ -12,7 +12,7 @@ def small_run(params, grid=None, x0=-20.0, p0=3.0, width=3.0, t_final=2.0):
     grid = grid or ad.Grid(512, -60.0, 60.0)
     psi = ad.gaussian_bare_state(grid, x0, p0, width)
     sc = ad.Scenario(params=params, grid=grid, initial=psi, t_final=t_final,
-                     dt=0.01, stride=40, x0=x0, p0=p0)
+                     dt=0.01, stride=40)
     return ad.run_scenario(sc)
 
 

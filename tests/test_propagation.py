@@ -328,7 +328,7 @@ def test_default_time_step_ignores_the_frame_offset(photon_index):
     magnitudes = []
     for cfg in configs:
         sc = ad.Scenario(params=cfg.base_params, grid=grid, initial=psi,
-                         t_final=20.0, dt=dt, stride=1000, x0=-60.0, p0=5.0)
+                         t_final=20.0, dt=dt, stride=1000)
         magnitudes.append(ad.run_scenario(sc).fidelity_magnitude)
     np.testing.assert_allclose(magnitudes[1], magnitudes[0], rtol=0, atol=1e-12)
 
@@ -342,12 +342,13 @@ def test_run_scenario_free_case_unit_fidelity():
     params = free_params()
     psi = ad.gaussian_bare_state(grid, -50.0, 2.0, 5.0)
     sc = ad.Scenario(params=params, grid=grid, initial=psi, t_final=20.0,
-                     dt=0.01, stride=200, x0=-50.0, p0=2.0)
+                     dt=0.01, stride=200)
     rec = ad.run_scenario(sc)
     np.testing.assert_allclose(np.abs(rec.fidelity), 1.0, atol=1e-9)
     np.testing.assert_allclose(rec.norm, 1.0, atol=1e-10)
     np.testing.assert_allclose(rec.adiabaticity, 0.0, atol=1e-15)
-    np.testing.assert_allclose(rec.x_mean, rec.x_kinematic, atol=1e-6)
+    # a free packet follows its kinematic path x0 + p0 t / m
+    np.testing.assert_allclose(rec.x_mean, -50.0 + 2.0 * rec.times, atol=1e-6)
     assert rec.weights[0] == pytest.approx(1.0)
     assert rec.times[-1] == pytest.approx(20.0)
 
@@ -359,7 +360,7 @@ def test_run_scenario_weak_coupling_large_detuning_transit():
     params = ad.ModelParams(mode=ad.GaussianMode(1.0, 50.0), detuning=10.0)
     psi = ad.gaussian_bare_state(grid, -200.0, 5.0, 10.0)
     sc = ad.Scenario(params=params, grid=grid, initial=psi, t_final=80.0,
-                     dt=0.05, stride=400, x0=-200.0, p0=5.0)
+                     dt=0.05, stride=400)
     rec = ad.run_scenario(sc)
     drift = np.nanmax(np.abs(rec.ref_p[0] - 5.0)) / 5.0
     assert drift < 0.03
@@ -371,12 +372,12 @@ def test_run_scenario_samples_final_step_and_guards():
     params = free_params()
     psi = ad.gaussian_bare_state(grid, -10.0, 2.0, 3.0)
     sc = ad.Scenario(params=params, grid=grid, initial=psi, t_final=1.0,
-                     dt=0.01, stride=7, x0=-10.0, p0=2.0)
+                     dt=0.01, stride=7)
     rec = ad.run_scenario(sc)
     assert rec.times[-1] == pytest.approx(1.0)
     # packet headed for the edge trips the guard with a diagnostic
     sc_far = ad.Scenario(params=params, grid=grid, initial=psi, t_final=30.0,
-                         dt=0.01, stride=100, x0=-10.0, p0=2.0)
+                         dt=0.01, stride=100)
     with pytest.raises(ad.DomainGuardError):
         ad.run_scenario(sc_far)
 
@@ -488,7 +489,7 @@ def test_trajectory_rows_shape(tmp_path):
     params = free_params()
     psi = ad.gaussian_bare_state(grid, -10.0, 2.0, 3.0)
     sc = ad.Scenario(params=params, grid=grid, initial=psi, t_final=1.0,
-                     dt=0.01, stride=20, x0=-10.0, p0=2.0)
+                     dt=0.01, stride=20)
     rec = ad.run_scenario(sc)
     path = write_run_csv(rec, tmp_path / "run.csv", "# run record")
     lines = path.read_text().splitlines()
@@ -508,7 +509,7 @@ def _scenario_from_adiabatic(lower_amplitude):
     initial = ad.to_bare(ad.SpinorField(grid, comps, ad.ADIABATIC),
                          ad.adiabatic_frame(params, grid))
     return ad.Scenario(params=params, grid=grid, initial=initial, t_final=1.0,
-                       dt=0.01, stride=7, x0=-8.0, p0=3.0)
+                       dt=0.01, stride=7)
 
 
 def _count_transforms(monkeypatch):
@@ -595,7 +596,7 @@ def test_run_scenario_columns_match_public_observables(lower_amplitude,
         sc = ad.Scenario(
             params=ad.ModelParams(mode=ad.GaussianMode(2.0, 5.0), detuning=0.5),
             grid=grid, initial=ad.gaussian_bare_state(grid, -10.0, 3.0, 2.5),
-            t_final=30 * 0.01, dt=0.01, stride=7, x0=-10.0, p0=3.0)
+            t_final=30 * 0.01, dt=0.01, stride=7)
     else:
         sc = _scenario_from_adiabatic(lower_amplitude)
     rec = ad.run_scenario(sc)
@@ -639,8 +640,8 @@ def test_run_scenario_columns_match_public_observables(lower_amplitude,
             assert np.isnan(lower).all(), name
 
 
-_RECORD_ARRAYS = ("times", "x_kinematic", "x_mean", "p_mean", "norm",
-                  "pop_upper", "pop_lower", "fidelity", "ref_x", "ref_p",
+_RECORD_ARRAYS = ("times", "x_mean", "p_mean", "norm", "pop_upper",
+                  "pop_lower", "fidelity", "ref_x", "ref_p",
                   "adiabaticity_terms", "weights", "adiabaticity")
 
 
