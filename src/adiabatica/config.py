@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +180,8 @@ def _parse_model(obj, path):
         base = ModelParams(mode=mode, detuning=float(detunings[0]),
                            photon_index=photon_index, mass=mass,
                            frame_case=case)
+        # the case2 offset is largest at the detuning of largest magnitude
+        replace(base, detuning=float(detunings[np.argmax(np.abs(detunings))]))
     except ValueError as exc:  # mass and detuning are checked above
         _fail(f"{path}.photon_index", str(exc))
     return base, detunings
@@ -243,8 +245,17 @@ class RunSpec:
     stride: int
 
 
-def _parse_run(obj, path, state, mass):
-    """The run block as (t_final, dt or None, stride or None)."""
+@np.errstate(over="ignore", divide="ignore")
+def _parse_run(obj, path, tag, base, detunings, grid, state):
+    """The run block, checked for every experiment; for those that run it,
+    the one time grid of the runs at these detunings, else None.  An
+    overflow reads as inf.  Without dt a propagating run takes 0.1 min(1/max
+    |Delta_+- - mean_shift|, m dx / p_max), which resolves the phases and the
+    transport of the momentum cover p_max, the smallest over a map's cells so
+    that every cell samples the same instants; max |Delta_+- - mean_shift| =
+    max hypot(detuning/2, G) over the grid, as mean_shift is an exact global
+    phase, so both frame cases get the same step.  An explicit dt must keep
+    dt max|Delta_+- - mean_shift| <= 1; an effective model needs one."""
     _check_keys(obj, path, {"t_final", "x_stop", "dt", "stride"}, set())
     if ("t_final" in obj) == ("x_stop" in obj):
         _fail(path, "exactly one of 't_final' and 'x_stop' is required")
@@ -256,37 +267,30 @@ def _parse_run(obj, path, state, mass):
     if x_stop is not None:
         if state.p0 == 0:
             _fail(f"{path}.x_stop", "requires a state block with nonzero p0")
-        t_final = (x_stop - state.x0) * mass / state.p0
+        t_final = (x_stop - state.x0) * base.mass / state.p0
         if t_final <= 0:
             _fail(f"{path}.x_stop", "not reachable from state.x0 with the given p0")
-    return t_final, dt, stride
-
-
-@np.errstate(over="ignore", divide="ignore")
-def _resolve_run(tag, t_final, dt, stride, base, detunings, grid, state):
-    """The one dt of the runs at these detunings, and their stride; an
-    overflow reads as inf.  Without dt a propagating run takes 0.1 min(1/max
-    |Delta_+- - mean_shift|, m dx / p_max), which resolves the phases and the
-    transport of the momentum cover p_max, the smallest over a map's cells so
-    that every cell samples the same instants; max |Delta_+- - mean_shift| =
-    max hypot(detuning/2, G) over the grid, as mean_shift is an exact global
-    phase, so both frame cases get the same step.  An explicit dt must keep
-    dt max|Delta_+- - mean_shift| <= 1; an effective model needs one."""
+    if tag not in _NEEDS_RUN:
+        return None
     delta, which = float(detunings[0]), "t_final/dt"
     if tag in _PROPAGATING:
-        coupling = base.coupling(grid.x)  # G does not depend on the detuning
-        rates = [(np.max(np.hypot(0.5 * d, coupling)), d)
-                 for d in map(float, detunings)]
+        # max_x hypot(d/2, G(x)) = hypot(d/2, max_x |G(x)|) assumes hypot is
+        # monotone in |G|; G does not depend on the detuning.  Ties pick as
+        # the builtin min and max of (value, detuning) pairs do
+        rates = np.hypot(0.5 * detunings, np.max(np.abs(base.coupling(grid.x))))
         if dt is None:
             transport = base.mass * grid.dx / momentum_cover(state.p0, state.width)
-            dt, delta = min((0.1 * min(1.0 / rate if rate > 0 else math.inf,
-                                       transport), d) for rate, d in rates)
+            dts = 0.1 * np.minimum(np.where(rates > 0, 1.0 / rates, math.inf),
+                                   transport)
+            pick = np.lexsort((detunings, dts))[0]
+            dt, delta = dts[pick], float(detunings[pick])
             if not math.isfinite(dt):
                 _fail("config.run.dt", "cannot pick a default time step: the phase "
                       "and transport bounds are both infinite; give an explicit dt")
             which = f"t_final/dt with the default dt {dt:.3g}"
         else:
-            phase, worst = max((dt * rate, d) for rate, d in rates)
+            pick = np.lexsort((-detunings, -dt * rates))[0]
+            phase, worst = dt * rates[pick], float(detunings[pick])
             if not phase <= 1.0:
                 _fail("config.run.dt", f"dt*max|Delta_+- - mean_shift| = "
                       f"{phase:.3g} exceeds 1 at detuning {worst!r}")
@@ -396,10 +400,7 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
         _fail("config.state", f"experiment {tag!r} needs a state block with p0")
     state = _parse_state(data["state"], "config.state")
 
-    # checked for every experiment, resolved below for those that run it
-    run = (_parse_run(data["run"], "config.run", state, base.mass)
-           if "run" in data else None)
-    if tag in _NEEDS_RUN and run is None:
+    if tag in _NEEDS_RUN and "run" not in data:
         _fail("config.run", f"experiment {tag!r} needs a run block")
 
     if "search" in data and tag != "max-locus":
@@ -431,8 +432,9 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
             _fail("config.state.x0", f"packet sits closer than {EDGE_MARGIN:g} "
                   "widths to a domain edge")
 
-    run = (_resolve_run(tag, *run, base, detunings, grid, state)
-           if tag in _NEEDS_RUN else None)
+    # checked for every experiment, resolved for those that run it
+    run = (_parse_run(data["run"], "config.run", tag, base, detunings, grid,
+                      state) if "run" in data else None)
 
     canonical = json.loads(json.dumps(data, sort_keys=True))
     canonical["experiment"] = tag

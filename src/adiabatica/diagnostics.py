@@ -134,8 +134,9 @@ def _modulus(values: np.ndarray) -> np.ndarray:
 
 
 def _collapsed(splittings):
-    """Whether an averaged splitting is too small to divide by; elementwise."""
-    return np.abs(splittings) < SPLITTING_FLOOR
+    """Whether an averaged splitting is too small, or nan, to divide by;
+    elementwise."""
+    return np.logical_not(np.abs(splittings) >= SPLITTING_FLOOR)
 
 
 def _require_splitting(splittings: np.ndarray) -> None:

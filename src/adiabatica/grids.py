@@ -127,10 +127,10 @@ def _populations(dens: np.ndarray, dx: float):
 
 
 def _near_edge(grid: Grid, centre, width):
-    """Whether a packet sits within EDGE_MARGIN widths of a domain edge;
-    elementwise for arrays of centres and widths."""
-    return ((centre - EDGE_MARGIN * width < grid.x_min)
-            | (centre + EDGE_MARGIN * width > grid.x_max))
+    """Whether a packet does not keep EDGE_MARGIN widths clear of both domain
+    edges, a nan centre or width included; elementwise for arrays of them."""
+    return np.logical_not((centre - EDGE_MARGIN * width >= grid.x_min)
+                          & (centre + EDGE_MARGIN * width <= grid.x_max))
 
 
 def momentum_cover(p0: float, width: float) -> float:
@@ -210,22 +210,16 @@ def to_bare(field: SpinorField, frame: AdiabaticFrame) -> SpinorField:
 # Expectation values (per component, each with its own normalized density)
 # ---------------------------------------------------------------------------
 
-def _rows(field: SpinorField, component: int | None) -> np.ndarray:
-    if component is None:
-        return field.components
-    if component not in (0, 1):
-        raise ValueError("component must be 0 (upper), 1 (lower) or None (both)")
-    return field.components[component:component + 1]
-
-
 def _unpopulated(norms):
-    """Whether a population is too small to normalise by; elementwise."""
-    return norms <= _NORM_FLOOR
+    """Whether a population is too small, or not finite, to normalise by;
+    elementwise."""
+    return np.logical_not(np.isfinite(norms) & (norms > _NORM_FLOOR))
 
 
 def _require_populated(norms: np.ndarray) -> None:
     if _unpopulated(norms).any():
-        raise ValueError("expectation over a zero-population component")
+        raise ValueError("expectation over a zero-population or non-finite "
+                         "component")
 
 
 def _component_norms(dens: np.ndarray, dx: float,
@@ -234,10 +228,6 @@ def _component_norms(dens: np.ndarray, dx: float,
     norms = _populations(dens, dx)
     _require_populated(norms[..., checked])
     return norms
-
-
-def _squeeze(values: np.ndarray, component: int | None):
-    return values if component is None else values[0]
 
 
 def _grid_average(dens: np.ndarray, values: np.ndarray, dx: float,
@@ -270,50 +260,44 @@ def _slope_momentum_average(conj_rows: np.ndarray, spectrum: np.ndarray,
     return np.sum(integrand, axis=-1) * grid.dx / norms
 
 
-def expect_grid_values(field: SpinorField, values: np.ndarray,
-                       component: int | None = None):
-    """Average of a position-diagonal observable per component.
+def expect_grid_values(field: SpinorField, values: np.ndarray):
+    """Average of a position-diagonal observable per component, shape (2,).
 
-    Each component uses its own normalized density; shape (2,) for both
-    components, a scalar when one is selected.  An exactly empty component
-    is an error.
+    Each component uses its own normalized density.  An empty component is
+    an error.
     """
-    dens = np.abs(_rows(field, component)) ** 2
+    dens = np.abs(field.components) ** 2
     norms = _component_norms(dens, field.grid.dx)
-    out = _grid_average(dens, np.asarray(values, dtype=float), field.grid.dx, norms)
-    return _squeeze(out, component)
+    return _grid_average(dens, np.asarray(values, dtype=float), field.grid.dx,
+                         norms)
 
 
-def expect_position(field: SpinorField, component: int | None = None):
-    return expect_grid_values(field, field.grid.x, component)
+def expect_position(field: SpinorField):
+    return expect_grid_values(field, field.grid.x)
 
 
-def _expect_spectrum(field: SpinorField, values: np.ndarray,
-                     component: int | None):
-    rows = _rows(field, component)
+def _expect_spectrum(field: SpinorField, values: np.ndarray):
+    rows = field.components
     norms = _component_norms(np.abs(rows) ** 2, field.grid.dx)
-    out = _spectrum_average(_abs2(np.fft.fft(rows, axis=1)), values, field.grid,
-                            norms)
-    return _squeeze(out, component)
+    return _spectrum_average(_abs2(np.fft.fft(rows, axis=1)), values, field.grid,
+                             norms)
 
 
-def expect_momentum(field: SpinorField, component: int | None = None):
-    return _expect_spectrum(field, field.grid.k, component)
+def expect_momentum(field: SpinorField):
+    return _expect_spectrum(field, field.grid.k)
 
 
-def expect_slope_momentum(field: SpinorField, slope_values: np.ndarray,
-                          component: int | None = None):
+def expect_slope_momentum(field: SpinorField, slope_values: np.ndarray):
     """<f(x) p> per component with the operator product as written (f then p).
 
     Not symmetrized, so the result is complex in general; callers take the
     modulus where a real rate is needed.
     """
-    rows = _rows(field, component)
+    rows = field.components
     norms = _component_norms(np.abs(rows) ** 2, field.grid.dx)
-    out = _slope_momentum_average(np.conj(rows), np.fft.fft(rows, axis=1),
-                                  np.asarray(slope_values, dtype=float),
-                                  field.grid, norms)
-    return _squeeze(out, component)
+    return _slope_momentum_average(np.conj(rows), np.fft.fft(rows, axis=1),
+                                   np.asarray(slope_values, dtype=float),
+                                   field.grid, norms)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +305,10 @@ def expect_slope_momentum(field: SpinorField, slope_values: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _require_field(total, caller: str) -> None:
-    """Raise if the whole-field population `total` is empty; `caller` names it."""
+    """Raise if the whole-field population `total` is empty or not finite;
+    `caller` names it."""
     if _unpopulated(total):
-        raise ValueError(f"{caller} of an empty field")
+        raise ValueError(f"{caller} of an empty or non-finite field")
 
 
 def _centre(dens: np.ndarray, grid: Grid, total):

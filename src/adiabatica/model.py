@@ -69,14 +69,23 @@ class GaussianMode:
             decay = np.exp(-(x * x) / (2.0 * a * a))
         return self.amplitude / (_SQRT2PI * a) * decay
 
+    # x/a^2 and x^2/a^4 overflow only where the exponential is 0: there the
+    # product inf * 0 is nan, and the derivative is a signed 0
+
     def slope(self, x):
         x = np.asarray(x, dtype=float)
-        return -(x / self.width**2) * self.value(x)
+        value = self.value(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = -(x / self.width**2) * value
+        return np.where(np.isnan(slope), -np.sign(x) * value, slope)
 
     def curvature(self, x):
         x = np.asarray(x, dtype=float)
         a2 = self.width**2
-        return ((x * x) / (a2 * a2) - 1.0 / a2) * self.value(x)
+        value = self.value(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            curvature = ((x * x) / (a2 * a2) - 1.0 / a2) * value
+        return np.where(np.isnan(curvature), value, curvature)
 
 
 @dataclass(frozen=True)
@@ -220,6 +229,12 @@ class ModelParams:
         except OverflowError:
             raise ValueError("ModelParams.photon_index exceeds the float "
                              "range") from None
+        with np.errstate(over="ignore", invalid="ignore"):  # numpy scalars
+            mean_shift = self.mean_shift
+        if not math.isfinite(mean_shift):
+            raise ValueError("ModelParams.mean_shift overflows: the case2 "
+                             "offset photon_index * detuning leaves the float "
+                             "range")
 
     @property
     def level_shifts(self) -> tuple[float, float]:

@@ -623,7 +623,9 @@ def test_cli_runs_apply_the_same_checks(tmp_path, capsys, experiment):
 @pytest.mark.parametrize("name, overrides", [
     ("fig1_a0_map", []),
     ("fig2_max_locus", []),
-    ("fig3_a0_map", ["model.frame_case=case2", "model.photon_index=4"]),
+    # the frame case does not enter the pointwise parameter, and case2's
+    # offset at photon index 4 overflows here, which the model rejects
+    ("fig3_a0_map", ["model.photon_index=4"]),
 ])
 def test_cli_rejects_an_overflowing_pointwise_parameter(tmp_path, capsys, name,
                                                          overrides):
@@ -651,6 +653,52 @@ def test_cli_rejects_an_overflowing_pointwise_parameter(tmp_path, capsys, name,
         _, header, table = read_table(out / "a0_map.csv")
         assert header[1:] == ["1.0000000000000000e+308"]
         assert table.shape[1] == 2 and np.all(table[:, 1] == 0.0)
+
+
+def test_cli_a0_map_reads_zero_where_the_mode_slope_factor_overflows(
+        tmp_path, capsys):
+    # at |x| near the float range x/a^2 overflows where the Gaussian is 0:
+    # the slope and curvature read 0 there, so the parameter does too
+    out = tmp_path / "out"
+    args = ["a0-map", "--config", str(CONFIGS / "fig1_a0_map.json"),
+            "--out", str(out), "--override",
+            'grid={"points": 256, "x_min": -8e307, "x_max": 8e307}',
+            "--override", "model.mode.width=0.5",
+            "--override", "model.detuning=0.5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = main(args)
+    assert (status, capsys.readouterr().err) == (0, "")
+    _, header, table = read_table(out / "a0_map.csv")
+    assert header[1:] == ["5.0000000000000000e-01"]
+    assert table.shape == (256, 2) and np.all(table[:, 1] == 0.0)
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("snapshot", ["model.mode.amplitude=0", f"model.photon_index={10**308}",
+                  "model.frame_case=case2", "model.detuning=20"]),
+    # a swept map is checked at its detuning of largest magnitude
+    ("fig4_fidelity_map", ["model.frame_case=case2", "model.photon_index=4",
+                           'model.detuning={"values": [0.5, -1e308, 2.0]}']),
+])
+def test_cli_rejects_an_overflowing_case2_offset_at_load_time(
+        tmp_path, capsys, name, overrides):
+    # the offset -detuning (n - 1/2) leaves the float range: the snapshot
+    # wrote nan rows and exited 0 before it was checked
+    cfg_path = CONFIGS / f"{name}.json"
+    experiment = json.loads(cfg_path.read_text())["experiment"]
+    out = tmp_path / "out"
+    args = [experiment, "--config", str(cfg_path), "--out", str(out)]
+    for override in overrides:
+        args += ["--override", override]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = main(args)
+    assert (status, capsys.readouterr().err) == (
+        1, "adiabatica: error: config.model.photon_index: ModelParams."
+           "mean_shift overflows: the case2 offset photon_index * detuning "
+           "leaves the float range\n")
+    assert not out.exists()
 
 
 def test_cli_rejects_a_flat_max_locus_profile_at_load_time(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -514,14 +515,15 @@ def test_a_run_shorter_than_half_a_step_is_rejected(experiment):
 
 @pytest.mark.parametrize("model, run", [
     ({}, {"t_final": 80.0, "dt": 1e300}),
-    ({"frame_case": "case2", "photon_index": 4}, {"t_final": 80.0, "dt": 0.05}),
+    ({"frame_case": "case2"}, {"t_final": 80.0, "dt": 0.05}),
     ({}, {"t_final": 80.0}),
 ])
 def test_an_overflowing_time_grid_is_rejected_without_a_warning(model, run):
     # near the largest float the phase product overflows to inf and the
     # default dt to 0; case2, whose splitting is the detuning as well, fails
-    # the phase bound through a finite product: each must fail the phase
-    # bound or the step cap, not raise a RuntimeWarning or pass a NaN phase
+    # the phase bound through a finite product (its offset -detuning/2 is
+    # finite at photon index 1): each must fail the phase bound or the step
+    # cap, not raise a RuntimeWarning or pass a NaN phase
     data = fig_map_config()
     data["model"].update(detuning=1e308, **model)
     data["run"] = run
@@ -531,16 +533,20 @@ def test_an_overflowing_time_grid_is_rejected_without_a_warning(model, run):
 
 def _reference_run(data):
     """The dt, or the error, of a fidelity-map config's run, from one
-    ModelParams per detuning: the rule _resolve_run applies to a coupling
-    evaluated once."""
+    ModelParams per detuning: the rule _parse_run applies to a coupling
+    evaluated once.  A detuning whose case2 offset overflows fails the
+    model block first."""
     model, run, grid = data["model"], data["run"], data["grid"]
     grid = ad.Grid(grid["points"], grid["x_min"], grid["x_max"])
     mode = ad.GaussianMode(model["mode"]["amplitude"], model["mode"]["width"])
     detunings = model["detuning"]["values"]
     rates = []
     for d in detunings:
-        params = ad.ModelParams(mode, d, model["photon_index"],
-                                frame_case=ad.FrameCase(model["frame_case"]))
+        try:
+            params = ad.ModelParams(mode, d, model["photon_index"],
+                                    frame_case=ad.FrameCase(model["frame_case"]))
+        except ValueError as exc:
+            return f"config.model.photon_index: {exc}"
         rates.append((np.max(np.hypot(0.5 * params.level_splitting,
                                       params.coupling(grid.x))), d))
     t_final, dt = run["t_final"], run.get("dt")
@@ -565,7 +571,7 @@ def _reference_run(data):
 
 
 def test_resolved_run_matches_a_per_detuning_reference():
-    # _resolve_run evaluates the coupling once for all detunings; the
+    # _parse_run evaluates the coupling once for all detunings; the
     # default dt it picks, or the error naming the detuning that fails,
     # must be those of a ModelParams per detuning, bit for bit
     hypothesis = pytest.importorskip("hypothesis")
@@ -596,6 +602,20 @@ def test_resolved_run_matches_a_per_detuning_reference():
         assert outcome == _reference_run(data)
 
     check()
+
+
+def test_a_swept_map_at_the_detuning_cap_validates_quickly():
+    # the phase rate of every cell is one array expression, so fig4 at the
+    # largest detuning count resolves its run in about 0.2 s on a 2-CPU
+    # host (about 100 s with a loop over the detunings)
+    path = Path(__file__).resolve().parents[1] / "configs/fig4_fidelity_map.json"
+    data = json.loads(path.read_text())
+    data["model"]["detuning"]["count"] = ad.config.MAX_GRID_POINTS
+    start = time.perf_counter()
+    cfg = validate_config(data)
+    assert time.perf_counter() - start < 10.0
+    assert cfg.detunings.size == 2**22
+    assert (cfg.run.dt, cfg.run.stride) == (0.02, 100)
 
 
 def test_experiment_tag_consistency():

@@ -500,10 +500,8 @@ def _packet(grid=_GRID):
      "SpinorField.components must have shape (2, npoints)"),
     (lambda: ad.SpinorField(_GRID, _EMPTY, "rotated"),
      "unknown frame tag 'rotated'"),
-    (lambda: ad.grids.expect_position(_packet(), 2),
-     "component must be 0 (upper), 1 (lower) or None (both)"),
     (lambda: ad.grids.mean_position(ad.SpinorField(_GRID, _EMPTY, ad.BARE)),
-     "mean_position of an empty field"),
+     "mean_position of an empty or non-finite field"),
     (lambda: ad.TabulatedMode(np.arange(3.0), np.zeros(3)),
      "TabulatedMode needs at least 4 sample positions"),
     (lambda: ad.TabulatedMode(np.arange(4.0), np.zeros(5)),

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -84,12 +85,14 @@ def test_gaussian_state_moments():
     grid = ad.Grid(2048, -300.0, 300.0)
     x0, p0, width = -200.0, 5.0, 10.0
     psi = ad.gaussian_bare_state(grid, x0, p0, width)
-    x_mean = ad.grids.expect_position(psi, component=0)
-    p_mean = ad.grids.expect_momentum(psi, component=0)
+    # the per-component averages need both components populated
+    both = ad.SpinorField(grid, np.stack([psi.upper, psi.upper]), ad.BARE)
+    x_mean = ad.grids.expect_position(both)[0]
+    p_mean = ad.grids.expect_momentum(both)[0]
     assert abs(x_mean - x0) < 1e-8
     assert abs(p_mean - p0) < 1e-8
     # <p^2> = p0^2 + 1 / (2 width^2) for this envelope convention
-    p2 = ad.grids._expect_spectrum(psi, grid.k**2, 0)
+    p2 = ad.grids._expect_spectrum(both, grid.k**2)[0]
     assert p2 == pytest.approx(p0**2 + 1.0 / (2.0 * width**2), abs=1e-8)
     assert ad.packet_width(psi) == pytest.approx(width, abs=1e-8)
     assert ad.grids.mean_position(psi) == pytest.approx(x0, abs=1e-8)
@@ -226,12 +229,31 @@ def test_expectation_zero_population_errors(small_grid):
         ad.grids.expect_momentum(psi)
 
 
+def test_run_guard_predicates_read_nan_as_failing(small_grid):
+    # each predicate negates its pass condition, so a nan or an infinite
+    # population, a nan centre or width and a nan splitting all fail
+    nan, inf = math.nan, math.inf
+    assert ad.grids._unpopulated(np.array([nan, inf, 0.0, 1e-150, 1.0])
+                                 ).tolist() == [True, True, True, True, False]
+    near = ad.grids._near_edge(small_grid, np.array([nan, 0.0, 0.0, 30.0]),
+                               np.array([1.0, nan, 1.0, 3.0]))
+    assert near.tolist() == [True, True, False, True]
+    # config passes Python floats
+    assert ad.grids._near_edge(small_grid, nan, 1.0)
+    assert not ad.grids._near_edge(small_grid, 0.0, 1.0)
+    assert ad.diagnostics._collapsed(np.array([nan, 0.0, -1e-13, 1e-12, -inf])
+                                     ).tolist() == [True, True, True, False, False]
+    with pytest.raises(ValueError, match="^packet_width of an empty or "
+                       "non-finite field$"):
+        ad.packet_width(ad.SpinorField(small_grid, np.full((2, 256), np.nan),
+                                       ad.BARE))
+
+
 def test_hermitian_expectations_real(small_grid):
     field = random_field(small_grid)
     assert np.all(np.isreal(ad.grids.expect_position(field)))
     assert np.all(np.isreal(ad.grids.expect_momentum(field)))
-    assert np.all(np.isreal(ad.grids._expect_spectrum(field, small_grid.k**2,
-                                                      None)))
+    assert np.all(np.isreal(ad.grids._expect_spectrum(field, small_grid.k**2)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +33,28 @@ def test_gaussian_mode_value_and_derivatives():
         assert mode.slope(x) == pytest.approx(fd, rel=1e-4, abs=1e-12)
         fd2 = (mode.value(x + h) - 2 * mode.value(x) + mode.value(x - h)) / h**2
         assert mode.curvature(x) == pytest.approx(fd2, rel=1e-4, abs=1e-10)
+
+
+def test_gaussian_mode_derivatives_read_zero_where_their_factor_overflows():
+    # x/a^2 and x^2/a^4 overflow where the exponential is exactly 0: the
+    # derivatives are signed zeros there, without a warning, and every
+    # finite value keeps the bits of the plain product
+    mode = ad.GaussianMode(1.0, 50.0)
+    x = np.array([-1e307, -1e200, -70.0, 0.0, 12.5, 1e200, 1e307])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slope, curvature = mode.slope(x), mode.curvature(x)
+    value = mode.value(x)
+    far = np.abs(x) >= 1e200
+    assert np.array_equal(np.signbit(slope[far]), x[far] > 0)
+    assert np.all(slope[far] == 0.0) and np.all(curvature[far] == 0.0)
+    assert not np.any(np.signbit(curvature[far]))
+    near = ~far
+    assert np.array_equal(slope[near], -(x[near] / 50.0**2) * value[near])
+    a2 = 50.0**2
+    assert np.array_equal(curvature[near],
+                          ((x[near] * x[near]) / (a2 * a2) - 1.0 / a2)
+                          * value[near])
 
 
 def test_standing_wave_mode_derivatives():
@@ -117,6 +140,18 @@ def test_params_guards():
         ad.ModelParams(mode=mode, detuning=1.0, mass=0.0)
     with pytest.raises(ValueError):
         ad.ModelParams(mode=mode, detuning=1.0, photon_index=0)
+
+
+def test_params_reject_an_overflowing_case2_offset():
+    # case2's offset -detuning (n - 1/2) leaves the float range at these
+    # sizes; case1's offset is 0, and case2 at photon index 1 is -detuning/2
+    mode = ad.GaussianMode(1.0, 50.0)
+    for detuning, n in ((20.0, 10**308), (-1e308, 4)):
+        with pytest.raises(ValueError, match="^ModelParams.mean_shift overflows"):
+            ad.ModelParams(mode, detuning, n, frame_case=ad.FrameCase.CASE2)
+        assert ad.ModelParams(mode, detuning, n).mean_shift == 0.0
+    assert ad.ModelParams(mode, 1e308, 1, frame_case=ad.FrameCase.CASE2
+                          ).mean_shift == -5e307
 
 
 def test_effective_coupling_scales_with_sqrt_photon_index():

@@ -617,8 +617,11 @@ def test_run_scenario_columns_match_public_observables(lower_amplitude,
         want["fidelity"][i] = ad.fidelity(exact, reference, frame)
         for ch in range(2):
             if active[ch]:
-                want["ref_x"][ch, i] = ad.grids.expect_position(reference, ch)
-                want["ref_p"][ch, i] = ad.grids.expect_momentum(reference, ch)
+                # channel ch in both rows: the other channel may be empty
+                channel = ad.SpinorField(sc.grid, reference.components[[ch, ch]],
+                                         ad.ADIABATIC)
+                want["ref_x"][ch, i] = ad.grids.expect_position(channel)[0]
+                want["ref_p"][ch, i] = ad.grids.expect_momentum(channel)[0]
         parts = ad.adiabaticity_parts(reference, frame, sc.params, rec.weights)
         want["adiabaticity_terms"][:, i] = parts.channel_terms(True)
         want["adiabaticity"][i] = parts.total(True)
@@ -968,6 +971,22 @@ def test_pipelined_run_raises_the_first_failing_sample(monkeypatch):
     # fails at a sample inside a block of 5; the pipelined run must report
     # that sample, with the inline type and text
     _check_pipelined_guard(monkeypatch, 5)
+
+
+# numpy reports the overflowing phases dt * Delta before the guard raises
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_raises_at_a_non_finite_sample():
+    # dt * Delta overflows in both propagators, so every state after the
+    # first is nan: the run raises at the first such sample instead of
+    # returning norm [1, nan, nan]
+    grid = ad.Grid(512, -40.0, 40.0)
+    sc = ad.Scenario(
+        params=ad.ModelParams(mode=ad.GaussianMode(1e308, 0.5), detuning=1.0),
+        grid=grid, initial=ad.gaussian_bare_state(grid, -15.0, 4.0, 2.5),
+        t_final=200.0, dt=100.0)
+    with pytest.raises(ValueError, match="^mean_position of an empty or "
+                       "non-finite field$"):
+        ad.run_scenario(sc)
 
 
 @pytest.mark.parametrize("samples_per_block", ["first", "last"])
