@@ -111,26 +111,28 @@ def _parse_mode(obj, path):
     if kind == "gaussian":
         _check_keys(obj, path, {"kind", "amplitude", "width"},
                     {"kind", "amplitude", "width"})
-        return GaussianMode(_number(obj, "amplitude", path),
-                            _positive(obj, "width", path))
-    if kind == "standing_wave":
+        mode, args = GaussianMode, (_number(obj, "amplitude", path),
+                                    _positive(obj, "width", path))
+    elif kind == "standing_wave":
         _check_keys(obj, path, {"kind", "amplitude", "wavenumber"},
                     {"kind", "amplitude", "wavenumber"})
-        return StandingWaveMode(_number(obj, "amplitude", path),
-                                _positive(obj, "wavenumber", path))
-    if kind == "linear":
+        mode, args = StandingWaveMode, (_number(obj, "amplitude", path),
+                                        _positive(obj, "wavenumber", path))
+    elif kind == "linear":
         _check_keys(obj, path, {"kind", "gradient"}, {"kind", "gradient"})
-        return LinearMode(_number(obj, "gradient", path))
-    if kind == "tabulated":
+        mode, args = LinearMode, (_number(obj, "gradient", path),)
+    elif kind == "tabulated":
         _check_keys(obj, path, {"kind", "positions", "samples"},
                     {"kind", "positions", "samples"})
-        positions = _finite_array(obj["positions"], f"{path}.positions")
-        samples = _finite_array(obj["samples"], f"{path}.samples")
-        try:
-            return TabulatedMode(positions, samples)
-        except ValueError as exc:
-            _fail(path, str(exc))
-    _fail(f"{path}.kind", f"unknown mode kind {kind!r}")
+        mode, args = TabulatedMode, (
+            _finite_array(obj["positions"], f"{path}.positions"),
+            _finite_array(obj["samples"], f"{path}.samples"))
+    else:
+        _fail(f"{path}.kind", f"unknown mode kind {kind!r}")
+    try:
+        return mode(*args)
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
 def _parse_detunings(value, path):

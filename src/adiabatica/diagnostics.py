@@ -260,7 +260,7 @@ def adiabaticity_max_locus(params: ModelParams, deltas, p0: float,
 
     A grid scan over window = (x_lo, x_hi), which a max-locus config
     resolves at load time, brackets the maximum and a golden-section
-    refinement polishes it; returns rows (detuning, x_max).
+    refinement polishes it; returns rows (detuning, x_max, value_at_max).
     """
     lo, hi = window
     if not (hi > lo and math.isfinite(hi - lo)):
@@ -268,7 +268,7 @@ def adiabaticity_max_locus(params: ModelParams, deltas, p0: float,
                          "finite x_hi - x_lo")
     xs = np.linspace(lo, hi, scan_points)
     deltas = list(deltas)  # a one-shot iterable is read once, here
-    out = np.empty((len(deltas), 2))
+    out = np.empty((len(deltas), 3))
     for i, delta in enumerate(deltas):
         local = replace(params, detuning=float(delta))
         vals = local_adiabaticity(local, xs, p0)
@@ -280,12 +280,13 @@ def adiabaticity_max_locus(params: ModelParams, deltas, p0: float,
         b = xs[min(j + 1, scan_points - 1)]
         tol = max(1e-10 * (hi - lo), 1e-12)
         x_best = _golden_max(lambda x: local_adiabaticity(local, x, p0), a, b, tol)
-        if not local_adiabaticity(local, x_best, p0) > 0.0:
+        value = local_adiabaticity(local, x_best, p0)
+        if not value > 0.0:
             raise ValueError(f"pointwise adiabaticity parameter is not > 0 "
                              f"at its refined maximum x = {float(x_best)!r} "
                              f"at detuning {float(delta)!r}; narrow the "
                              "search window")
-        out[i] = (delta, x_best)
+        out[i] = (delta, x_best, value)
     return out
 
 

@@ -110,12 +110,8 @@ def _run_max_locus(config: ScenarioConfig, out_dir: Path):
     locus = adiabaticity_max_locus(
         config.base_params, config.detunings, config.state.p0,
         (config.search.x_lo, config.search.x_hi), config.search.scan_points)
-    peak = [local_adiabaticity(replace(config.base_params, detuning=float(d)),
-                               x, config.state.p0)
-            for d, x in locus]
     return [write_csv(out_dir / "max_locus.csv", _comment(config),
-                      ["detuning", "x_max", "value_at_max"],
-                      [locus[:, 0], locus[:, 1], peak])]
+                      ["detuning", "x_max", "value_at_max"], locus.T)]
 
 
 def _sweep_cell(scenario: Scenario):

@@ -60,6 +60,11 @@ class GaussianMode:
         _require_finite("GaussianMode", amplitude=self.amplitude, width=self.width)
         if self.width <= 0:
             raise ValueError("GaussianMode.width must be > 0")
+        with np.errstate(over="ignore"):
+            peak = self.amplitude / (_SQRT2PI * self.width)
+        if not np.isfinite(peak):
+            raise ValueError("GaussianMode peak amplitude / (sqrt(2 pi) "
+                             "width) overflows")
 
     def value(self, x):
         x = np.asarray(x, dtype=float)

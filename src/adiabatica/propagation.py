@@ -291,13 +291,15 @@ _RING_BLOCKS = 4
 
 def _check_domain(mean: float, width: float, total: float, grid: Grid,
                   label: str, t: float, detuning: float) -> None:
-    """A packet with centre `mean` and population `total` must keep clear of the edges."""
-    _require_field(total, "mean_position")
+    """A packet with centre `mean` and population `total` must be populated
+    and keep clear of the edges."""
+    when = f"at t={t:.6g} (detuning {float(detuning)!r})"
+    if _unpopulated(total):
+        raise ValueError(f"{label} packet is empty or non-finite {when}")
     if _near_edge(grid, mean, width):
         raise DomainGuardError(
             f"{label} packet at <x>={mean:.3f} (width {width:.3f}) is within "
-            f"{EDGE_MARGIN} widths of a domain edge at t={t:.6g} (detuning "
-            f"{float(detuning)!r}); enlarge the grid")
+            f"{EDGE_MARGIN} widths of a domain edge {when}; enlarge the grid")
 
 
 def _available_cpus() -> int:

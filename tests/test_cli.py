@@ -749,18 +749,30 @@ _BIG = 10**400  # a JSON integer beyond the float range
     ("fig2_max_locus", 'search={"x_lo": 0.5, "x_hi": 1e308}',
      "pointwise adiabaticity parameter is not > 0 at its refined maximum "
      "x = 2.506265626624914e+305 at detuning 0.01; narrow the search window"),
+    # the Gaussian peak A / (sqrt(2 pi) a) overflows, so the coupling is
+    # inf * 0 = nan away from it: the run printed numpy "invalid value"
+    # warnings and failed mid-run
+    pytest.param("fig4_fidelity_map",
+                 ("model.mode.amplitude=1e308", "model.mode.width=0.1",
+                  "model.detuning=0.5", 'run={"x_stop": -190.0}'),
+                 "config.model.mode: GaussianMode peak amplitude / "
+                 "(sqrt(2 pi) width) overflows",
+                 id="fig4_fidelity_map-gaussian-peak-overflows"),
 ])
 def test_cli_rejects_out_of_range_numbers_in_one_line(tmp_path, capsys, name,
                                                       override, message):
     # each of these ended in an OverflowError traceback, printed numpy
-    # overflow warnings, or wrote a max-locus row with value_at_max 0
+    # overflow warnings, wrote a max-locus row with value_at_max 0, or ran
+    # on a nan coupling; `override` is one override or a tuple of them
     cfg_path = CONFIGS / f"{name}.json"
     experiment = json.loads(cfg_path.read_text())["experiment"]
     out = tmp_path / "out"
+    args = [experiment, "--config", str(cfg_path), "--out", str(out)]
+    for item in (override,) if isinstance(override, str) else override:
+        args += ["--override", item]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        status = main([experiment, "--config", str(cfg_path), "--out", str(out),
-                       "--override", override])
+        status = main(args)
     assert (status, capsys.readouterr().err) == (
         1, f"adiabatica: error: {message}\n")
     assert not out.exists()

@@ -1,11 +1,15 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import adiabatica as ad
+from adiabatica.config import load_config
 from adiabatica.model import _angle_derivatives
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_run(params, grid=None, x0=-20.0, p0=3.0, width=3.0, t_final=2.0):
@@ -372,8 +376,23 @@ def test_run_record_invariants():
 def test_max_locus_large_detuning_sits_at_mode_width():
     params = ad.ModelParams(mode=ad.GaussianMode(1.0, 50.0), detuning=5.0)
     locus = ad.adiabaticity_max_locus(params, [5.0], 10.0, window=(0.5, 300.0))
-    assert locus.shape == (1, 2)
+    assert locus.shape == (1, 3)
     assert locus[0, 1] == pytest.approx(50.0, abs=0.1)
+
+
+def test_max_locus_value_column_is_the_parameter_at_the_locus():
+    # fig2's config: the third column is the pointwise parameter at the
+    # row's detuning and x_max, bit for bit
+    config = load_config(CONFIGS / "fig2_max_locus.json")
+    p0 = config.state.p0
+    locus = ad.adiabaticity_max_locus(
+        config.base_params, config.detunings, p0,
+        (config.search.x_lo, config.search.x_hi), config.search.scan_points)
+    assert locus.shape == (config.detunings.size, 3)
+    assert np.array_equal(locus[:, 0], config.detunings)
+    for d, x_max, value in locus:
+        local = replace(config.base_params, detuning=float(d))
+        assert value == ad.local_adiabaticity(local, x_max, p0)
 
 
 def test_max_locus_reads_a_one_shot_iterable():

@@ -134,6 +134,21 @@ def test_model_constructors_reject_non_finite_parameters(build, field, value):
         build(value)
 
 
+def test_gaussian_mode_rejects_an_overflowing_peak():
+    # A / (sqrt(2 pi) a) overflows: value() read inf * 0 = nan away from the
+    # peak, so a run went on with a nan coupling
+    for amplitude, width in ((1e308, 0.1), (-1e308, 0.1), (1.0, 1e-320),
+                             (np.float64(1e308), np.float64(0.1))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^GaussianMode peak amplitude "
+                               r"/ \(sqrt\(2 pi\) width\) overflows$"):
+                ad.GaussianMode(amplitude, width)
+    # a peak that stays finite still builds
+    assert ad.GaussianMode(1e308, 0.5).value(0.0) == pytest.approx(7.98e307,
+                                                                    rel=1e-3)
+
+
 def test_params_guards():
     mode = ad.GaussianMode(1.0, 50.0)
     with pytest.raises(ValueError):

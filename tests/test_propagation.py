@@ -984,8 +984,8 @@ def test_run_raises_at_a_non_finite_sample():
         params=ad.ModelParams(mode=ad.GaussianMode(1e308, 0.5), detuning=1.0),
         grid=grid, initial=ad.gaussian_bare_state(grid, -15.0, 4.0, 2.5),
         t_final=200.0, dt=100.0)
-    with pytest.raises(ValueError, match="^mean_position of an empty or "
-                       "non-finite field$"):
+    with pytest.raises(ValueError, match=r"^exact packet is empty or "
+                       r"non-finite at t=100 \(detuning 1\.0\)$"):
         ad.run_scenario(sc)
 
 
