@@ -189,6 +189,25 @@ def _parse_model(obj, path):
     return base, detunings
 
 
+def _finite_coupling(base, xs):
+    """G(x) at the points xs, which must all be finite: a standing wave's
+    q x or a linear mode's C x can overflow where an experiment evaluates it."""
+    xs = np.asarray(xs, dtype=float)
+    with np.errstate(all="ignore"):
+        values = base.coupling(xs)
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        _fail("config.model.mode", f"the coupling G(x) is not finite at "
+              f"x={float(xs[np.argmax(bad)])!r}")
+    return values
+
+
+def _finite_coupling_over(base, a, b):
+    """G at both ends of [a, b] and at its point nearest 0, where |G| is
+    largest: |q x| and |C x| grow towards an end, a Gaussian peaks at 0."""
+    _finite_coupling(base, [a, b, min(max(0.0, min(a, b)), max(a, b))])
+
+
 def _parse_grid(obj, path):
     _check_keys(obj, path, {"points", "x_min", "x_max"},
                 {"points", "x_min", "x_max"})
@@ -248,11 +267,12 @@ class RunSpec:
 
 
 @np.errstate(over="ignore", divide="ignore")
-def _parse_run(obj, path, tag, base, detunings, grid, state):
+def _parse_run(obj, path, tag, base, detunings, grid, coupling, state):
     """The run block, checked for every experiment; for those that run it,
-    the one time grid of the runs at these detunings, else None.  An
-    overflow reads as inf.  Without dt a propagating run takes 0.1 min(1/max
-    |Delta_+- - mean_shift|, m dx / p_max), which resolves the phases and the
+    the one time grid of the runs at these detunings, else None.  `coupling`
+    is G on the grid of a propagating run, and an overflow reads as inf.
+    Without dt a propagating run takes 0.1 min(1/max |Delta_+- - mean_shift|,
+    m dx / p_max), which resolves the phases and the
     transport of the momentum cover p_max, the smallest over a map's cells so
     that every cell samples the same instants; max |Delta_+- - mean_shift| =
     max hypot(detuning/2, G) over the grid, as mean_shift is an exact global
@@ -279,7 +299,7 @@ def _parse_run(obj, path, tag, base, detunings, grid, state):
         # max_x hypot(d/2, G(x)) = hypot(d/2, max_x |G(x)|) assumes hypot is
         # monotone in |G|; G does not depend on the detuning.  Ties pick as
         # the builtin min and max of (value, detuning) pairs do
-        rates = np.hypot(0.5 * detunings, np.max(np.abs(base.coupling(grid.x))))
+        rates = np.hypot(0.5 * detunings, np.max(np.abs(coupling)))
         if dt is None:
             transport = base.mass * grid.dx / momentum_cover(state.p0, state.width)
             dts = 0.1 * np.minimum(np.where(rates > 0, 1.0 / rates, math.inf),
@@ -397,6 +417,7 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
     grid = _parse_grid(data["grid"], "config.grid") if "grid" in data else None
     if tag in _NEEDS_GRID and grid is None:
         _fail("config.grid", f"experiment {tag!r} needs a grid block")
+    coupling = _finite_coupling(base, grid.x) if tag in _NEEDS_GRID else None
 
     if "state" not in data:
         _fail("config.state", f"experiment {tag!r} needs a state block with p0")
@@ -410,6 +431,7 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
     search = None
     if tag == "max-locus":
         search = _parse_search(data.get("search", {}), "config.search", base.mode)
+        _finite_coupling_over(base, search.x_lo, search.x_hi)
         _check_profile(base, detunings, state)
 
     # single-run traces default to the measured packet center; sweep matrices
@@ -427,7 +449,7 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
     # guards that couple state and grid
     if tag in _PROPAGATING:
         p_needed = momentum_cover(state.p0, state.width)
-        if not grid.supports_momentum(p_needed):
+        if not grid.k_max > p_needed:
             _fail("config.grid", f"momentum cutoff {grid.k_max:.4g} does not cover "
                   f"p0 + 6/width = {p_needed:.4g}")
         if _near_edge(grid, state.x0, state.width):
@@ -436,7 +458,11 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
 
     # checked for every experiment, resolved for those that run it
     run = (_parse_run(data["run"], "config.run", tag, base, detunings, grid,
-                      state) if "run" in data else None)
+                      coupling, state) if "run" in data else None)
+    if tag == "effective-model":
+        # the path x0 + p0 t / m over [0, t_final]
+        _finite_coupling_over(base, state.x0,
+                              state.x0 + state.p0 / base.mass * run.t_final)
 
     canonical = json.loads(json.dumps(data, sort_keys=True))
     canonical["experiment"] = tag

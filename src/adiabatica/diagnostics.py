@@ -344,19 +344,18 @@ class NodeLimitReport:
     node_position: float
 
 
-def node_limit_probe(params: ModelParams, p0: float,
-                     deltas=None) -> NodeLimitReport:
+#: The detunings of node_limit_probe's fits, from 1e-2 down to 1e-5.
+_NODE_PROBE_DETUNINGS = np.logspace(-2, -5, 13)
+
+
+def node_limit_probe(params: ModelParams, p0: float) -> NodeLimitReport:
     """Fit the pointwise parameter's power law in the detuning at the node
-    x = 0 and at x = 0.3/q, each point held fixed as the detuning shrinks."""
+    x = 0 and at x = 0.3/q, each point held fixed as the detuning shrinks
+    along a fixed ladder of 13 log-spaced detunings from 1e-2 to 1e-5."""
     mode = params.mode
     if not isinstance(mode, StandingWaveMode):
         raise ValueError("the limit-ordering probe needs a standing-wave mode")
-    if deltas is None:
-        deltas = np.logspace(-2, -5, 13)
-    deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
-    if np.unique(deltas).size < 2 or not np.all((deltas > 0.0) & (deltas < np.inf)):
-        raise ValueError("the limit-ordering probe needs at least two distinct "
-                         "positive finite detunings")
+    deltas = _NODE_PROBE_DETUNINGS
     node = 0.0
     off_x = 0.3 / mode.wavenumber
 

@@ -62,9 +62,6 @@ class Grid:
         """Largest representable momentum magnitude pi/dx."""
         return np.pi / self.dx
 
-    def supports_momentum(self, p_needed: float) -> bool:
-        return self.k_max > p_needed
-
 
 @dataclass(eq=False)
 class SpinorField:
@@ -153,7 +150,7 @@ def gaussian_bare_state(grid: Grid, x0: float, p0: float,
             f"packet at x0={x0} with width {width} sits closer than "
             f"{EDGE_MARGIN} widths to a domain edge")
     p_needed = momentum_cover(p0, width)
-    if not grid.supports_momentum(p_needed):
+    if not grid.k_max > p_needed:
         raise ValueError(
             f"grid momentum cutoff {grid.k_max:.3g} does not cover p0 + 6/width "
             f"= {p_needed:.3g}; refine the grid")

@@ -65,6 +65,11 @@ class GaussianMode:
         if not np.isfinite(peak):
             raise ValueError("GaussianMode peak amplitude / (sqrt(2 pi) "
                              "width) overflows")
+        # the a^4 that curvature divides by; below about 1.22e-77 it
+        # underflows and the derivatives, then the value, turn wrong or nan
+        if (self.width * self.width) * (self.width * self.width) < _SMALLEST_NORMAL:
+            raise ValueError(f"GaussianMode.width {float(self.width)!r} is too "
+                             f"small: width^4 underflows")
 
     def value(self, x):
         x = np.asarray(x, dtype=float)

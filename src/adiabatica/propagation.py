@@ -172,12 +172,12 @@ class FullPropagator(_Stepper):
         # rows (p11, p22) of the unitary and its symmetric off-diagonal p12
         diag_factor = phase * np.stack([p11, p22])
         cross_factor = phase * p12
-        diag, cross = np.empty((2, 2, grid.npoints), dtype=np.complex128)
+        cross = np.empty((2, grid.npoints), dtype=np.complex128)
 
         def apply_potential(comps: np.ndarray) -> None:
-            np.multiply(diag_factor, comps, out=diag)        # p11 up, p22 dn
             np.multiply(cross_factor, comps[::-1], out=cross)  # p12 dn, p12 up
-            np.add(diag, cross, out=comps)
+            np.multiply(diag_factor, comps, out=comps)         # p11 up, p22 dn
+            np.add(comps, cross, out=comps)
 
         # a closure over its arrays, which the Strang loop calls every step
         self._apply_potential = apply_potential

@@ -758,6 +758,37 @@ _BIG = 10**400  # a JSON integer beyond the float range
                  "config.model.mode: GaussianMode peak amplitude / "
                  "(sqrt(2 pi) width) overflows",
                  id="fig4_fidelity_map-gaussian-peak-overflows"),
+    # a^4 underflows: curvature ended in a ZeroDivisionError traceback
+    pytest.param("fig1_a0_map", "model.mode.width=1e-300",
+                 "config.model.mode: GaussianMode.width 1e-300 is too small: "
+                 "width^4 underflows", id="fig1_a0_map-gaussian-width-underflows"),
+    # q x and C x overflow where the experiment evaluates G: the a0-map
+    # failed mid-run, the effective model wrote nan rows, atrace blamed dt
+    # for a nan phase rate, and the max-locus search read a flat profile,
+    # each after numpy warnings
+    pytest.param("fig1_a0_map",
+                 'model.mode={"kind": "standing_wave", "amplitude": 1.0, '
+                 '"wavenumber": 1e307}',
+                 "config.model.mode: the coupling G(x) is not finite at "
+                 "x=-300.0", id="fig1_a0_map-coupling-overflows"),
+    pytest.param("effective_model",
+                 'model.mode={"kind": "standing_wave", "amplitude": 1.0, '
+                 '"wavenumber": 1e307}',
+                 "config.model.mode: the coupling G(x) is not finite at "
+                 "x=-200.0", id="effective_model-coupling-overflows"),
+    pytest.param("fig9a_atrace", "model.mode.wavenumber=1e307",
+                 "config.model.mode: the coupling G(x) is not finite at "
+                 "x=-150.0", id="fig9a_atrace-coupling-overflows"),
+    pytest.param("fig2_max_locus",
+                 ('model.mode={"kind": "linear", "gradient": 1e307}',
+                  'search={"x_lo": 0.5, "x_hi": 300.0}'),
+                 "config.model.mode: the coupling G(x) is not finite at "
+                 "x=300.0", id="fig2_max_locus-coupling-overflows"),
+    # sqrt(n) times the Gaussian peak overflows between the path's ends
+    pytest.param("effective_model",
+                 (f"model.photon_index={10**300}", "model.mode.amplitude=1e161"),
+                 "config.model.mode: the coupling G(x) is not finite at x=0.0",
+                 id="effective_model-coupling-overflows-at-the-peak"),
 ])
 def test_cli_rejects_out_of_range_numbers_in_one_line(tmp_path, capsys, name,
                                                       override, message):

@@ -477,20 +477,6 @@ def test_node_limit_probe_requires_standing_wave():
         ad.node_limit_probe(params, p0=1.0)
 
 
-@pytest.mark.parametrize("deltas", [[1e-2, 1e-3, -1e-4], [1e-2, 0.0, 1e-4],
-                                    [1e-2], [1e-3, 1e-3], [1e-2, np.inf],
-                                    [1e-2, np.nan], []])
-def test_node_limit_probe_needs_two_distinct_positive_detunings(deltas):
-    # the exponents are fits of log value against log detuning: a detuning
-    # <= 0 made the SVD fail after OpenBLAS errors, a single one gave a
-    # rank-deficient fit
-    params = ad.ModelParams(mode=ad.StandingWaveMode(1.0, 0.1), detuning=1.0)
-    with pytest.raises(ValueError) as excinfo:
-        ad.node_limit_probe(params, p0=5.0, deltas=deltas)
-    assert str(excinfo.value) == ("the limit-ordering probe needs at least two "
-                                  "distinct positive finite detunings")
-
-
 # ---------------------------------------------------------------------------
 # Argument guards of the library
 # ---------------------------------------------------------------------------

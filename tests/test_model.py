@@ -149,6 +149,17 @@ def test_gaussian_mode_rejects_an_overflowing_peak():
                                                                     rel=1e-3)
 
 
+def test_gaussian_mode_rejects_a_width_whose_fourth_power_underflows():
+    # curvature divides by a^4: at width 1e-100 it read +3.99e99 at x = 0
+    # and inf at x = 1e-100, and at 1e-300 it raised ZeroDivisionError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ad.GaussianMode(1.0, 1.3e-77).curvature(0.0) < 0.0
+        with pytest.raises(ValueError, match=r"^GaussianMode.width 1e-100 is "
+                           r"too small: width\^4 underflows$"):
+            ad.GaussianMode(1.0, 1e-100)
+
+
 def test_params_guards():
     mode = ad.GaussianMode(1.0, 50.0)
     with pytest.raises(ValueError):
