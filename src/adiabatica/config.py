@@ -189,15 +189,18 @@ def _parse_model(obj, path):
     return base, detunings
 
 
-def _finite_coupling(base, xs):
-    """G(x) at the points xs, which must all be finite: a standing wave's
-    q x or a linear mode's C x can overflow where an experiment evaluates it."""
+def _finite(quantity, evaluate, xs):
+    """evaluate(xs), which must be finite at every point of xs: a standing
+    wave's q x or a linear mode's C x can overflow where an experiment
+    evaluates G, and A q or A q^2 where it evaluates g' or g''.  G is
+    sqrt(n) g, but g' and g'' are the mode's own: sqrt(n) g' and sqrt(n) g''
+    may overflow harmlessly inside the rescaled formulas of the parameter."""
     xs = np.asarray(xs, dtype=float)
     with np.errstate(all="ignore"):
-        values = base.coupling(xs)
+        values = evaluate(xs)
     bad = ~np.isfinite(values)
     if np.any(bad):
-        _fail("config.model.mode", f"the coupling G(x) is not finite at "
+        _fail("config.model.mode", f"{quantity} is not finite at "
               f"x={float(xs[np.argmax(bad)])!r}")
     return values
 
@@ -205,7 +208,8 @@ def _finite_coupling(base, xs):
 def _finite_coupling_over(base, a, b):
     """G at both ends of [a, b] and at its point nearest 0, where |G| is
     largest: |q x| and |C x| grow towards an end, a Gaussian peaks at 0."""
-    _finite_coupling(base, [a, b, min(max(0.0, min(a, b)), max(a, b))])
+    _finite("the coupling G(x)", base.coupling,
+            [a, b, min(max(0.0, min(a, b)), max(a, b))])
 
 
 def _parse_grid(obj, path):
@@ -294,7 +298,8 @@ def _parse_run(obj, path, tag, base, detunings, grid, coupling, state):
             _fail(f"{path}.x_stop", "not reachable from state.x0 with the given p0")
     if tag not in _NEEDS_RUN:
         return None
-    delta, which = float(detunings[0]), "t_final/dt"
+    # t_final/dt depends on the detuning only through a default dt
+    which, at = "t_final/dt", ""
     if tag in _PROPAGATING:
         # max_x hypot(d/2, G(x)) = hypot(d/2, max_x |G(x)|) assumes hypot is
         # monotone in |G|; G does not depend on the detuning.  Ties pick as
@@ -305,7 +310,7 @@ def _parse_run(obj, path, tag, base, detunings, grid, coupling, state):
             dts = 0.1 * np.minimum(np.where(rates > 0, 1.0 / rates, math.inf),
                                    transport)
             pick = np.lexsort((detunings, dts))[0]
-            dt, delta = dts[pick], float(detunings[pick])
+            dt, at = dts[pick], f" at detuning {float(detunings[pick])!r}"
             if not math.isfinite(dt):
                 _fail("config.run.dt", "cannot pick a default time step: the phase "
                       "and transport bounds are both infinite; give an explicit dt")
@@ -321,10 +326,9 @@ def _parse_run(obj, path, tag, base, detunings, grid, coupling, state):
     steps = t_final / dt
     if not math.isfinite(steps) or steps > MAX_STEPS:
         _fail("config.run.dt", f"{which} = {steps:.3g} steps exceeds the "
-              f"limit of {MAX_STEPS} at detuning {delta!r}")
+              f"limit of {MAX_STEPS}{at}")
     if round(steps) < 1:
-        _fail("config.run.dt", f"{which} = {steps:.3g} rounds to no step "
-              f"at detuning {delta!r}")
+        _fail("config.run.dt", f"{which} = {steps:.3g} rounds to no step{at}")
     if stride is None:
         stride = max(1, round(steps) // 800) if tag in _PROPAGATING else 1
     return RunSpec(t_final, dt, stride)
@@ -359,24 +363,20 @@ def _parse_search(obj, path, mode):
     return SearchSpec(lo, hi, scan)
 
 
-def _check_profile(base, detunings, state):
+def _check_profile(slope, detunings, state):
     """A max-locus search needs a parameter that is nonzero somewhere; its
-    numerator p0 * detuning * g' is zero everywhere for these configs."""
+    numerator p0 * detuning * g' is zero on every scan point for these
+    configs, where `slope` is g' on the scan points."""
     if state.p0 == 0:
         _fail("config.state.p0", "max-locus needs a nonzero p0: the pointwise "
               "parameter is zero everywhere")
     if np.any(detunings == 0):
         _fail("config.model.detuning", "max-locus needs nonzero detunings: at "
               "detuning 0 the pointwise parameter is zero everywhere")
-    mode = base.mode
-    if isinstance(mode, TabulatedMode):
-        flat = not np.any(mode.samples)
-    else:
-        flat = (mode.gradient if isinstance(mode, LinearMode)
-                else mode.amplitude) == 0
-    if flat:
-        _fail("config.model.mode", "max-locus needs a nonzero coupling: the "
-              "pointwise parameter is zero everywhere")
+    if not np.any(slope):
+        _fail("config.model.mode", "max-locus needs a coupling slope g'(x) "
+              "that is nonzero on a scan point: the pointwise parameter is "
+              "zero everywhere")
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +417,12 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
     grid = _parse_grid(data["grid"], "config.grid") if "grid" in data else None
     if tag in _NEEDS_GRID and grid is None:
         _fail("config.grid", f"experiment {tag!r} needs a grid block")
-    coupling = _finite_coupling(base, grid.x) if tag in _NEEDS_GRID else None
+    coupling = None
+    if tag in _NEEDS_GRID:
+        coupling = _finite("the coupling G(x)", base.coupling, grid.x)
+        _finite("the mode slope g'(x)", base.mode.slope, grid.x)
+        if tag in _PROPAGATING:
+            _finite("the mode curvature g''(x)", base.mode.curvature, grid.x)
 
     if "state" not in data:
         _fail("config.state", f"experiment {tag!r} needs a state block with p0")
@@ -432,7 +437,10 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
     if tag == "max-locus":
         search = _parse_search(data.get("search", {}), "config.search", base.mode)
         _finite_coupling_over(base, search.x_lo, search.x_hi)
-        _check_profile(base, detunings, state)
+        # the points adiabaticity_max_locus scans
+        scan = np.linspace(search.x_lo, search.x_hi, search.scan_points)
+        _check_profile(_finite("the mode slope g'(x)", base.mode.slope, scan),
+                       detunings, state)
 
     # single-run traces default to the measured packet center; sweep matrices
     # need the shared kinematic axis

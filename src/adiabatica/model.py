@@ -60,14 +60,21 @@ class GaussianMode:
         _require_finite("GaussianMode", amplitude=self.amplitude, width=self.width)
         if self.width <= 0:
             raise ValueError("GaussianMode.width must be > 0")
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # numpy scalars
             peak = self.amplitude / (_SQRT2PI * self.width)
+            a2 = self.width * self.width
+            a4 = a2 * a2
         if not np.isfinite(peak):
             raise ValueError("GaussianMode peak amplitude / (sqrt(2 pi) "
                              "width) overflows")
+        # slope and curvature square the width as a float, which raises
+        # OverflowError from about 1.34e154
+        if not np.isfinite(a2):
+            raise ValueError(f"GaussianMode.width {float(self.width)!r} is too "
+                             f"large: width^2 overflows")
         # the a^4 that curvature divides by; below about 1.22e-77 it
         # underflows and the derivatives, then the value, turn wrong or nan
-        if (self.width * self.width) * (self.width * self.width) < _SMALLEST_NORMAL:
+        if a4 < _SMALLEST_NORMAL:
             raise ValueError(f"GaussianMode.width {float(self.width)!r} is too "
                              f"small: width^4 underflows")
 

@@ -16,16 +16,20 @@ it has one entry: it starts from the spectrum of the starting state.
 advance transforms its field once before the call; run_scenario hands it
 the spectrum it sampled (below).  Each later kinetic factor is one in-place
 forward FFT, phase multiply and inverse FFT over all rows, and each
-potential factor is applied by the propagator that owns the rows.  The
+potential factor multiplies the two rows of one state in place.  The
 transforms call the pocketfft gufuncs behind np.fft directly (grids._fft,
-grids._ifft: the same bits without np.fft's argument handling), the loop
-runs its last step, which ends on a half kinetic factor, after the loop
-instead of testing for it on every step, and each potential factor is a
-closure over its arrays.  FullPropagator (a 2x2 unitary per point) and
-AdiabaticPropagator (diagonal phases) differ only in that potential factor.
-run_scenario keeps the exact state (bare rows 0-1) and the adiabatic
-reference (rows 2-3) in one (4, N) array, so every kinetic factor is one
-forward and one inverse transform for both states.
+grids._ifft: the same bits without np.fft's argument handling), and the
+loop runs its last step, which ends on a half kinetic factor, after the
+loop instead of testing for it on every step.
+
+Each split factor has one builder: _kinetic_phases the kinetic phases,
+_coupled_kick the exact state's potential factor (a 2x2 unitary per point)
+and _diagonal_kick the reference's (diagonal phases), each kick a closure
+over its arrays.  FullPropagator and AdiabaticPropagator call the builders
+of their own rows and differ only in the kick.  run_scenario calls all
+three builders itself and keeps the exact state (bare rows 0-1) and the
+adiabatic reference (rows 2-3) in one (4, N) array, so every kinetic
+factor is one forward and one inverse transform for both states.
 
 run_scenario samples the pair in blocks.  The states of up to B consecutive
 sampled instants and their spectra are kept in a ring of B slots, with B
@@ -160,27 +164,43 @@ class _Stepper:
         return SpinorField(self.grid, comps, frame)
 
 
+def _coupled_kick(params: ModelParams, grid: Grid, dt: float):
+    """The exact state's potential factor: kick(comps) multiplies the bare
+    rows (2, N) by the 2x2 unitary exp(-i V dt) of every point, in place."""
+    g = np.asarray(params.coupling(grid.x), dtype=float)
+    p11, p22, p12 = _su2_step(0.5 * params.level_splitting, g, dt)
+    phase = np.exp(-1j * params.mean_shift * dt)
+    # rows (p11, p22) of the unitary and its symmetric off-diagonal p12
+    diag_factor = phase * np.stack([p11, p22])
+    cross_factor = phase * p12
+    cross = np.empty((2, grid.npoints), dtype=np.complex128)
+
+    def kick(comps: np.ndarray) -> None:
+        np.multiply(cross_factor, comps[::-1], out=cross)  # p12 dn, p12 up
+        np.multiply(diag_factor, comps, out=comps)         # p11 up, p22 dn
+        np.add(comps, cross, out=comps)
+
+    return kick
+
+
+def _diagonal_kick(frame: AdiabaticFrame, dt: float):
+    """The adiabatic reference's potential factor: kick(comps) multiplies
+    the adiabatic rows (2, N) by their surface phases, in place."""
+    pot = np.exp(-1j * dt * np.stack([frame.upper, frame.lower]))
+
+    def kick(comps: np.ndarray) -> None:
+        comps *= pot
+
+    return kick
+
+
 class FullPropagator(_Stepper):
     """Split-operator stepper for the coupled two-channel problem (bare basis)."""
 
     def __init__(self, params: ModelParams, grid: Grid, dt: float):
         self.grid = grid
         self._half_kin, self._full_kin = _kinetic_phases(grid, params.mass, dt)
-        g = np.asarray(params.coupling(grid.x), dtype=float)
-        p11, p22, p12 = _su2_step(0.5 * params.level_splitting, g, dt)
-        phase = np.exp(-1j * params.mean_shift * dt)
-        # rows (p11, p22) of the unitary and its symmetric off-diagonal p12
-        diag_factor = phase * np.stack([p11, p22])
-        cross_factor = phase * p12
-        cross = np.empty((2, grid.npoints), dtype=np.complex128)
-
-        def apply_potential(comps: np.ndarray) -> None:
-            np.multiply(cross_factor, comps[::-1], out=cross)  # p12 dn, p12 up
-            np.multiply(diag_factor, comps, out=comps)         # p11 up, p22 dn
-            np.add(comps, cross, out=comps)
-
-        # a closure over its arrays, which the Strang loop calls every step
-        self._apply_potential = apply_potential
+        self._apply_potential = _coupled_kick(params, grid, dt)
 
     def advance(self, field: SpinorField, n_steps: int) -> SpinorField:
         """Apply n_steps Strang steps with fused interior kinetic factors."""
@@ -194,12 +214,7 @@ class AdiabaticPropagator(_Stepper):
     def __init__(self, frame: AdiabaticFrame, params: ModelParams, dt: float):
         self.grid = frame.grid
         self._half_kin, self._full_kin = _kinetic_phases(self.grid, params.mass, dt)
-        pot = np.exp(-1j * dt * np.stack([frame.upper, frame.lower]))
-
-        def apply_potential(comps: np.ndarray) -> None:
-            comps *= pot
-
-        self._apply_potential = apply_potential
+        self._apply_potential = _diagonal_kick(frame, dt)
 
     def advance(self, field: SpinorField, n_steps: int) -> SpinorField:
         return self._advance(field, n_steps, ADIABATIC,
@@ -379,9 +394,6 @@ def run_scenario(scenario: Scenario) -> RunRecord:
     frame = adiabatic_frame(params, grid)
     n_steps = int(round(scenario.t_final / scenario.dt))
 
-    exact_prop = FullPropagator(params, grid, scenario.dt)
-    ref_prop = AdiabaticPropagator(frame, params, scenario.dt)
-
     # exact state in bare rows 0-1, reference in adiabatic rows 2-3
     pair = np.concatenate([scenario.initial.components,
                            to_adiabatic(scenario.initial, frame).components])
@@ -483,14 +495,14 @@ def run_scenario(scenario: Scenario) -> RunRecord:
             diagnostics._require_splitting(splittings[i])
         rec.adiabaticity_terms[:, span] = parts.channel_terms(True).T
 
-    exact_kick, ref_kick = exact_prop._apply_potential, ref_prop._apply_potential
+    # same grid, mass and dt: one set of kinetic phases serves both states
+    half_kin, full_kin = _kinetic_phases(grid, params.mass, scenario.dt)
+    exact_kick = _coupled_kick(params, grid, scenario.dt)
+    ref_kick = _diagonal_kick(frame, scenario.dt)
 
     def kick(rows: np.ndarray) -> None:
         exact_kick(rows[:2])
         ref_kick(rows[2:])
-
-    # same grid, mass and dt: the exact kinetic phases serve both states
-    half_kin, full_kin = exact_prop._half_kin, exact_prop._full_kin
 
     # sample idx goes to slot idx mod ring size, and its chunk starts from
     # the spectrum in the slot before; each finished block is handed off

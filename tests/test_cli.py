@@ -546,7 +546,8 @@ def test_cli_rejects_a_dt_past_the_step_cap(tmp_path, capsys, dt):
                  f"run.dt={dt}", "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("adiabatica: error: config.run.dt: ")
-    assert "steps exceeds the limit of 10000000" in err
+    # the step count of an explicit dt does not depend on the detuning
+    assert err.endswith("steps exceeds the limit of 10000000\n")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -762,6 +763,10 @@ _BIG = 10**400  # a JSON integer beyond the float range
     pytest.param("fig1_a0_map", "model.mode.width=1e-300",
                  "config.model.mode: GaussianMode.width 1e-300 is too small: "
                  "width^4 underflows", id="fig1_a0_map-gaussian-width-underflows"),
+    # a^2 overflows: slope and curvature ended in an OverflowError traceback
+    pytest.param("fig1_a0_map", "model.mode.width=1.4e154",
+                 "config.model.mode: GaussianMode.width 1.4e+154 is too large: "
+                 "width^2 overflows", id="fig1_a0_map-gaussian-width-overflows"),
     # q x and C x overflow where the experiment evaluates G: the a0-map
     # failed mid-run, the effective model wrote nan rows, atrace blamed dt
     # for a nan phase rate, and the max-locus search read a flat profile,
@@ -784,6 +789,19 @@ _BIG = 10**400  # a JSON integer beyond the float range
                   'search={"x_lo": 0.5, "x_hi": 300.0}'),
                  "config.model.mode: the coupling G(x) is not finite at "
                  "x=300.0", id="fig2_max_locus-coupling-overflows"),
+    # A q overflows while G stays finite: the a0-map wrote a table of inf
+    pytest.param("fig1_a0_map",
+                 'model.mode={"kind": "standing_wave", "amplitude": 1e10, '
+                 '"wavenumber": 1e300}',
+                 "config.model.mode: the mode slope g'(x) is not finite at "
+                 "x=-300.0", id="fig1_a0_map-slope-overflows"),
+    # A q^2 overflows while G and g' stay finite: the run warned in
+    # curvature and then failed on the domain guard at t=3.2
+    pytest.param("fig9a_atrace",
+                 'model.mode={"kind": "standing_wave", "amplitude": 1.0, '
+                 '"wavenumber": 1e160}',
+                 "config.model.mode: the mode curvature g''(x) is not finite "
+                 "at x=-150.0", id="fig9a_atrace-curvature-overflows"),
     # sqrt(n) times the Gaussian peak overflows between the path's ends
     pytest.param("effective_model",
                  (f"model.photon_index={10**300}", "model.mode.amplitude=1e161"),

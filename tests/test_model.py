@@ -160,6 +160,20 @@ def test_gaussian_mode_rejects_a_width_whose_fourth_power_underflows():
             ad.GaussianMode(1.0, 1e-100)
 
 
+def test_gaussian_mode_rejects_a_width_whose_square_overflows():
+    # slope and curvature square the width as a float: at width 1.4e154
+    # that raised OverflowError, a traceback out of the a0-map CLI
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # just below the cap both derivatives underflow to -0
+        mode = ad.GaussianMode(1.0, 1.34e154)
+        assert mode.slope(1.0) == 0.0 and mode.curvature(0.0) == 0.0
+        for width in (1.4e154, np.float64(1.4e154), 1e300):
+            with pytest.raises(ValueError, match=r"^GaussianMode.width .* is "
+                               r"too large: width\^2 overflows$"):
+                ad.GaussianMode(1.0, width)
+
+
 def test_params_guards():
     mode = ad.GaussianMode(1.0, 50.0)
     with pytest.raises(ValueError):

@@ -562,6 +562,33 @@ def test_run_scenario_transform_count_with_adiabaticity(monkeypatch):
     assert shapes["np.fft"] == []
 
 
+def test_run_scenario_builds_each_split_factor_once(monkeypatch):
+    # run_scenario calls each split-factor builder once, so one set of
+    # kinetic phases serves both states, and constructs no propagator
+    sc = dataclasses.replace(_scenario_from_adiabatic(0.6), t_final=0.3)
+    calls = []
+
+    def counter(name):
+        build = getattr(ad.propagation, name)
+
+        def counted(*args):
+            calls.append(name)
+            return build(*args)
+        return counted
+
+    def refuse(self, *args):
+        raise AssertionError("run_scenario constructed a propagator")
+
+    for name in ("_kinetic_phases", "_coupled_kick", "_diagonal_kick"):
+        monkeypatch.setattr(ad.propagation, name, counter(name))
+    for cls in (ad.FullPropagator, ad.AdiabaticPropagator):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    monkeypatch.setattr(ad.propagation, "_PIPELINE_BYTES", math.inf)
+    ad.run_scenario(sc)
+    assert sorted(calls) == ["_coupled_kick", "_diagonal_kick",
+                             "_kinetic_phases"]
+
+
 def test_bound_transforms_match_numpy_fft():
     # the private pocketfft binding must keep the bits of np.fft.fft and
     # np.fft.ifft, in place, on the pair shape and on a block of channels
