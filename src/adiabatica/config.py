@@ -269,6 +269,12 @@ class RunSpec:
     dt: float
     stride: int
 
+    def sample_times(self) -> np.ndarray:
+        """The instants an effective-model run writes: the multiples of
+        dt * stride below t_final + half a step."""
+        step = self.dt * self.stride
+        return np.arange(0.0, self.t_final + 0.5 * step, step)
+
 
 @np.errstate(over="ignore", divide="ignore")
 def _parse_run(obj, path, tag, base, detunings, grid, coupling, state):
@@ -468,9 +474,9 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
     run = (_parse_run(data["run"], "config.run", tag, base, detunings, grid,
                       coupling, state) if "run" in data else None)
     if tag == "effective-model":
-        # the path x0 + p0 t / m over [0, t_final]
-        _finite_coupling_over(base, state.x0,
-                              state.x0 + state.p0 / base.mass * run.t_final)
+        # the path x0 + p0 t / m at every instant the run writes
+        _finite("the coupling G(x)", base.coupling,
+                state.x0 + state.p0 / base.mass * run.sample_times())
 
     canonical = json.loads(json.dumps(data, sort_keys=True))
     canonical["experiment"] = tag

@@ -163,8 +163,7 @@ def _run_effective_model(config: ScenarioConfig, out_dir: Path):
     state, run = config.state, config.run
     params = replace(config.base_params, detuning=float(config.detunings[0]))
     model = substitution_model(params, state.p0, state.x0)
-    step = run.dt * run.stride
-    times = np.arange(0.0, run.t_final + 0.5 * step, step)
+    times = run.sample_times()
     coupling = np.asarray(model.coupling(times), dtype=float)
     comment = _comment(config) + f" delta={_fmt(model.detuning)}"
     return [write_csv(out_dir / "effective_model.csv", comment,

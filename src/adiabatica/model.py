@@ -182,7 +182,9 @@ class TabulatedMode:
         dx = float(steps[0])
         period = dx * pos.size
         k = 2.0 * np.pi * np.fft.fftfreq(pos.size, d=dx)
-        spectrum = np.fft.fft(val)
+        # the offset has no derivative, and without it a constant table
+        # transforms to exact zeros instead of round-off
+        spectrum = np.fft.fft(val - val[0])
         object.__setattr__(self, "_period", period)
         object.__setattr__(self, "_slope_samples", np.fft.ifft(1j * k * spectrum).real)
         object.__setattr__(self, "_curvature_samples", np.fft.ifft(-(k * k) * spectrum).real)

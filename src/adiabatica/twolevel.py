@@ -65,6 +65,38 @@ def time_adiabaticity(model: EffectiveModel, t):
 
 
 # ---------------------------------------------------------------------------
+# Cumulative Simpson rule on a strictly increasing grid
+# ---------------------------------------------------------------------------
+
+def _simpson_first_intervals(y, dx):
+    """Simpson integral over the first interval of each point triple, by
+    Cartwright's unequal-interval formula (its operand order fixes the bits)."""
+    x21, x32 = dx[:-1], dx[1:]
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    return x21 / 6 * ((3 - x21_x31) * y[:-2]
+                      + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                      - x21x21_x31x32 * y[2:])
+
+
+def _cumulative_simpson(y, x):
+    """Running integral of y over x (1-d, at least 3 strictly increasing
+    points) by the cumulative Simpson rule, starting from 0.
+
+    Each interval's piece comes from the point triple it opens, the last one
+    from the triple it closes (a pass over the reversed arrays).
+    """
+    dx = np.diff(x)
+    forward = _simpson_first_intervals(y, dx)
+    backward = _simpson_first_intervals(y[::-1], dx[::-1])[::-1]
+    pieces = np.zeros(y.size)
+    pieces[1:-1:2] = forward[::2]
+    pieces[2::2] = backward[::2]
+    pieces[-1] = backward[-1]
+    return np.cumsum(pieces)
+
+
+# ---------------------------------------------------------------------------
 # Inverse construction: coupling pulse from a target adiabaticity trace
 # ---------------------------------------------------------------------------
 
@@ -96,12 +128,8 @@ def coupling_from_adiabaticity(times, values, delta: float,
     if delta == 0.0:
         raise ValueError("the inverse construction needs a nonzero splitting delta")
 
-    # Imported on first use: no CLI experiment needs scipy.integrate, and
-    # importing it adds about 0.3 s to every start-up.
-    from scipy.integrate import cumulative_simpson
-
     f0 = initial_coupling / (delta * math.sqrt(delta**2 + 4.0 * initial_coupling**2))
-    f = f0 + cumulative_simpson(values, x=times, initial=0.0)
+    f = f0 + _cumulative_simpson(values, times)
 
     bound = 1.0 / (2.0 * abs(delta))
     blown = np.abs(f) >= bound

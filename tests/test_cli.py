@@ -802,11 +802,20 @@ _BIG = 10**400  # a JSON integer beyond the float range
                  '"wavenumber": 1e160}',
                  "config.model.mode: the mode curvature g''(x) is not finite "
                  "at x=-150.0", id="fig9a_atrace-curvature-overflows"),
-    # sqrt(n) times the Gaussian peak overflows between the path's ends
+    # sqrt(n) times the Gaussian peak overflows between the path's ends; the
+    # message names the first written instant where it does
     pytest.param("effective_model",
                  (f"model.photon_index={10**300}", "model.mode.amplitude=1e161"),
-                 "config.model.mode: the coupling G(x) is not finite at x=0.0",
+                 "config.model.mode: the coupling G(x) is not finite at x=-85.0",
                  id="effective_model-coupling-overflows-at-the-peak"),
+    # sqrt(n) times a standing wave overflows between the path's ends, where
+    # sin is about 1e-16: the run warned and wrote 78 inf rows
+    pytest.param("effective_model",
+                 ('model.mode={"kind": "standing_wave", "amplitude": 1e160, '
+                  '"wavenumber": 0.015707963267948967}',
+                  f"model.photon_index={10**300}"),
+                 "config.model.mode: the coupling G(x) is not finite at "
+                 "x=-195.0", id="effective_model-coupling-overflows-mid-path"),
 ])
 def test_cli_rejects_out_of_range_numbers_in_one_line(tmp_path, capsys, name,
                                                       override, message):
@@ -867,10 +876,10 @@ def test_pointwise_outputs_do_not_depend_on_the_frame_case(tmp_path, name):
 
 
 def test_cli_runs_leave_scipy_unloaded(tmp_path):
-    # the CLI needs only numpy: neither its import nor any experiment may
-    # load a scipy module (scipy.integrate is imported by two library
-    # functions no experiment calls); the process pool is imported only by
-    # a multi-cell fidelity map, and the one-cell map here runs serially
+    # the package needs only numpy: with scipy unimportable, every
+    # experiment and the two integrals (formerly scipy-backed) run, and none
+    # loads a scipy module; the process pool is imported only by a
+    # multi-cell fidelity map, and the one-cell map here runs serially
     configs = {
         "a0-map": tiny_map_config("a0-map"),
         "max-locus": {
@@ -898,10 +907,18 @@ def test_cli_runs_leave_scipy_unloaded(tmp_path):
     runs = [[name, "--config", str(write_config(tmp_path, data, f"{name}.json")),
              "--out", str(tmp_path / name)] for name, data in configs.items()]
     code = ("import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "import adiabatica as ad\n"
             "import adiabatica.cli\n"
             "codes = [adiabatica.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-            "          or m == 'concurrent.futures.process']\n"
+            "ad.lorentzian_peak_integral(\n"
+            "    ad.ModelParams(mode=ad.LinearMode(1.0), detuning=0.5), p0=2.0)\n"
+            "ts = np.linspace(0.0, 10.0, 101)\n"
+            "ad.coupling_from_adiabaticity(ts, np.full_like(ts, 0.01), delta=0.7)\n"
+            "loaded = [m for m, module in sys.modules.items() if module is not None\n"
+            "          and (m.split('.')[0] == 'scipy'\n"
+            "               or m == 'concurrent.futures.process')]\n"
             "print(json.dumps([codes, loaded]))\n")
     src = str(Path(ad.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

@@ -288,6 +288,11 @@ def test_max_locus_without_a_default_window_needs_one(mode):
       '"samples": [1, 1, 1, 1]}'], "config.model.mode"),
     # g' = -(x / a^2) g underflows to 0 on every scan point of the window
     (["model.mode.width=1.9e129"], "config.model.mode"),
+    # constant samples whose plain spectral slope table kept FFT round-off
+    # (about 1e-17), so the search wrote a round-off value_at_max
+    (['model.mode={"kind": "tabulated", "positions": '
+      f"{list(range(100))}, \"samples\": {[0.3] * 100}}}",
+      'search={"x_lo": 1, "x_hi": 9}'], "config.model.mode"),
 ])
 def test_max_locus_rejects_a_flat_profile_at_load_time(overrides, path):
     # each of these zeroes the pointwise parameter at every point; such a

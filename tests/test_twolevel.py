@@ -170,6 +170,40 @@ def test_time_adiabaticity_overflow_to_nan_raises():
 
 
 # ---------------------------------------------------------------------------
+# Cumulative Simpson rule
+# ---------------------------------------------------------------------------
+
+def test_cumulative_simpson_matches_scipy_bit_for_bit():
+    # the package's one integration rule ports scipy's unequal-interval
+    # cumulative_simpson(y, x=x, initial=0.0); comparing bit patterns makes
+    # the signed zeros count too
+    hypothesis = pytest.importorskip("hypothesis")
+    integrate = pytest.importorskip("scipy.integrate")
+    from adiabatica.twolevel import _cumulative_simpson
+    st = hypothesis.strategies
+
+    def grid_and_values(n):
+        return st.tuples(st.floats(-1e6, 1e6),
+                         st.lists(st.floats(1e-6, 1e6), min_size=n - 1,
+                                  max_size=n - 1),
+                         st.lists(st.floats(-1e6, 1e6), min_size=n,
+                                  max_size=n))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(3, 400).flatmap(grid_and_values))
+    def check(drawn):
+        start, steps, values = drawn
+        x = start + np.concatenate(([0.0], np.cumsum(steps)))
+        hypothesis.assume(np.all(np.diff(x) > 0))
+        y = np.array(values)
+        expected = integrate.cumulative_simpson(y, x=x, initial=0.0)
+        got = _cumulative_simpson(y, x)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    check()
+
+
+# ---------------------------------------------------------------------------
 # Inverse construction
 # ---------------------------------------------------------------------------
 
