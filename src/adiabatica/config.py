@@ -23,6 +23,7 @@ from .model import (FrameCase, GaussianMode, LinearMode, ModelParams,
                     StandingWaveMode, TabulatedMode)
 # the step limit of a Scenario, checked here with an explicit or a default dt
 from .propagation import MAX_STEPS
+from .twolevel import _kinematic_path
 
 EXPERIMENTS = ("a0-map", "max-locus", "fidelity-map", "atrace",
                "effective-model", "snapshot")
@@ -85,6 +86,10 @@ def _finite_array(value, path: str) -> np.ndarray:
     return arr
 
 
+def _numbers(obj: dict, key: str, path: str) -> np.ndarray:
+    return _finite_array(obj[key], f"{path}.{key}")
+
+
 def _integer(obj: dict, key: str, path: str, default=None, minimum: int = 1):
     """obj[key], or `default` when the key is absent, as an integer >= minimum."""
     value = obj.get(key, default)
@@ -104,31 +109,26 @@ def _positive(obj: dict, key: str, path: str, default=None):
 # Blocks
 # ---------------------------------------------------------------------------
 
+#: Each mode kind's class, with the reader of each of its keys in the
+#: order the constructor takes them; every key is required.
+_MODE_KINDS = {
+    "gaussian": (GaussianMode, {"amplitude": _number, "width": _positive}),
+    "standing_wave": (StandingWaveMode, {"amplitude": _number, "wavenumber": _positive}),
+    "linear": (LinearMode, {"gradient": _number}),
+    "tabulated": (TabulatedMode, {"positions": _numbers, "samples": _numbers}),
+}
+
+
 def _parse_mode(obj, path):
-    _check_keys(obj, path, {"kind", "amplitude", "width", "wavenumber",
-                            "gradient", "positions", "samples"}, {"kind"})
+    _check_keys(obj, path, {"kind"}.union(
+        *(readers for _, readers in _MODE_KINDS.values())), {"kind"})
     kind = obj["kind"]
-    if kind == "gaussian":
-        _check_keys(obj, path, {"kind", "amplitude", "width"},
-                    {"kind", "amplitude", "width"})
-        mode, args = GaussianMode, (_number(obj, "amplitude", path),
-                                    _positive(obj, "width", path))
-    elif kind == "standing_wave":
-        _check_keys(obj, path, {"kind", "amplitude", "wavenumber"},
-                    {"kind", "amplitude", "wavenumber"})
-        mode, args = StandingWaveMode, (_number(obj, "amplitude", path),
-                                        _positive(obj, "wavenumber", path))
-    elif kind == "linear":
-        _check_keys(obj, path, {"kind", "gradient"}, {"kind", "gradient"})
-        mode, args = LinearMode, (_number(obj, "gradient", path),)
-    elif kind == "tabulated":
-        _check_keys(obj, path, {"kind", "positions", "samples"},
-                    {"kind", "positions", "samples"})
-        mode, args = TabulatedMode, (
-            _finite_array(obj["positions"], f"{path}.positions"),
-            _finite_array(obj["samples"], f"{path}.samples"))
-    else:
+    # a list or an object is unhashable, so it is not looked up
+    if not isinstance(kind, str) or kind not in _MODE_KINDS:
         _fail(f"{path}.kind", f"unknown mode kind {kind!r}")
+    mode, readers = _MODE_KINDS[kind]
+    _check_keys(obj, path, {"kind", *readers}, {"kind", *readers})
+    args = [read(obj, key, path) for key, read in readers.items()]
     try:
         return mode(*args)
     except ValueError as exc:
@@ -203,13 +203,6 @@ def _finite(quantity, evaluate, xs):
         _fail("config.model.mode", f"{quantity} is not finite at "
               f"x={float(xs[np.argmax(bad)])!r}")
     return values
-
-
-def _finite_coupling_over(base, a, b):
-    """G at both ends of [a, b] and at its point nearest 0, where |G| is
-    largest: |q x| and |C x| grow towards an end, a Gaussian peaks at 0."""
-    _finite("the coupling G(x)", base.coupling,
-            [a, b, min(max(0.0, min(a, b)), max(a, b))])
 
 
 def _parse_grid(obj, path):
@@ -442,9 +435,9 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
     search = None
     if tag == "max-locus":
         search = _parse_search(data.get("search", {}), "config.search", base.mode)
-        _finite_coupling_over(base, search.x_lo, search.x_hi)
         # the points adiabaticity_max_locus scans
         scan = np.linspace(search.x_lo, search.x_hi, search.scan_points)
+        _finite("the coupling G(x)", base.coupling, scan)
         _check_profile(_finite("the mode slope g'(x)", base.mode.slope, scan),
                        detunings, state)
 
@@ -474,9 +467,9 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
     run = (_parse_run(data["run"], "config.run", tag, base, detunings, grid,
                       coupling, state) if "run" in data else None)
     if tag == "effective-model":
-        # the path x0 + p0 t / m at every instant the run writes
-        _finite("the coupling G(x)", base.coupling,
-                state.x0 + state.p0 / base.mass * run.sample_times())
+        # the kinematic path at every instant the run writes
+        xs = _kinematic_path(state.x0, state.p0, base.mass, run.sample_times())
+        _finite("the coupling G(x)", base.coupling, xs)
 
     canonical = json.loads(json.dumps(data, sort_keys=True))
     canonical["experiment"] = tag

@@ -21,7 +21,7 @@ from .diagnostics import adiabaticity_max_locus, local_adiabaticity
 from .grids import ADIABATIC, BARE, SpinorField, gaussian_bare_state, to_bare
 from .model import adiabatic_frame
 from .propagation import Scenario, _available_cpus, _fork_context, run_scenario
-from .twolevel import substitution_model
+from .twolevel import _kinematic_path, substitution_model
 
 #: Format of every table cell and of the detuning header labels.
 _NUMBER = "%.16e"
@@ -84,12 +84,6 @@ def _build_scenario(config: ScenarioConfig, delta: float) -> Scenario:
                     t_final=run.t_final, dt=run.dt, stride=run.stride)
 
 
-def _kinematic_path(config: ScenarioConfig, times):
-    """The semiclassical packet center x0 + p0 t / m at the run's instants."""
-    state = config.state
-    return state.x0 + state.p0 * times / config.base_params.mass
-
-
 # ---------------------------------------------------------------------------
 # Experiment implementations
 # ---------------------------------------------------------------------------
@@ -135,9 +129,9 @@ def _run_fidelity_map(config: ScenarioConfig, out_dir: Path):
         with ProcessPoolExecutor(workers, mp_context=context) as pool:
             records = list(pool.map(_sweep_cell, scenarios))
 
-    base = records[0]
-    axis = (base.x_mean if config.abscissa == "measured"
-            else _kinematic_path(config, base.times))
+    base, state = records[0], config.state
+    axis = (base.x_mean if config.abscissa == "measured" else _kinematic_path(
+        state.x0, state.p0, config.base_params.mass, base.times))
     header = ["x", "t"] + [_fmt(d) for d in config.detunings]
     columns = [axis, base.times] + [rec.fidelity_magnitude for rec in records]
     return [write_csv(out_dir / "fidelity_map.csv", _comment(config), header,
@@ -147,10 +141,10 @@ def _run_fidelity_map(config: ScenarioConfig, out_dir: Path):
 def _run_atrace(config: ScenarioConfig, out_dir: Path):
     scenario = _build_scenario(config, config.detunings[0])
     record = run_scenario(scenario)
-    params, p0 = scenario.params, config.state.p0
-    x_kin = _kinematic_path(config, record.times)
-    a0 = np.asarray(local_adiabaticity(params, x_kin, p0))
-    a0_curved = np.asarray(local_adiabaticity(params, x_kin, p0,
+    params, state = scenario.params, config.state
+    x_kin = _kinematic_path(state.x0, state.p0, params.mass, record.times)
+    a0 = np.asarray(local_adiabaticity(params, x_kin, state.p0))
+    a0_curved = np.asarray(local_adiabaticity(params, x_kin, state.p0,
                                               include_curvature=True))
     x_col = record.x_mean if config.abscissa == "measured" else x_kin
     header = ["t", "x", "a_t", "a0", "a0_with_curvature"]

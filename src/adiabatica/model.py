@@ -180,27 +180,34 @@ class TabulatedMode:
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "samples", val)
         dx = float(steps[0])
-        period = dx * pos.size
-        k = 2.0 * np.pi * np.fft.fftfreq(pos.size, d=dx)
-        # the offset has no derivative, and without it a constant table
-        # transforms to exact zeros instead of round-off
-        spectrum = np.fft.fft(val - val[0])
-        object.__setattr__(self, "_period", period)
-        object.__setattr__(self, "_slope_samples", np.fft.ifft(1j * k * spectrum).real)
-        object.__setattr__(self, "_curvature_samples", np.fft.ifft(-(k * k) * spectrum).real)
+        with np.errstate(all="ignore"):
+            k = 2.0 * np.pi * np.fft.fftfreq(pos.size, d=dx)
+            # the offset has no derivative, and without it a constant table
+            # transforms to exact zeros instead of round-off
+            spectrum = np.fft.fft(val - val[0])
+            tables = {"samples": val,
+                      "slope": np.fft.ifft(1j * k * spectrum).real,
+                      "curvature": np.fft.ifft(-(k * k) * spectrum).real}
+            for name, table in tables.items():
+                # the slopes between neighbours np.interp forms, wrap included
+                if not np.all(np.isfinite(np.diff(table, append=table[:1]) / dx)):
+                    raise ValueError(f"TabulatedMode {name} table or a slope "
+                                     "between its neighbours is not finite")
+        object.__setattr__(self, "_period", dx * pos.size)
+        object.__setattr__(self, "_tables", tables)
 
     def _interp(self, x, table):
-        x = np.asarray(x, dtype=float)
-        return np.interp(x, self.positions, table, period=self._period)
+        return np.interp(np.asarray(x, dtype=float), self.positions,
+                         self._tables[table], period=self._period)
 
     def value(self, x):
-        return self._interp(x, self.samples)
+        return self._interp(x, "samples")
 
     def slope(self, x):
-        return self._interp(x, self._slope_samples)
+        return self._interp(x, "slope")
 
     def curvature(self, x):
-        return self._interp(x, self._curvature_samples)
+        return self._interp(x, "curvature")
 
 
 ModeShape = Union[GaussianMode, StandingWaveMode, LinearMode, TabulatedMode]

@@ -31,15 +31,20 @@ class EffectiveModel:
     coupling_rate: Callable[[np.ndarray], np.ndarray]
 
 
+def _kinematic_path(x0: float, p0: float, mass: float, t) -> np.ndarray:
+    """The packet center x0 + (p0 / m) t, which every evaluation on the path reads."""
+    return x0 + p0 / mass * np.asarray(t, dtype=float)
+
+
 def substitution_model(params: ModelParams, p0: float, x0: float) -> EffectiveModel:
     """Effective model from the replacement p -> p0, x -> x0 + p0 t / m."""
     rate = p0 / params.mass
 
     def coupling(t):
-        return params.coupling(x0 + rate * np.asarray(t, dtype=float))
+        return params.coupling(_kinematic_path(x0, p0, params.mass, t))
 
     def coupling_slope(t):
-        return rate * params.coupling_slope(x0 + rate * np.asarray(t, dtype=float))
+        return rate * params.coupling_slope(_kinematic_path(x0, p0, params.mass, t))
 
     return EffectiveModel(params.level_splitting, coupling, coupling_slope)
 

@@ -1,10 +1,13 @@
 import concurrent.futures
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import types
 import warnings
@@ -17,7 +20,8 @@ import adiabatica as ad
 import adiabatica.cli
 from adiabatica import experiments
 from adiabatica.cli import main
-from adiabatica.config import ConfigError, load_config, validate_config
+from adiabatica.config import (EXPERIMENTS, ConfigError, load_config,
+                               validate_config)
 from adiabatica.experiments import run_experiment, write_csv, write_run_csv
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -202,6 +206,31 @@ def test_atrace_output_columns(tmp_path):
     # approximate column equals the closed form on the kinematic path
     a0 = ad.local_adiabaticity(cfg.base_params, -20.0 + 3.0 * table[:, 0], 3.0)
     np.testing.assert_allclose(table[:, 3], a0, rtol=1e-12)
+
+
+def test_atrace_kinematic_abscissa_is_the_effective_model_path(tmp_path):
+    # at m = 3, x0 + p0 t / m and x0 + (p0 / m) t differ in the last bit at
+    # 456 of these 1601 instants: the trace's x column is the path on which
+    # the effective model evaluates G
+    overrides = ["--override", "model.mass=3.0", "--override", "run.stride=1"]
+    assert main(["effective-model", "--config",
+                 str(CONFIGS / "effective_model.json"), "--out",
+                 str(tmp_path), *overrides]) == 0
+    assert main(["atrace", "--config", str(CONFIGS / "effective_model.json"),
+                 "--out", str(tmp_path), *overrides,
+                 "--override", "experiment=atrace",
+                 "--override", "output.abscissa=kinematic",
+                 "--override", "run.t_final=80.0",
+                 "--override", 'grid={"points": 2048, "x_min": -300.0, '
+                               '"x_max": 300.0}']) == 0
+    _, _, model = read_table(tmp_path / "effective_model.csv")
+    _, _, trace = read_table(tmp_path / "atrace.csv")
+    assert trace.shape[0] == 1601
+    assert np.array_equal(trace[:, 0], model[:, 0])
+    assert np.array_equal(trace[:, 1], -200.0 + 5.0 / 3.0 * trace[:, 0])
+    params = load_config(CONFIGS / "effective_model.json",
+                         overrides=["model.mass=3.0"]).base_params
+    assert np.array_equal(params.coupling(trace[:, 1]), model[:, 1])
 
 
 def test_fidelity_map_rejects_measured_abscissa_for_sweeps(tmp_path):
@@ -784,11 +813,30 @@ _BIG = 10**400  # a JSON integer beyond the float range
     pytest.param("fig9a_atrace", "model.mode.wavenumber=1e307",
                  "config.model.mode: the coupling G(x) is not finite at "
                  "x=-150.0", id="fig9a_atrace-coupling-overflows"),
+    # G is probed at every scan point, the first that overflows is named
     pytest.param("fig2_max_locus",
                  ('model.mode={"kind": "linear", "gradient": 1e307}',
                   'search={"x_lo": 0.5, "x_hi": 300.0}'),
                  "config.model.mode: the coupling G(x) is not finite at "
-                 "x=300.0", id="fig2_max_locus-coupling-overflows"),
+                 "x=18.515037593984964", id="fig2_max_locus-coupling-overflows"),
+    # sqrt(n) times a standing wave overflows inside the window but not at
+    # its ends: the config loaded and the search read a flat profile
+    pytest.param("fig2_max_locus",
+                 ('model.mode={"kind": "standing_wave", "amplitude": 1e160, '
+                  '"wavenumber": 0.015707963267948967}',
+                  f"model.photon_index={10**300}",
+                  'search={"x_lo": 200.0, "x_hi": 400.0, "scan_points": 800}'),
+                 "config.model.mode: the coupling G(x) is not finite at "
+                 "x=201.25156445556945",
+                 id="fig2_max_locus-coupling-overflows-inside-the-window"),
+    # the sample differences overflow: the table printed numpy warnings
+    # before the config error blamed G
+    pytest.param("fig1_a0_map",
+                 'model.mode={"kind": "tabulated", "positions": [0, 1, 2, 3], '
+                 '"samples": [1e308, 1e308, -1e308, 0]}',
+                 "config.model.mode: TabulatedMode samples table or a slope "
+                 "between its neighbours is not finite",
+                 id="fig1_a0_map-tabulated-differences-overflow"),
     # A q overflows while G stays finite: the a0-map wrote a table of inf
     pytest.param("fig1_a0_map",
                  'model.mode={"kind": "standing_wave", "amplitude": 1e10, '
@@ -834,6 +882,138 @@ def test_cli_rejects_out_of_range_numbers_in_one_line(tmp_path, capsys, name,
     assert (status, capsys.readouterr().err) == (
         1, f"adiabatica: error: {message}\n")
     assert not out.exists()
+
+
+def generated_cli_configs(st):
+    """hypothesis strategy: a config of any experiment at tiny sizes (a0-map
+    on 64 points, max-locus on 16 scan points, propagating runs on 64-256
+    points with at most 200 steps).  Mode magnitudes and detunings are
+    log-uniform up to 1e305 and photon_index reaches 10**300; the grid, the
+    state and the run stay moderate, so that many configs load."""
+    def magnitude(low, high):
+        return st.floats(low, high).map(lambda e: 10.0 ** e)
+
+    # zero one time in nine
+    signed = st.builds(lambda sign, size: sign * size,
+                       st.sampled_from([1.0, -1.0] * 4 + [0.0]),
+                       magnitude(-300.0, 305.0))
+    tabulated = st.integers(4, 16).flatmap(lambda n: st.fixed_dictionaries({
+        "kind": st.just("tabulated"),
+        "positions": st.builds(
+            lambda start, step: (start + step * np.arange(n)).tolist(),
+            st.floats(-50.0, 50.0), st.floats(0.1, 20.0)),
+        "samples": st.lists(signed, min_size=n, max_size=n)}))
+    modes = st.one_of(
+        st.fixed_dictionaries({"kind": st.just("gaussian"), "amplitude": signed,
+                               "width": magnitude(-80.0, 160.0)}),
+        st.fixed_dictionaries({"kind": st.just("standing_wave"),
+                               "amplitude": signed,
+                               "wavenumber": magnitude(-30.0, 305.0)}),
+        st.fixed_dictionaries({"kind": st.just("linear"), "gradient": signed}),
+        tabulated)
+
+    @st.composite
+    def configs(draw):
+        experiment = draw(st.sampled_from(EXPERIMENTS))
+        single = experiment in ("atrace", "effective-model", "snapshot")
+        detuning = draw(signed if single else st.lists(
+            signed, min_size=1, max_size=3).map(lambda v: {"values": v}))
+        upper, lower = draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.7, 0.3)]))
+        half = draw(st.floats(20.0, 40.0))
+        data = {
+            "experiment": experiment,
+            "model": {"detuning": detuning, "mode": draw(modes),
+                      "photon_index": draw(st.one_of(
+                          st.integers(1, 4),
+                          st.integers(0, 300).map(lambda e: 10**e))),
+                      "frame_case": draw(st.sampled_from(["case1", "case2"])),
+                      "mass": draw(st.floats(0.5, 4.0))},
+            "state": {"x0": draw(st.floats(-0.4 * half, 0.4 * half)),
+                      "p0": draw(st.floats(-2.0, 2.0)),
+                      "width": draw(st.floats(2.0, 4.0)),
+                      "frame": draw(st.sampled_from(["bare", "adiabatic"])),
+                      "population_upper": upper, "population_lower": lower},
+        }
+        if experiment == "max-locus":
+            data["search"] = {"scan_points": 16}
+            # only a Gaussian mode has a default window
+            if data["model"]["mode"]["kind"] != "gaussian" or draw(st.booleans()):
+                x_lo = draw(st.floats(-50.0, 50.0))
+                data["search"].update(x_lo=x_lo,
+                                      x_hi=x_lo + draw(st.floats(0.5, 100.0)))
+        if experiment not in ("max-locus", "effective-model"):
+            points = 64 if experiment == "a0-map" else draw(
+                st.sampled_from([64, 128, 256]))
+            data["grid"] = {"points": points, "x_min": -half, "x_max": half}
+        if experiment not in ("a0-map", "max-locus"):
+            dt = draw(st.floats(1e-3, 0.1))
+            data["run"] = {"t_final": dt * draw(st.integers(1, 200)), "dt": dt,
+                           "stride": draw(st.integers(1, 20))}
+        return data
+
+    return configs()
+
+
+#: The run-time errors a config that loads may end in: the domain guard, a
+#: collapsed averaged splitting, a flat max-locus profile and a refined
+#: maximum that reads 0; every other failure is a config error.
+_LISTED_ERRORS = re.compile(
+    r"adiabatica: error: (config\.|.* packet at <x>=.* of a domain edge .*; "
+    r"enlarge the grid$|averaged surface splitting collapsed below |flat "
+    r"adiabaticity profile: nothing to maximize$|pointwise adiabaticity "
+    r"parameter is not > 0 at its refined maximum )")
+
+
+def run_generated_config(data, work):
+    """Run `data` through the CLI in directory `work` with warnings raised
+    as errors, and check how it ends: exit 0 with only finite cells, except
+    the inf and nan the formats allow, or exit 1 with one listed error line
+    and no output."""
+    path = write_config(work, data)
+    out = work / "out"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        status = main([data["experiment"], "--config", str(path), "--out",
+                       str(out)])
+    lines = stderr.getvalue().splitlines()
+    if status:
+        assert status == 1 and len(lines) == 1, lines
+        assert _LISTED_ERRORS.match(lines[0]), lines[0]
+        assert not out.exists()
+        return
+    assert lines == []
+    for csv in sorted(out.iterdir()):
+        _, header, table = read_table(csv)
+        for name, column in zip(header, table.T):
+            bad = ~np.isfinite(column)
+            # inf where the splitting falls below its floor (a max-locus
+            # window may hold such a point), nan for a channel below the
+            # weight floor
+            if ((csv.name == "a0_map.csv" and name != "x")
+                    or (csv.name == "atrace.csv" and name.startswith("a0"))
+                    or (csv.name == "max_locus.csv" and name == "value_at_max")):
+                bad &= ~np.isposinf(column)
+            elif csv.name == "snapshot_trajectory.csv" and name.startswith("ref_"):
+                bad &= ~np.isnan(column)
+            assert not bad.any(), (csv.name, name)
+
+
+def test_cli_runs_what_the_loader_accepts_over_generated_configs(tmp_path,
+                                                                  monkeypatch):
+    # every config the loader accepts runs clean: no traceback, no warning,
+    # no non-finite cell the formats do not allow; one CPU keeps fidelity
+    # maps serial, so no example forks
+    hypothesis = pytest.importorskip("hypothesis")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(data=generated_cli_configs(hypothesis.strategies))
+    def check(data):
+        run_generated_config(data, Path(tempfile.mkdtemp(dir=tmp_path)))
+
+    check()
 
 
 @pytest.mark.parametrize("name", ["fig1_a0_map", "fig2_max_locus"])

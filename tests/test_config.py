@@ -156,6 +156,11 @@ def map_config_without(block):
      "config.model.mode: TabulatedMode positions must be uniformly increasing"),
     (fig_map_config, ['model.mode={"kind": "square"}'],
      "config.model.mode.kind: unknown mode kind 'square'"),
+    # unhashable kinds are not looked up
+    (fig_map_config, ['model.mode={"kind": [1]}'],
+     "config.model.mode.kind: unknown mode kind [1]"),
+    (fig_map_config, ['model.mode={"kind": {"a": 1}}'],
+     "config.model.mode.kind: unknown mode kind {'a': 1}"),
     (fig_map_config, ["model.detuning.spacing=cubic"],
      "config.model.detuning.spacing: expected 'linear' or 'log'"),
     (fig_map_config, ["model.frame_case=case3"],

@@ -92,6 +92,18 @@ def test_tabulated_mode_rejects_nonuniform_positions():
         ad.TabulatedMode(np.array([0.0, 1.0, 2.5, 3.0]), np.zeros(4))
 
 
+@pytest.mark.parametrize("samples, table", [
+    ([1e308, 1e308, -1e308, 0.0], "samples"),  # a sample difference overflows
+    ([1e308, 0.0, -1e308, 0.0], "slope"),      # samples - samples[0] overflows
+])
+def test_tabulated_mode_rejects_a_table_it_cannot_interpolate(samples, table):
+    # the tables are formed without numpy warnings, which the test run
+    # turns into errors
+    with pytest.raises(ValueError, match=f"^TabulatedMode {table} table or a "
+                       "slope between its neighbours is not finite$"):
+        ad.TabulatedMode(np.arange(4.0), np.array(samples))
+
+
 def test_mode_guards():
     with pytest.raises(ValueError):
         ad.GaussianMode(1.0, -2.0)
