@@ -20,9 +20,8 @@ import numpy as np
 from .diagnostics import SCAN_POINTS
 from .grids import EDGE_MARGIN, Grid, _near_edge, momentum_cover
 from .model import (FrameCase, GaussianMode, LinearMode, ModelParams,
-                    StandingWaveMode, TabulatedMode)
-# the step limit of a Scenario, checked here with an explicit or a default dt
-from .propagation import MAX_STEPS
+                    StandingWaveMode, TabulatedMode, _angle_derivatives)
+from .propagation import MAX_STEPS, _sample_steps
 from .twolevel import _kinematic_path
 
 EXPERIMENTS = ("a0-map", "max-locus", "fidelity-map", "atrace",
@@ -262,12 +261,6 @@ class RunSpec:
     dt: float
     stride: int
 
-    def sample_times(self) -> np.ndarray:
-        """The instants an effective-model run writes: the multiples of
-        dt * stride below t_final + half a step."""
-        step = self.dt * self.stride
-        return np.arange(0.0, self.t_final + 0.5 * step, step)
-
 
 @np.errstate(over="ignore", divide="ignore")
 def _parse_run(obj, path, tag, base, detunings, grid, coupling, state):
@@ -422,6 +415,12 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
         _finite("the mode slope g'(x)", base.mode.slope, grid.x)
         if tag in _PROPAGATING:
             _finite("the mode curvature g''(x)", base.mode.curvature, grid.x)
+        if tag == "atrace":
+            # a_t averages the run's own theta' and theta'' over the packet
+            _finite("the mixing-angle slope theta'(x)",
+                    lambda x: _angle_derivatives(base, x)[0], grid.x)
+            _finite("the mixing-angle curvature theta''(x)",
+                    lambda x: _angle_derivatives(base, x)[1], grid.x)
 
     if "state" not in data:
         _fail("config.state", f"experiment {tag!r} needs a state block with p0")
@@ -468,7 +467,8 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
                       coupling, state) if "run" in data else None)
     if tag == "effective-model":
         # the kinematic path at every instant the run writes
-        xs = _kinematic_path(state.x0, state.p0, base.mass, run.sample_times())
+        times = _sample_steps(run.t_final, run.dt, run.stride) * run.dt
+        xs = _kinematic_path(state.x0, state.p0, base.mass, times)
         _finite("the coupling G(x)", base.coupling, xs)
 
     canonical = json.loads(json.dumps(data, sort_keys=True))

@@ -273,8 +273,18 @@ def adiabaticity_max_locus(params: ModelParams, deltas, p0: float,
     for i, delta in enumerate(deltas):
         local = replace(params, detuning=float(delta))
         vals = local_adiabaticity(local, xs, p0)
-        peak = np.max(vals[np.isfinite(vals)], initial=0.0)
-        if peak <= 0.0:
+        if vals.size and np.isinf(vals).all():
+            with np.errstate(all="ignore"):
+                gap = np.max(np.hypot(local.level_splitting,
+                                      2.0 * local.coupling(xs)))
+            raise ValueError(
+                "pointwise adiabaticity parameter is inf at every scan point "
+                f"at detuning {float(delta)!r}: " + (
+                    f"the gap sqrt(detuning^2 + 4 G^2) is at most {gap:.3g}, "
+                    f"below {SPLITTING_FLOOR}" if gap < SPLITTING_FLOOR
+                    else "it is singular or overflows there"))
+        # a singular scan point (inf) is a peak, as the scan brackets it
+        if np.max(vals, initial=0.0) <= 0.0:
             raise ValueError("flat adiabaticity profile: nothing to maximize")
         j = int(np.argmax(vals))
         a = xs[max(j - 1, 0)]

@@ -20,7 +20,8 @@ from .config import ScenarioConfig
 from .diagnostics import adiabaticity_max_locus, local_adiabaticity
 from .grids import ADIABATIC, BARE, SpinorField, gaussian_bare_state, to_bare
 from .model import adiabatic_frame
-from .propagation import Scenario, _available_cpus, _fork_context, run_scenario
+from .propagation import (Scenario, _available_cpus, _fork_context,
+                          _sample_steps, run_scenario)
 from .twolevel import _kinematic_path, substitution_model
 
 #: Format of every table cell and of the detuning header labels.
@@ -157,7 +158,7 @@ def _run_effective_model(config: ScenarioConfig, out_dir: Path):
     state, run = config.state, config.run
     params = replace(config.base_params, detuning=float(config.detunings[0]))
     model = substitution_model(params, state.p0, state.x0)
-    times = run.sample_times()
+    times = _sample_steps(run.t_final, run.dt, run.stride) * run.dt
     coupling = np.asarray(model.coupling(times), dtype=float)
     comment = _comment(config) + f" delta={_fmt(model.detuning)}"
     return [write_csv(out_dir / "effective_model.csv", comment,

@@ -376,6 +376,13 @@ def _run_ahead(conn, caller_end, propagate, reuses_slots) -> None:
         pass
 
 
+def _sample_steps(t_final: float, dt: float, stride: int) -> np.ndarray:
+    """The steps a run block samples, each at t = step * dt: every stride-th
+    of its round(t_final/dt) steps, and the last."""
+    n_steps = round(t_final / dt)
+    return np.append(np.arange(0, n_steps, stride), n_steps)
+
+
 def run_scenario(scenario: Scenario) -> RunRecord:
     """Evolve exact and adiabatic-reference states side by side.
 
@@ -392,7 +399,6 @@ def run_scenario(scenario: Scenario) -> RunRecord:
     """
     params, grid = scenario.params, scenario.grid
     frame = adiabatic_frame(params, grid)
-    n_steps = int(round(scenario.t_final / scenario.dt))
 
     # exact state in bare rows 0-1, reference in adiabatic rows 2-3
     pair = np.concatenate([scenario.initial.components,
@@ -400,9 +406,8 @@ def run_scenario(scenario: Scenario) -> RunRecord:
     weights = diagnostics.initial_channel_weights(
         SpinorField(grid, pair[2:], ADIABATIC))
 
-    sample_steps = list(range(0, n_steps + 1, scenario.stride))
-    if sample_steps[-1] != n_steps:
-        sample_steps.append(n_steps)
+    sample_steps = _sample_steps(scenario.t_final, scenario.dt,
+                                 scenario.stride).tolist()
     n_samples = len(sample_steps)
 
     # a ring of pair states (index 0) and their FFTs (index 1): one block of

@@ -233,6 +233,28 @@ def test_atrace_kinematic_abscissa_is_the_effective_model_path(tmp_path):
     assert np.array_equal(params.coupling(trace[:, 1]), model[:, 1])
 
 
+def test_atrace_and_effective_model_write_the_same_instants(tmp_path):
+    # round(10/0.01) = 1000 steps at stride 7: both write 144 rows; the
+    # effective model wrote multiples of 0.07, 68 of them off atrace's
+    # t = step * dt in the last bits, and ended at 10.010000000000002
+    run = 'run={"t_final": 10.0, "dt": 0.01, "stride": 7}'
+    config = str(CONFIGS / "effective_model.json")
+    assert main(["effective-model", "--config", config, "--out",
+                 str(tmp_path), "--override", run]) == 0
+    assert main(["atrace", "--config", config, "--out", str(tmp_path),
+                 "--override", run, "--override", "experiment=atrace",
+                 "--override", "output.abscissa=kinematic",
+                 "--override", 'grid={"points": 2048, "x_min": -300.0, '
+                               '"x_max": 300.0}']) == 0
+    _, _, model = read_table(tmp_path / "effective_model.csv")
+    _, _, trace = read_table(tmp_path / "atrace.csv")
+    assert trace.shape[0] == 144
+    assert np.array_equal(trace[:, 0], model[:, 0])
+    assert trace[-1, 0] == 10.0
+    params = load_config(config).base_params
+    assert np.array_equal(params.coupling(trace[:, 1]), model[:, 1])
+
+
 def test_fidelity_map_rejects_measured_abscissa_for_sweeps(tmp_path):
     data = tiny_map_config()
     data["output"] = {"abscissa": "measured"}
@@ -864,6 +886,28 @@ _BIG = 10**400  # a JSON integer beyond the float range
                   f"model.photon_index={10**300}"),
                  "config.model.mode: the coupling G(x) is not finite at "
                  "x=-195.0", id="effective_model-coupling-overflows-mid-path"),
+    # theta'' ~ 8 n (g/Delta)(g'/Delta)^2 overflows near a coupling of 1e-153
+    # at detuning 1e-154 while G, g' and g'' stay finite: the trace wrote
+    # inf in both a_t cells
+    pytest.param("fig9a_atrace",
+                 ("model.detuning=1e-154",
+                  'model.mode={"kind": "tabulated", "positions": '
+                  '[0, 0.5, 1, 1.5], "samples": [1, 1, 10, 1e-153]}',
+                  'state={"x0": 0.0, "p0": 0.0, "width": 2.0}',
+                  'grid={"points": 64, "x_min": -20.0, "x_max": 20.0}',
+                  'run={"t_final": 0.0625, "dt": 0.0625}'),
+                 "config.model.mode: the mixing-angle curvature theta''(x) "
+                 "is not finite at x=-12.5",
+                 id="fig9a_atrace-angle-curvature-overflows"),
+    # the gap is below its floor at every scan point, so every scan value
+    # is inf: the search reported a flat profile
+    pytest.param("fig2_max_locus",
+                 ('model.detuning={"values": [1e-13]}',
+                  "model.mode.amplitude=1e-20"),
+                 "pointwise adiabaticity parameter is inf at every scan point "
+                 "at detuning 1e-13: the gap sqrt(detuning^2 + 4 G^2) is at "
+                 "most 1e-13, below 1e-12",
+                 id="fig2_max_locus-singular-at-every-scan-point"),
 ])
 def test_cli_rejects_out_of_range_numbers_in_one_line(tmp_path, capsys, name,
                                                       override, message):
@@ -955,13 +999,15 @@ def generated_cli_configs(st):
 
 
 #: The run-time errors a config that loads may end in: the domain guard, a
-#: collapsed averaged splitting, a flat max-locus profile and a refined
-#: maximum that reads 0; every other failure is a config error.
+#: collapsed averaged splitting, a flat max-locus profile, one singular at
+#: every scan point and a refined maximum that reads 0; every other failure
+#: is a config error.
 _LISTED_ERRORS = re.compile(
     r"adiabatica: error: (config\.|.* packet at <x>=.* of a domain edge .*; "
     r"enlarge the grid$|averaged surface splitting collapsed below |flat "
     r"adiabaticity profile: nothing to maximize$|pointwise adiabaticity "
-    r"parameter is not > 0 at its refined maximum )")
+    r"parameter is (not > 0 at its refined maximum |inf at every scan "
+    r"point ))")
 
 
 def run_generated_config(data, work):

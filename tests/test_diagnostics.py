@@ -410,6 +410,26 @@ def test_max_locus_flat_profile_rejected():
         ad.adiabaticity_max_locus(params, [1.0], 10.0, window=(0.5, 300.0))
 
 
+def test_max_locus_singular_window():
+    # the gap sqrt(delta^2 + 4 G^2) falls below SPLITTING_FLOOR where the
+    # Gaussian's tail is under 1e-12: a window singular there in part
+    # brackets the inf as its peak; one that reads inf everywhere is an error
+    params = ad.ModelParams(mode=ad.GaussianMode(1.0, 50.0), detuning=1e-13)
+    locus = ad.adiabaticity_max_locus(params, [1e-13], 10.0,
+                                      window=(0.5, 600.0), scan_points=16)
+    assert locus[0, 2] == math.inf
+    faint = replace(params, mode=ad.GaussianMode(1e-20, 50.0))
+    with pytest.raises(ValueError, match=r"is inf at every scan point at "
+                       r"detuning 1e-13: the gap .* is at most 1e-13, below "
+                       r"1e-12$"):
+        ad.adiabaticity_max_locus(faint, [1e-13], 10.0, window=(0.5, 600.0))
+    # a gap of 1e-5 everywhere, but |theta'| / gap ~ 1e310 overflows
+    steep = ad.ModelParams(mode=ad.LinearMode(1e300), detuning=1e-5)
+    with pytest.raises(ValueError, match=r"is inf at every scan point at "
+                       r"detuning 1e-05: it is singular or overflows there$"):
+        ad.adiabaticity_max_locus(steep, [1e-5], 1.0, window=(0.0, 1e-310))
+
+
 def test_max_locus_window_validation():
     params = ad.ModelParams(mode=ad.LinearMode(1.0), detuning=1.0)
     with pytest.raises(ValueError):
