@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -29,13 +30,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    where the wheel ships no such library or it lacks the symbols."""
+    import ctypes
+
+    import numpy
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)),
+                        "numpy.libs")
+    try:
+        lib = ctypes.CDLL(os.path.join(libs, min(
+            name for name in os.listdir(libs)
+            if name.startswith("libscipy_openblas64_"))))
+        return (lib.scipy_openblas_get_num_threads64_,
+                lib.scipy_openblas_set_num_threads64_)
+    except (OSError, ValueError, AttributeError):
+        return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS on one thread inside the block, forked children
+    included; the caller's count is restored after it.
+
+    Above 10 000 points OpenBLAS threads the samplers' (..., 1, N) @ (N,)
+    reductions, so their last bits follow the CPU count, and a spinning BLAS
+    thread takes the CPU from the other pool worker.  Where the count is not
+    reachable, nothing is pinned.
+    """
+    counts = _openblas_threads()
+    if counts is None:
+        yield
+        return
+    get, set_count = counts
+    previous = get()
+    set_count(1)
+    try:
+        yield
+    finally:
+        set_count(previous)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV, ".")
     try:
-        config = load_config(args.config, experiment=args.experiment,
-                             overrides=args.override)
-        paths = run_experiment(config, out_dir)
+        with _one_blas_thread():
+            config = load_config(args.config, experiment=args.experiment,
+                                 overrides=args.override)
+            paths = run_experiment(config, out_dir)
     except (OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"adiabatica: error: {exc}", file=sys.stderr)
         return 1

@@ -51,7 +51,7 @@ def local_adiabaticity(params: ModelParams, x, p0,
     representable; a nan there raises ValueError.
     """
     x = np.asarray(x, dtype=float)
-    split = params.level_splitting
+    split = params.detuning
     n = params.photon_index
     g = np.asarray(params.mode.value(x), dtype=float)
     rate = p0 / params.mass
@@ -275,7 +275,7 @@ def adiabaticity_max_locus(params: ModelParams, deltas, p0: float,
         vals = local_adiabaticity(local, xs, p0)
         if vals.size and np.isinf(vals).all():
             with np.errstate(all="ignore"):
-                gap = np.max(np.hypot(local.level_splitting,
+                gap = np.max(np.hypot(local.detuning,
                                       2.0 * local.coupling(xs)))
             raise ValueError(
                 "pointwise adiabaticity parameter is inf at every scan point "
@@ -313,7 +313,7 @@ def lorentzian_peak_integral(params: ModelParams, p0: float) -> tuple[float, flo
     zero; its integral is |p0 / (m split)| independent of C.  Returns
     (numeric, analytic).
     """
-    split = params.level_splitting
+    split = params.detuning
     if split == 0.0:
         raise ValueError("peak integral needs a nonzero level splitting")
     n = params.photon_index

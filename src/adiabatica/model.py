@@ -272,11 +272,6 @@ class ModelParams:
         return (-d * (n - 1), -d * n)
 
     @property
-    def level_splitting(self) -> float:
-        """eps_+ - eps_-, which is the detuning in both frame cases."""
-        return self.detuning
-
-    @property
     def mean_shift(self) -> float:
         """(eps_+ + eps_-) / 2, the frame-dependent common offset."""
         up, dn = self.level_shifts
@@ -312,7 +307,7 @@ def _su2_step(half_split, g, dt: float):
 
 def _theta(params: ModelParams, x):
     """Mixing angle without the degeneracy check."""
-    return 0.5 * np.arctan2(2.0 * params.coupling(x), params.level_splitting)
+    return 0.5 * np.arctan2(2.0 * params.coupling(x), params.detuning)
 
 
 def mixing_angle(params: ModelParams, x):
@@ -322,7 +317,7 @@ def mixing_angle(params: ModelParams, x):
     undefined there); with this branch the rotation puts the upper surface in
     the first matrix slot everywhere.
     """
-    if params.level_splitting == 0.0 and np.any(params.coupling(x) == 0.0):
+    if params.detuning == 0.0 and np.any(params.coupling(x) == 0.0):
         raise DegeneratePointError(
             "mixing angle undefined: coupling and level splitting both vanish")
     return _theta(params, x)
@@ -331,7 +326,7 @@ def mixing_angle(params: ModelParams, x):
 def adiabatic_eigenvalues(params: ModelParams, x):
     """Adiabatic surfaces (Delta_+, Delta_-); Delta_+ >= Delta_- everywhere."""
     g = params.coupling(x)
-    half = 0.5 * params.level_splitting
+    half = 0.5 * params.detuning
     root = np.hypot(half, g)
     mean = params.mean_shift
     return mean + root, mean - root
@@ -353,7 +348,7 @@ def _angle_derivatives(params: ModelParams, x):
     8 n (g/Delta) (g'/Delta)^2), so both keep their value wherever it is
     representable, and an exact 0 keeps its signed bits.
     """
-    split = params.level_splitting
+    split = params.detuning
     g = params.mode.value(x)
     dg = params.mode.slope(x)
     ddg = params.mode.curvature(x)

@@ -168,7 +168,7 @@ def _coupled_kick(params: ModelParams, grid: Grid, dt: float):
     """The exact state's potential factor: kick(comps) multiplies the bare
     rows (2, N) by the 2x2 unitary exp(-i V dt) of every point, in place."""
     g = np.asarray(params.coupling(grid.x), dtype=float)
-    p11, p22, p12 = _su2_step(0.5 * params.level_splitting, g, dt)
+    p11, p22, p12 = _su2_step(0.5 * params.detuning, g, dt)
     phase = np.exp(-1j * params.mean_shift * dt)
     # rows (p11, p22) of the unitary and its symmetric off-diagonal p12
     diag_factor = phase * np.stack([p11, p22])

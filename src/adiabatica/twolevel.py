@@ -46,7 +46,7 @@ def substitution_model(params: ModelParams, p0: float, x0: float) -> EffectiveMo
     def coupling_slope(t):
         return rate * params.coupling_slope(_kinematic_path(x0, p0, params.mass, t))
 
-    return EffectiveModel(params.level_splitting, coupling, coupling_slope)
+    return EffectiveModel(params.detuning, coupling, coupling_slope)
 
 
 def time_adiabaticity(model: EffectiveModel, t):

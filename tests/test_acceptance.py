@@ -162,7 +162,7 @@ def test_criterion_04_frame_identity():
             for params in (p1, p2):
                 theta = ad.mixing_angle(params, xs)
                 g = params.coupling(xs)
-                half = 0.5 * params.level_splitting
+                half = 0.5 * params.detuning
                 upper, lower = ad.adiabatic_eigenvalues(params, xs)
                 off = np.cos(2 * theta) * g - np.sin(2 * theta) * half
                 diag = params.mean_shift + half * np.cos(2 * theta) + g * np.sin(2 * theta)

@@ -431,6 +431,97 @@ def test_bundled_config_runs_and_is_deterministic(tmp_path, capsys, name):
     _runs_twice_identically(tmp_path, capsys, CONFIGS / f"{name}.json")
 
 
+def _snapshot_trajectory_in_a_fresh_interpreter(tmp_path, tag, one_cpu):
+    # the affinity set is fixed before numpy loads, so OpenBLAS starts as
+    # many threads as a user's process on that set would; the thread
+    # variables a caller may have exported are dropped for the same reason
+    out = tmp_path / tag
+    code = ("import os, sys\n"
+            "if sys.argv[1] == '1':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "import adiabatica.cli\n"
+            "sys.exit(adiabatica.cli.main(sys.argv[2:]))\n")
+    src = str(Path(ad.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                          "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "1" if one_cpu else "0", "snapshot",
+         "--config", str(CONFIGS / "snapshot.json"),
+         "--override", "grid.points=16384", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return (out / "snapshot_trajectory.csv").read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs an affinity set of two or more CPUs")
+def test_cli_output_does_not_depend_on_the_cpu_count(tmp_path):
+    # above 10 000 points OpenBLAS threads the samplers' (..., 1, N) @ (N,)
+    # reductions, whose last bits then depend on the thread count; the CLI
+    # runs them on one thread, so one CPU and several write the same bytes
+    if adiabatica.cli._openblas_threads() is None:
+        pytest.skip("numpy's bundled OpenBLAS thread count is not reachable")
+    one = _snapshot_trajectory_in_a_fresh_interpreter(tmp_path, "one", True)
+    every = _snapshot_trajectory_in_a_fresh_interpreter(tmp_path, "all", False)
+    assert one == every
+
+
+def test_cli_pins_blas_for_the_run_and_restores_the_callers_count(
+        tmp_path, capsys, monkeypatch):
+    counts = adiabatica.cli._openblas_threads()
+    if counts is None:
+        pytest.skip("numpy's bundled OpenBLAS thread count is not reachable")
+    get, _ = counts
+    before = get()
+    during = []
+
+    def recording_run(config, out_dir):
+        during.append(get())
+        return run_experiment(config, out_dir)
+
+    monkeypatch.setattr(adiabatica.cli, "run_experiment", recording_run)
+    assert main(["snapshot", "--config", str(CONFIGS / "snapshot.json"),
+                 "--out", str(tmp_path)]) == 0
+    assert during == [1]
+    assert get() == before
+
+
+@pytest.mark.parametrize("libs", ["absent", "not-a-library", "no-symbol"])
+def test_cli_runs_unpinned_where_the_blas_lookup_finds_nothing(
+        tmp_path, capsys, monkeypatch, libs):
+    # the pin fails open: no library directory, a file that does not load,
+    # a library without the thread-count symbols
+    real_libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    fake = tmp_path / "site" / "numpy" / "__init__.py"
+    fake.parent.mkdir(parents=True)
+    if libs != "absent":
+        libdir = fake.parents[1] / "numpy.libs"
+        libdir.mkdir()
+        target = libdir / "libscipy_openblas64_-0.so"
+        if libs == "not-a-library":
+            target.write_bytes(b"not an ELF file")
+        else:
+            others = sorted(real_libs.glob("libgfortran*")) if real_libs.is_dir() else []
+            if not others:
+                pytest.skip("no library without the symbols to stand in")
+            target.symlink_to(others[0])
+    expected = tmp_path / "expected"
+    argv = ["snapshot", "--config", str(CONFIGS / "snapshot.json")]
+    assert main([*argv, "--out", str(expected)]) == 0
+    monkeypatch.setattr(np, "__file__", str(fake))
+    assert adiabatica.cli._openblas_threads() is None
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "unpinned")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    for name in ("snapshot.csv", "snapshot_trajectory.csv"):
+        assert ((tmp_path / "unpinned" / name).read_bytes()
+                == (expected / name).read_bytes())
+
+
 def test_cli_override_changes_output(tmp_path):
     cfg_path = write_config(tmp_path, tiny_map_config("a0-map"))
     out = tmp_path / "out"

@@ -563,7 +563,7 @@ def _reference_run(data):
                                     frame_case=ad.FrameCase(model["frame_case"]))
         except ValueError as exc:
             return f"config.model.photon_index: {exc}"
-        rates.append((np.max(np.hypot(0.5 * params.level_splitting,
+        rates.append((np.max(np.hypot(0.5 * params.detuning,
                                       params.coupling(grid.x))), d))
     t_final, dt = run["t_final"], run.get("dt")
     which, at = "t_final/dt", ""

@@ -121,8 +121,7 @@ def test_level_shifts_case1_case2():
     assert p1.level_shifts == (1.5, -1.5)
     p2 = replace(p1, frame_case=ad.FrameCase.CASE2)
     assert p2.level_shifts == (-9.0, -12.0)
-    # splitting identical, offsets differ
-    assert p1.level_splitting == p2.level_splitting == 3.0
+    # offsets differ
     assert p1.mean_shift == 0.0
     assert p2.mean_shift == pytest.approx(-3.0 * 3.5)
 

@@ -22,7 +22,7 @@ def gaussian_substitution(amplitude=1.0, width=50.0, detuning=0.5, p0=5.0,
 
 def test_substitution_model_is_time_gaussian():
     params, model = gaussian_substitution(p0=5.0, x0=-200.0)
-    assert model.detuning == params.level_splitting
+    assert model.detuning == params.detuning
     ts = np.linspace(0.0, 80.0, 9)
     np.testing.assert_allclose(model.coupling(ts),
                                params.coupling(-200.0 + 5.0 * ts), rtol=1e-15)
