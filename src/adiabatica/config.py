@@ -1,8 +1,8 @@
 """Scenario configuration: JSON loading, validation and override handling.
 
-Configs are strict: unknown keys are rejected and every guard of the
-downstream modules is checked at load time, with the offending key path in
-the error message.  A run's time grid (final time, a default `dt` or one
+Configs are strict: unknown and repeated keys are rejected and every guard
+of the downstream modules is checked at load time, with the offending key
+path in the error message.  A run's time grid (final time, a default `dt` or one
 checked against the phase bound, the step limits, stride) and a max-locus
 search window are resolved here into a `RunSpec` and a `SearchSpec`, which
 the runners only read.
@@ -444,6 +444,9 @@ def validate_config(data: dict, experiment: str | None = None) -> ScenarioConfig
     # need the shared kinematic axis
     abscissa = "measured" if tag == "atrace" else "kinematic"
     if "output" in data:
+        if tag not in ("fidelity-map", "atrace"):
+            _fail("config.output", "only the fidelity-map and atrace "
+                  "experiments take an output block")
         _check_keys(data["output"], "config.output", {"abscissa"}, set())
         abscissa = data["output"].get("abscissa", abscissa)
         if abscissa not in ("kinematic", "measured"):
@@ -501,8 +504,18 @@ def apply_overrides(data: dict, overrides) -> dict:
 def load_config(path, experiment: str | None = None,
                 overrides=None) -> ScenarioConfig:
     """Read, override and validate a JSON scenario configuration."""
+    def unique_keys(pairs) -> dict:
+        # json.loads alone keeps the last of two equal keys, at any depth
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{path}: repeated key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"),
+                          object_pairs_hook=unique_keys)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: byte {exc.start}: not UTF-8 text "
                           f"({exc.reason})") from exc

@@ -20,8 +20,7 @@ from .config import ScenarioConfig
 from .diagnostics import adiabaticity_max_locus, local_adiabaticity
 from .grids import ADIABATIC, BARE, SpinorField, gaussian_bare_state, to_bare
 from .model import adiabatic_frame
-from .propagation import (Scenario, _available_cpus, _fork_context,
-                          _sample_steps, run_scenario)
+from .propagation import Scenario, _run_cells, _sample_steps, run_scenario
 from .twolevel import _kinematic_path, substitution_model
 
 #: Format of every table cell and of the detuning header labels.
@@ -109,27 +108,8 @@ def _run_max_locus(config: ScenarioConfig, out_dir: Path):
                       ["detuning", "x_max", "value_at_max"], locus.T)]
 
 
-def _sweep_cell(scenario: Scenario):
-    """One fidelity-map cell.  The pool pickles its callable by name, and
-    pickle rejects run_scenario itself once a profiler such as
-    perfbench/tracer.py has rebound it here to a wrapper."""
-    return run_scenario(scenario)
-
-
 def _run_fidelity_map(config: ScenarioConfig, out_dir: Path):
-    scenarios = [_build_scenario(config, d) for d in config.detunings]
-    context = _fork_context() if len(scenarios) > 1 else None
-    if context is None:
-        records = [_sweep_cell(s) for s in scenarios]
-    else:
-        # imported here: only a multi-cell map uses a pool, and with
-        # multiprocessing it would add about 20 ms to every start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        workers = min(len(scenarios), _available_cpus())
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            records = list(pool.map(_sweep_cell, scenarios))
-
+    records = _run_cells([_build_scenario(config, d) for d in config.detunings])
     base, state = records[0], config.state
     axis = (base.x_mean if config.abscissa == "measured" else _kinematic_path(
         state.x0, state.p0, config.base_params.mass, base.times))

@@ -79,6 +79,9 @@ runs, runs inside a worker process (the fidelity-map pool) or beside other
 threads of the caller, and runs with one CPU stay inline, with a ring of B
 slots.  Whether the second CPU is idle is not checked: runs started side by
 side on a busy machine each still fork.
+
+_run_cells runs a fidelity map's cells, two or more in a pool of forked
+workers (one per CPU, at most one per cell) when _fork_context allows it.
 """
 
 from __future__ import annotations
@@ -560,3 +563,17 @@ def run_scenario(scenario: Scenario) -> RunRecord:
     rec.final_exact = SpinorField(grid, final[:2], BARE)
     rec.final_reference = SpinorField(grid, final[2:], ADIABATIC)
     return rec
+
+
+def _run_cells(scenarios) -> list[RunRecord]:
+    """run_scenario on each scenario, in order (see the module docstring)."""
+    context = _fork_context() if len(scenarios) > 1 else None
+    if context is None:
+        return [run_scenario(s) for s in scenarios]
+    # imported here: only a multi-cell map uses a pool, and with
+    # multiprocessing it would add about 20 ms to every start-up
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(len(scenarios), _available_cpus())
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        return list(pool.map(run_scenario, scenarios))

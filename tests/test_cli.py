@@ -585,6 +585,23 @@ def test_cli_rejects_an_outsized_grid_before_allocating_it(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name", ["fig3_a0_map", "fig2_max_locus",
+                                  "effective_model", "snapshot"])
+def test_cli_rejects_an_output_block_the_experiment_does_not_read(tmp_path,
+                                                                  capsys, name):
+    # only fidelity-map and atrace read output.abscissa; the others ran with
+    # the block and recorded an abscissa that had no effect
+    path = CONFIGS / f"{name}.json"
+    experiment = json.loads(path.read_text())["experiment"]
+    assert main([experiment, "--config", str(path), "--override",
+                 'output={"abscissa": "measured"}',
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "adiabatica: error: config.output: only the fidelity-map and atrace "
+        "experiments take an output block\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_an_outsized_detuning_range_at_load_time(tmp_path, capsys):
     # the sweep geometry's runs are resolved per detuning before any starts,
     # so 10**9 detunings would have validated for days

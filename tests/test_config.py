@@ -213,6 +213,26 @@ def test_edge_distance_guard():
         validate_config(data)
 
 
+def test_a_repeated_key_is_rejected_at_any_depth(tmp_path):
+    # json.loads alone keeps the last of two equal keys, so such a file ran
+    # with the last one, and its comment line showed only that one
+    path = tmp_path / "cfg.json"
+    text = json.dumps(fig_map_config())
+    for once, twice, key in [('"grid": {', '"grid": {}, "grid": {', "grid"),
+                             ('"dt": 0.05', '"dt": 0.1, "dt": 0.05', "dt"),
+                             ('"width": 50.0', '"width": 5.0, "width": 50.0',
+                              "width")]:
+        assert text.count(once) == 1
+        path.write_text(text.replace(once, twice))
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value) == f"{path}: repeated key {key!r}"
+    # several overrides of one key stay last-wins
+    path.write_text(text)
+    cfg = load_config(path, overrides=["run.dt=0.1", "run.dt=0.02"])
+    assert cfg.run.dt == 0.02
+
+
 def test_search_block_only_for_max_locus():
     data = fig_map_config()
     data["search"] = {"x_lo": 1.0, "x_hi": 100.0}

@@ -15,6 +15,7 @@ import adiabatica as ad
 
 from conftest import (constant_mode, generated_packet, generated_params,
                       l2_distance, sampled_states)
+from oracle import two_level_transfer
 from adiabatica.config import validate_config
 from adiabatica.experiments import write_run_csv
 
@@ -61,29 +62,36 @@ def test_rabi_oscillations_uniform_coupling():
         assert state.component_norms_sq()[1] == pytest.approx(expected, abs=1e-3)
 
 
-def rosen_zener_packet_transfer(g0, mass, npoints):
-    # a packet at speed v = 5 crossing the coupling g0 sech(x/10) at
+def packet_transfer(mode_on, mass, npoints):
+    # a packet at speed v = 5 crossing the coupling of mode_on(grid) at
     # detuning 0.2, from x = -150 to +150; returns the lower bare fraction
     grid = ad.Grid(npoints, -200.0, 200.0)
-    mode = ad.TabulatedMode(grid.x, g0 / np.cosh(grid.x / 10.0))
-    params = ad.ModelParams(mode=mode, detuning=0.2, mass=mass)
+    params = ad.ModelParams(mode=mode_on(grid), detuning=0.2, mass=mass)
     psi = ad.gaussian_bare_state(grid, -150.0, 5.0 * mass, 4.0)
     out = ad.FullPropagator(params, grid, 0.02).advance(psi, 3000)
     pops = out.component_norms_sq()
     return pops[1] / pops.sum()
 
 
-def test_packet_transfer_approaches_rosen_zener_as_one_over_mass():
+def rosen_zener_packet_transfer(g0, mass, npoints):
+    return packet_transfer(
+        lambda grid: ad.TabulatedMode(grid.x, g0 / np.cosh(grid.x / 10.0)),
+        mass, npoints)
+
+
+def rosen_zener(g0, v=5.0):
     # Rosen & Zener (1932): a two-level system driven through the coupling
     # g0 sech(t/T) at splitting delta ends in the other level with
     # P = sin^2(pi g0 T) / cosh^2(pi delta T / 2); a packet at speed v sees
-    # T = w/v.  The packet's P differs from it by a quantum correction that
-    # falls as 1/mass at fixed speed (measured: m (P/P_RZ - 1) = -3.63e-3,
-    # -3.56e-3, -3.54e-3 at masses 2, 4, 8).
-    def rosen_zener(g0, v=5.0):
-        return (np.sin(np.pi * g0 * 10.0 / v) ** 2
-                / np.cosh(np.pi * 0.2 * 10.0 / (2.0 * v)) ** 2)
+    # T = w/v, here with w = 10 and delta = 0.2
+    return (np.sin(np.pi * g0 * 10.0 / v) ** 2
+            / np.cosh(np.pi * 0.2 * 10.0 / (2.0 * v)) ** 2)
 
+
+def test_packet_transfer_approaches_rosen_zener_as_one_over_mass():
+    # The packet's P differs from the closed form by a quantum correction
+    # that falls as 1/mass at fixed speed (measured: m (P/P_RZ - 1) =
+    # -3.63e-3, -3.56e-3, -3.54e-3 at masses 2, 4, 8).
     p_rz = rosen_zener(0.125)
     assert p_rz == pytest.approx(0.344935, abs=1e-6)
     transfer = {mass: rosen_zener_packet_transfer(0.125, mass, npoints)
@@ -106,6 +114,57 @@ def test_packet_transfer_approaches_rosen_zener_as_one_over_mass():
     p_rz = rosen_zener(0.25)
     assert p_rz == pytest.approx(0.689870, abs=1e-6)
     assert abs(rosen_zener_packet_transfer(0.25, 8, 8192) / p_rz - 1.0) < 1e-3
+
+
+def test_two_level_oracle_matches_rosen_zener():
+    # the path runs from x = -150 to +150, so the sech's tails beyond it
+    # (sech 15 = 6e-7) are cut: measured -7.4e-7 at dt 0.02, -3.8e-7 at 0.01
+    def sech(x):
+        return 0.125 / np.cosh(x / 10.0)
+
+    p_rz = rosen_zener(0.125)
+    assert abs(two_level_transfer(sech, 0.2, -150.0, 5.0, 60.0, 0.01)
+               - p_rz) <= 1e-6
+    # the packet test's tabulated sech, interpolated: measured -1.3e-6
+    xs = ad.Grid(4096, -200.0, 200.0).x
+    table = ad.TabulatedMode(xs, sech(xs))
+    assert abs(two_level_transfer(table.value, 0.2, -150.0, 5.0, 60.0, 0.01)
+               - p_rz) <= 2e-6
+    # a Gaussian has no closed form; dt 0.02 and 0.01 agree to 1.3e-7
+    gaussian = ad.ModelParams(mode=ad.GaussianMode(2.0, 10.0),
+                              detuning=0.2).coupling
+    coarse, fine = (two_level_transfer(gaussian, 0.2, -150.0, 5.0, 60.0, dt)
+                    for dt in (0.02, 0.01))
+    assert fine == pytest.approx(0.129108, abs=1e-6)
+    assert abs(coarse - fine) <= 3e-7
+
+
+def test_packet_transfer_approaches_the_two_level_model_as_one_over_mass():
+    # The Rosen-Zener test's geometry with a Gaussian coupling (A=2, a=10),
+    # against the two-level model on the packet's path (tests/oracle.py).
+    # m (P/P2 - 1) reads -5.26e-3, -5.77e-3, -6.02e-3 at masses 2, 4, 8:
+    # the deviation halves per doubling of m (ratios 1.82, 1.92)
+    mode = ad.GaussianMode(2.0, 10.0)
+    coupling = ad.ModelParams(mode=mode, detuning=0.2).coupling
+
+    def two_level(v):
+        return two_level_transfer(coupling, 0.2, -150.0, v, 60.0, 0.02)
+
+    transfer = {mass: packet_transfer(lambda grid: mode, mass, npoints)
+                for mass, npoints in ((2, 4096), (4, 4096), (8, 8192))}
+    p2 = two_level(5.0)
+    plain = {mass: mass * (p / p2 - 1.0) for mass, p in transfer.items()}
+    assert 1.6 <= 2.0 * plain[2] / plain[4] <= 2.4
+    assert 1.6 <= 2.0 * plain[4] / plain[8] <= 2.4
+    # At the mean-energy speed v_eff = sqrt(v^2 + delta/m) the scaled
+    # residual reads +9.96e-4, +5.00e-4, +2.50e-4: it halves per doubling of
+    # m, a 1/m^2 law, and at m = 8 it is 24x below the plain one
+    residual = {mass: mass * (p / two_level(math.sqrt(25.0 + 0.2 / mass))
+                              - 1.0)
+                for mass, p in transfer.items()}
+    assert 1.6 <= residual[2] / residual[4] <= 2.4
+    assert 1.6 <= residual[4] / residual[8] <= 2.4
+    assert abs(residual[8]) <= 0.1 * abs(plain[8])
 
 
 def test_split_step_matches_dense_matrix_exponential():
